@@ -9,7 +9,6 @@ from gkmlef import (abbv_integrate, betti, canonical_classes, catalog,
                     check_hypothesis, cup_power, equivariant_symplectic_class,
                     hard_lefschetz_check, kirwan_reduce, parse_gkm,
                     restrict_to_circle)
-from gkmlef.cohomology import EulerData
 
 entry = catalog.get("su3")
 graph = parse_gkm(entry.document)
@@ -25,14 +24,15 @@ print("\nBetti numbers:", betti(profile))
 print("hypothesis:", check_hypothesis(profile))
 
 basis = canonical_classes(graph, profile)
-print("\ncanonical class restrictions (ascending moment order):")
+print("\ncanonical classes in ascending moment order; alpha_F restricts to")
+print("c * u^(index(F)/2) at each fixed point, and c is listed per point:")
 for fid in basis.order:
-    print("  alpha_%s:" % fid,
-          {v: repr(basis.alpha[fid].at(v)) for v in sorted(profile.mu)})
+    print("  alpha_%s (index %d):" % (fid, profile.index[fid]),
+          {v: str(basis.alpha[fid].at(v)) for v in sorted(profile.mu)})
 
-euler = EulerData(profile)
 omega = equivariant_symplectic_class(profile, shift=profile.min_value())
-print("\nsymplectic volume (localization):", abbv_integrate(cup_power(omega, 3), euler))
+print("\nsymplectic volume (localization):",
+      abbv_integrate(cup_power(omega, 3), profile))
 
 ring = kirwan_reduce(basis)
 report = hard_lefschetz_check(ring)

@@ -9,8 +9,8 @@ computations over Q.
 from .model import (GkmGraph, GkmValidationError, CircleProfile, parse_gkm,
                     emit_gkm, restrict_to_circle, betti, check_hypothesis,
                     self_indexing_normalizer)
-from .cohomology import (CanonicalBasis, CircleClass, TorusClass, EulerData,
-                         OrdinaryRing, abbv_integrate, canonical_classes,
+from .cohomology import (CanonicalBasis, CircleClass, OrdinaryRing,
+                         abbv_integrate, canonical_classes,
                          canonical_classes_global, cup, cup_power,
                          equivariant_symplectic_class, expand_in_basis,
                          is_member, kirwan_reduce)
@@ -23,7 +23,7 @@ from .render import render_svg
 __all__ = [
     "GkmGraph", "GkmValidationError", "CircleProfile", "parse_gkm", "emit_gkm",
     "restrict_to_circle", "betti", "check_hypothesis", "self_indexing_normalizer",
-    "CanonicalBasis", "CircleClass", "TorusClass", "EulerData", "OrdinaryRing",
+    "CanonicalBasis", "CircleClass", "OrdinaryRing",
     "abbv_integrate", "canonical_classes", "canonical_classes_global", "cup",
     "cup_power", "equivariant_symplectic_class", "expand_in_basis", "is_member",
     "kirwan_reduce", "HLReport", "hard_lefschetz_check",

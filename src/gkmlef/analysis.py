@@ -24,6 +24,11 @@ def _rat(x):
     return None if x is None else format_rational(x)
 
 
+def _ascending(c, d):
+    """Coefficients of c * u^d in ascending powers of u, trailing zeros dropped."""
+    return [] if c == 0 else ["0"] * d + [format_rational(c)]
+
+
 def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             with_timings=False):
     """Run the whole pipeline; returns (report_dict, exit_code)."""
@@ -97,11 +102,11 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
                 fid: {
                     "degree": profile.index[fid],
                     "alpha": {
-                        vid: basis.alpha[fid].at(vid).to_strings()
+                        vid: _ascending(basis.alpha[fid].at(vid), profile.index[fid] // 2)
                         for vid in sorted(profile.mu)
                     },
                     "beta": {
-                        vid: basis.beta[fid].at(vid).to_strings()
+                        vid: _ascending(basis.beta[fid].at(vid), profile.index[fid] // 2)
                         for vid in sorted(profile.mu)
                     },
                 }

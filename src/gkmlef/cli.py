@@ -77,7 +77,7 @@ def cmd_validate(args):
     name, data, _ = _load_input(args)
     try:
         doc = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         sys.stdout.write("FAIL document-structure: malformed JSON: %s\n" % exc)
         return 0
     checks = run_checks(doc)

@@ -1,9 +1,10 @@
 """Equivariant cohomology in the fixed-point model.
 
-Classes are tuples of polynomial restrictions indexed by fixed points; the
-image of the restriction map is cut out by the GKM edge congruences.  Circle
-classes are specializations of torus classes along the chosen circle, which
-is also how membership is defined.
+Classes are tuples of restrictions indexed by fixed points; the image of the
+restriction map is cut out by the GKM edge congruences.  Every class the
+pipeline handles is homogeneous: at an isolated fixed point a degree-2k class
+restricts to c * u^k under the circle, so a circle class stores its degree and
+one rational c per fixed point.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (TorusPoly, UPoly, mat_vec, matrix_rank, monomial_exponents,
-                    solve_affine)
+from .exact import (TorusPoly, mat_vec, matrix_rank, monomial_exponents,
+                    nullspace, solve_affine)
 
 
 class ClassConstructionError(ValueError):
@@ -28,50 +29,33 @@ class ExpansionError(ValueError):
 
 
 @dataclass(frozen=True)
-class TorusClass:
-    graph: object
-    degree: int  # cohomological (twice the polynomial degree)
-    polys: dict  # vertex id -> TorusPoly
-
-    def specialize(self, xi):
-        return CircleClass(self.graph, self.degree,
-                           {v: p.specialize(xi) for v, p in self.polys.items()},
-                           torus=self)
-
-
-@dataclass(frozen=True)
 class CircleClass:
     graph: object
-    degree: int  # cohomological; restrictions of a degree-2d class are c*u^d
-    restrictions: dict  # vertex id -> UPoly
-    torus: TorusClass = None
+    degree: int  # cohomological, even
+    values: dict  # vertex id -> Fraction c; the restriction is c * u^(degree/2)
 
     def at(self, vid):
-        return self.restrictions.get(vid, UPoly.zero)
+        return self.values.get(vid, Fraction(0))
 
     @property
     def is_zero(self):
-        return all(p.is_zero for p in self.restrictions.values())
+        return not any(self.values.values())
 
     def __eq__(self, other):
         return (isinstance(other, CircleClass) and self.degree == other.degree
                 and all(self.at(v.id) == other.at(v.id) for v in self.graph.vertices))
 
     def __hash__(self):
-        return hash((self.degree,
-                     tuple(sorted((v, p) for v, p in self.restrictions.items()))))
+        return hash((self.degree, frozenset((v, c) for v, c in self.values.items() if c)))
 
 
 def constant_class(graph, c=1):
-    rank = graph.rank
-    tc = TorusClass(graph, 0,
-                    {v.id: TorusPoly.constant(rank, c) for v in graph.vertices})
-    return CircleClass(graph, 0, {v.id: UPoly.monomial(c, 0) for v in graph.vertices},
-                       torus=tc)
+    return CircleClass(graph, 0, {v.id: Fraction(c) for v in graph.vertices})
 
 
 def is_member(graph, polys):
-    """GKM membership: every edge congruence f_v - f_w = 0 mod weight."""
+    """GKM membership of torus restrictions {vertex id: TorusPoly}: every edge
+    congruence f_v - f_w = 0 mod weight."""
     for e in graph.edges:
         diff = polys[e.v] - polys[e.w]
         if not diff.divisible_by(e.weight):
@@ -81,14 +65,8 @@ def is_member(graph, polys):
 
 def cup(a, b):
     """Vertex-wise product of circle classes on the same graph."""
-    torus = None
-    if a.torus is not None and b.torus is not None:
-        torus = TorusClass(a.graph, a.degree + b.degree,
-                           {v: a.torus.polys[v] * b.torus.polys[v]
-                            for v in a.torus.polys})
     return CircleClass(a.graph, a.degree + b.degree,
-                       {v.id: a.at(v.id) * b.at(v.id) for v in a.graph.vertices},
-                       torus=torus)
+                       {v: c * b.at(v) for v, c in a.values.items()})
 
 
 def cup_power(a, m):
@@ -98,47 +76,21 @@ def cup_power(a, m):
     return out
 
 
-@dataclass(frozen=True)
-class EulerData:
-    """Full and negative equivariant Euler classes at every fixed point."""
-    profile: object
+def abbv_integrate(cls, profile):
+    """Localization integral: the u^0 coefficient of the sum over fixed points
+    of restriction / full Euler class.
 
-    def full(self, vid):
-        n = self.profile.n
-        return UPoly.monomial(self.profile.full_weight_product(vid), n)
-
-    def negative(self, vid):
-        k = self.profile.index[vid] // 2
-        return UPoly.monomial(self.profile.negative_weight_product(vid), k)
-
-
-def abbv_integrate(cls, euler):
-    """Localization sum over fixed points of restriction / full Euler class.
-
-    The sum of Laurent polynomials must collapse to an honest polynomial in
-    u; a surviving negative power means the tuple was not a genuine class.
+    A degree-2m class sums to s * u^(m-n); below the top degree s must vanish,
+    and a nonzero s means the tuple was not a genuine class.
     """
-    profile = euler.profile
-    n = profile.n
-    acc = {}
-    for v in cls.graph.vertices:
-        denom = profile.full_weight_product(v.id)
-        for k, c in enumerate(cls.at(v.id).coeffs):
-            if c == 0:
-                continue
-            p = k - n
-            acc[p] = acc.get(p, Fraction(0)) + c / denom
-    bad = {p: c for p, c in acc.items() if p < 0 and c != 0}
-    if bad:
+    total = sum((c / profile.full_weight_product(v)
+                 for v, c in cls.values.items() if c), Fraction(0))
+    power = cls.degree // 2 - profile.n
+    if power < 0 and total != 0:
         raise NonPolynomialError(
-            "localization sum has surviving negative powers %s; "
-            "input tuple is not a genuine class" % sorted(bad))
-    if not acc:
-        return UPoly.zero
-    top = max(acc)
-    if top < 0:
-        return UPoly.zero
-    return UPoly([acc.get(p, Fraction(0)) for p in range(top + 1)])
+            "localization sum has a surviving u^%d term; "
+            "input tuple is not a genuine class" % power)
+    return total if power == 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +99,7 @@ def abbv_integrate(cls, euler):
 @lru_cache(maxsize=None)
 def congruence_space(graph, d):
     """Basis of homogeneous degree-d (polynomial degree) solutions of all
-    edge congruences, as TorusClass tuples.
+    edge congruences, each a dict vertex id -> TorusPoly.
     """
     rank = graph.rank
     monos = monomial_exponents(rank, d)
@@ -174,31 +126,16 @@ def congruence_space(graph, d):
                     row[col_of[(e.w, m)]] -= c
             rows.append(row)
 
-    from .exact import nullspace
-    basis = []
-    for vec in nullspace(rows, ncols):
-        polys = {}
-        for vid in vids:
-            terms = {m: vec[col_of[(vid, m)]] for m in monos}
-            polys[vid] = TorusPoly(rank, terms)
-        basis.append(TorusClass(graph, 2 * d, polys))
-    return tuple(basis)
+    return tuple({vid: TorusPoly(rank, {m: vec[col_of[(vid, m)]] for m in monos})
+                  for vid in vids}
+                 for vec in nullspace(rows, ncols))
 
 
 def specialization_matrix(graph, d, xi):
     """Rows = vertices (graph order), columns = congruence-space basis classes;
-    entry = the u^d coefficient of the specialized restriction."""
+    entry = the u^d coefficient of the restriction to the circle xi."""
     basis = congruence_space(graph, d)
-    mat = []
-    for v in graph.vertices:
-        row = []
-        for b in basis:
-            up = b.polys[v.id].specialize(xi)
-            if not up.is_monomial_of(d):
-                raise AssertionError("homogeneous class specialized inhomogeneously")
-            row.append(up.coeff(d))
-        mat.append(row)
-    return basis, mat
+    return [[b[v.id].evaluate(xi) for b in basis] for v in graph.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +173,14 @@ def _canonical_constraints(profile, fid, mat, vids):
     return rows, rhs
 
 
-def _class_from_solution(profile, fid, basis, mat, vids, x):
-    d = profile.index[fid] // 2
-    values = mat_vec(mat, x)
-    restrictions = {vid: UPoly.monomial(c, d) for vid, c in zip(vids, values)}
-    polys = {vid: TorusPoly.zero_poly(profile.graph.rank) for vid in vids}
-    for coeff, b in zip(x, basis):
-        if coeff == 0:
-            continue
-        for vid in vids:
-            polys[vid] = polys[vid] + coeff * b.polys[vid]
-    torus = TorusClass(profile.graph, 2 * d, polys)
-    return CircleClass(profile.graph, 2 * d, restrictions, torus=torus)
+def _alpha_beta(profile, fid, mat, vids, x):
+    """alpha_F from its congruence-space coordinates x, and its normalization
+    beta_F = alpha_F / (product of the negative weights at F)."""
+    values = dict(zip(vids, mat_vec(mat, x)))
+    wprod = profile.negative_weight_product(fid)
+    graph, degree = profile.graph, profile.index[fid]
+    return (CircleClass(graph, degree, values),
+            CircleClass(graph, degree, {v: c / wprod for v, c in values.items()}))
 
 
 def _check_specialized_unique(mat, null_basis, fid):
@@ -269,7 +202,7 @@ def canonical_classes(graph, profile):
     beta = {}
     for fid in basis_order(profile):
         d = profile.index[fid] // 2
-        basis, mat = specialization_matrix(graph, d, profile.xi)
+        mat = specialization_matrix(graph, d, profile.xi)
         rows, rhs = _canonical_constraints(profile, fid, mat, vids)
         sol = solve_affine(rows, rhs)
         if sol is None:
@@ -277,14 +210,7 @@ def canonical_classes(graph, profile):
                 "no canonical class at %s: the fixed-point data is not realizable" % fid)
         x, null_basis = sol
         _check_specialized_unique(mat, null_basis, fid)
-        cls = _class_from_solution(profile, fid, basis, mat, vids, x)
-        alpha[fid] = cls
-        wprod = profile.negative_weight_product(fid)
-        beta[fid] = CircleClass(graph, cls.degree,
-                                {v: p * (1 / wprod) for v, p in cls.restrictions.items()},
-                                torus=TorusClass(graph, cls.degree,
-                                                {v: p * (1 / wprod)
-                                                 for v, p in cls.torus.polys.items()}))
+        alpha[fid], beta[fid] = _alpha_beta(profile, fid, mat, vids, x)
     return CanonicalBasis(profile, basis_order(profile), alpha, beta)
 
 
@@ -293,19 +219,18 @@ def canonical_classes_global(graph, profile):
     condition of every canonical class simultaneously."""
     vids = [v.id for v in graph.vertices]
     fids = basis_order(profile)
-    per_f = {}
+    mats = {}
     offsets = {}
     ncols = 0
     for fid in fids:
         d = profile.index[fid] // 2
-        basis, mat = specialization_matrix(graph, d, profile.xi)
-        per_f[fid] = (basis, mat)
+        mats[fid] = specialization_matrix(graph, d, profile.xi)
         offsets[fid] = ncols
-        ncols += len(basis)
+        ncols += len(mats[fid][0])
 
     rows, rhs = [], []
     for fid in fids:
-        basis, mat = per_f[fid]
+        mat = mats[fid]
         local_rows, local_rhs = _canonical_constraints(profile, fid, mat, vids)
         for lrow, lb in zip(local_rows, local_rhs):
             row = [Fraction(0)] * ncols
@@ -320,69 +245,46 @@ def canonical_classes_global(graph, profile):
     alpha = {}
     beta = {}
     for fid in fids:
-        basis, mat = per_f[fid]
-        off = offsets[fid]
-        local_null = [nu[off:off + len(basis)] for nu in null_basis]
-        _check_specialized_unique(mat, local_null, fid)
-        xl = x[off:off + len(basis)]
-        cls = _class_from_solution(profile, fid, basis, mat, vids, xl)
-        alpha[fid] = cls
-        wprod = profile.negative_weight_product(fid)
-        beta[fid] = CircleClass(graph, cls.degree,
-                                {v: p * (1 / wprod) for v, p in cls.restrictions.items()})
+        mat = mats[fid]
+        off, end = offsets[fid], offsets[fid] + len(mat[0])
+        _check_specialized_unique(mat, [nu[off:end] for nu in null_basis], fid)
+        alpha[fid], beta[fid] = _alpha_beta(profile, fid, mat, vids, x[off:end])
     return CanonicalBasis(profile, fids, alpha, beta)
 
 
 def equivariant_symplectic_class(profile, shift=0):
     """Degree-2 class restricting to (-mu(F) + shift) * u at each fixed point.
 
-    Built from the position-pairing torus class, so the GKM congruences hold
-    by the edge invariant; the shift enters through a fixed linear form that
-    pairs to 1 with xi.
+    It is the circle restriction of minus the position pairing plus shift
+    times a linear form pairing to 1 with xi, so the GKM congruences hold by
+    the edge invariant.
     """
-    graph = profile.graph
     shift = Fraction(shift)
-    xi = profile.xi
-    pivot = next(i for i, a in enumerate(xi) if a != 0)
-    lam_vec = [Fraction(0)] * graph.rank
-    lam_vec[pivot] = Fraction(1, xi[pivot])
-    lam = TorusPoly.linear_form(lam_vec)
-    polys = {}
-    restrictions = {}
-    for v in graph.vertices:
-        f = -TorusPoly.linear_form(v.position) + shift * lam
-        polys[v.id] = f
-        restrictions[v.id] = UPoly.monomial(-profile.mu[v.id] + shift, 1)
-    return CircleClass(graph, 2, restrictions,
-                       torus=TorusClass(graph, 2, polys))
+    return CircleClass(profile.graph, 2,
+                       {v: -mu + shift for v, mu in profile.mu.items()})
 
 
 def expand_in_basis(cls, basis):
-    """Exact expansion c = sum coeff_F * beta_F by triangular substitution in
-    ascending moment order; coefficients are u-monomials for homogeneous c."""
+    """Exact expansion c = sum coeff_F * u^(m - d_F) * beta_F for a class of
+    degree 2m, by triangular substitution in ascending moment order; returns
+    the scalars coeff_F."""
     profile = basis.profile
     if cls.degree % 2 != 0:
         raise ExpansionError("odd-degree class")
     m = cls.degree // 2
-    for v in cls.graph.vertices:
-        if not cls.at(v.id).is_monomial_of(m):
-            raise ExpansionError("restrictions are not homogeneous of the stated degree")
-    residual = {v.id: cls.at(v.id).coeff(m) for v in cls.graph.vertices}
+    residual = {v.id: cls.at(v.id) for v in cls.graph.vertices}
     coeffs = {}
     for fid in basis.order:
-        d = profile.index[fid] // 2
-        r = residual[fid]
+        r = coeffs[fid] = residual[fid]
         if r == 0:
-            coeffs[fid] = UPoly.zero
             continue
-        if m < d:
+        if profile.index[fid] > cls.degree:
             raise ExpansionError(
                 "class of degree %d has a nonzero restriction at %s of index %d; "
-                "not in the span" % (cls.degree, fid, 2 * d))
-        coeffs[fid] = UPoly.monomial(r, m - d)
+                "not in the span" % (cls.degree, fid, profile.index[fid]))
         b = basis.beta[fid]
         for vid in residual:
-            residual[vid] -= r * b.at(vid).coeff(d)
+            residual[vid] -= r * b.at(vid)
     if any(c != 0 for c in residual.values()):
         raise ExpansionError("nonzero residual after triangular expansion")
     return coeffs
@@ -431,6 +333,14 @@ class OrdinaryRing:
         return out
 
 
+def _at_u0(cls, basis):
+    """Expansion of cls with u set to 0: only the basis classes of the class's
+    own degree keep their coefficients."""
+    index = basis.profile.index
+    return {h: c for h, c in expand_in_basis(cls, basis).items()
+            if c != 0 and index[h] == cls.degree}
+
+
 def kirwan_reduce(basis):
     """Ordinary cohomology ring: structure constants of the reduced basis
     obtained by cupping, expanding, and evaluating coefficients at u = 0."""
@@ -443,12 +353,9 @@ def kirwan_reduce(basis):
             if degree[f] + degree[g] > 2 * profile.n:
                 table[(f, g)] = {}
                 continue
-            prod = cup(basis.beta[f], basis.beta[g])
-            coeffs = expand_in_basis(prod, basis)
-            table[(f, g)] = {h: c.at0() for h, c in coeffs.items() if c.at0() != 0}
-    omega_t = equivariant_symplectic_class(profile, shift=profile.min_value())
-    omega = {h: c.at0() for h, c in expand_in_basis(omega_t, basis).items()
-             if c.at0() != 0}
+            table[(f, g)] = _at_u0(cup(basis.beta[f], basis.beta[g]), basis)
+    omega = _at_u0(equivariant_symplectic_class(profile, shift=profile.min_value()),
+                   basis)
     return OrdinaryRing(labels, degree, table, omega, 2 * profile.n)
 
 
@@ -456,15 +363,13 @@ def localization_pairing_matrix(basis, k):
     """Localization pairing between degree-k and degree-(2n-k) reduced basis
     classes; invertibility is Poincare duality at the fixed-point level."""
     profile = basis.profile
-    euler = EulerData(profile)
     low = [l for l in basis.order if profile.index[l] == k]
     high = [l for l in basis.order if profile.index[l] == 2 * profile.n - k]
     mat = []
     for f in low:
         row = []
         for g in high:
-            val = abbv_integrate(cup(basis.beta[f], basis.beta[g]), euler)
-            row.append(val.at0())
+            row.append(abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile))
         mat.append(row)
     return low, high, mat
 

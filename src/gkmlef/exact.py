@@ -14,7 +14,7 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 def parse_rational(s):
     """Parse a rational from its "p" or "p/q" string form."""
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     s = str(s).strip()
     if not _RATIONAL_RE.match(s):
@@ -27,103 +27,6 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-class UPoly:
-    """Polynomial in the degree-two generator u, coefficients in Q.
-
-    Stored as a tuple of coefficients in ascending powers of u with no
-    trailing zeros; the zero polynomial is the empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, c, k):
-        c = Fraction(c)
-        if c == 0:
-            return cls()
-        return cls((0,) * k + (c,))
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def upower_degree(self):
-        """Largest power of u with nonzero coefficient; -1 for zero."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def at0(self):
-        """Evaluate at u = 0."""
-        return self.coeff(0)
-
-    def is_monomial_of(self, k):
-        """True if the polynomial is c*u^k (c may be zero)."""
-        return self.is_zero or (len(self.coeffs) == k + 1
-                                and all(c == 0 for c in self.coeffs[:k]))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "UPoly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(format_rational(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else format_rational(c) + "*")
-                terms.append("%su%s" % (head, "" if k == 1 else "^%d" % k))
-        return "UPoly(%s)" % " + ".join(terms)
-
-    def to_strings(self):
-        """Ascending-power coefficient list as rational strings."""
-        return [format_rational(c) for c in self.coeffs]
-
-
-UPoly.zero = UPoly()
-UPoly.one = UPoly((1,))
 
 
 def monomial_exponents(rank, degree):
@@ -160,10 +63,6 @@ class TorusPoly:
         self.terms = clean
 
     @classmethod
-    def zero_poly(cls, rank):
-        return cls(rank)
-
-    @classmethod
     def constant(cls, rank, c):
         return cls(rank, {(0,) * rank: Fraction(c)})
 
@@ -183,16 +82,6 @@ class TorusPoly:
     @property
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        """Total polynomial degree; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -248,26 +137,22 @@ class TorusPoly:
                 parts.append(format_rational(c))
         return "TorusPoly(%s)" % " + ".join(parts)
 
-    def specialize(self, xi):
-        """Ring homomorphism t_i -> xi_i * u; returns a UPoly.
+    def evaluate(self, xi):
+        """Value at t = xi, a Fraction.
 
-        A degree-d monomial lands in u^d, so a degree-2k cohomology class
-        specializes to c * u^k.
+        Under the circle t_i -> xi_i * u a homogeneous degree-d polynomial
+        becomes evaluate(xi) * u^d, so this is the circle restriction's
+        coefficient.
         """
         if len(xi) != self.rank:
             raise ValueError("circle vector rank mismatch")
-        out = {}
+        out = Fraction(0)
         for exp, c in self.terms.items():
-            val = c
             for e, x in zip(exp, xi):
                 if e:
-                    val *= Fraction(x) ** e
-            k = sum(exp)
-            out[k] = out.get(k, Fraction(0)) + val
-        if not out:
-            return UPoly.zero
-        n = max(out) + 1
-        return UPoly([out.get(i, Fraction(0)) for i in range(n)])
+                    c *= Fraction(x) ** e
+            out += c
+        return out
 
     def eliminate(self, alpha):
         """Substitute along the hyperplane alpha = 0.
@@ -285,7 +170,7 @@ class TorusPoly:
             if j != pivot and a != 0:
                 repl_vec[j] = Fraction(-a, 1) / alpha[pivot]
         repl = TorusPoly.linear_form(repl_vec)
-        out = TorusPoly.zero_poly(self.rank)
+        out = TorusPoly(self.rank)
         for exp, c in self.terms.items():
             term = TorusPoly.constant(self.rank, c)
             rest = list(exp)

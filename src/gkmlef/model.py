@@ -71,24 +71,32 @@ def _parallel(a, b):
     return a == b or a == tuple(-x for x in b)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def run_checks(doc):
     """Run every structural check on a decoded document.
 
     Returns a list of (check, ok, detail) triples; parse_gkm fails if any
-    check fails, cmd_validate reports all of them.
+    check fails, cmd_validate reports all of them.  Total over any JSON
+    value: a malformed document gives failed checks, never an exception.
     """
     checks = []
 
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    try:
-        rank = int(doc["rank"])
-        dim = int(doc["dimension"])
-        raw_vertices = doc["vertices"]
-        raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        add("document-structure", False, "missing or malformed field: %s" % exc)
+    if not isinstance(doc, dict):
+        add("document-structure", False, "expected a JSON object")
+        return checks
+    rank, dim = doc.get("rank"), doc.get("dimension")
+    raw_vertices, raw_edges = doc.get("vertices"), doc.get("edges")
+    if not (_is_int(rank) and _is_int(dim) and isinstance(raw_vertices, list)
+            and isinstance(raw_edges, list)):
+        add("document-structure", False,
+            "missing or malformed field: rank and dimension must be integers, "
+            "vertices and edges lists")
         return checks
     add("document-structure", True)
     add("rank-positive", rank >= 1, "rank = %d" % rank)
@@ -98,10 +106,15 @@ def run_checks(doc):
     ids = []
     positions = {}
     ok_vertices = True
-    for rv in raw_vertices:
+    for i, rv in enumerate(raw_vertices):
+        if not isinstance(rv, dict) or "id" not in rv:
+            add("vertex-fields", False, "vertex %d: expected an object with an id" % i)
+            continue
         vid = str(rv["id"])
         ids.append(vid)
         try:
+            if not isinstance(rv.get("position"), list):
+                raise ValueError("missing position list")
             pos = tuple(parse_rational(x) for x in rv["position"])
         except ValueError as exc:
             add("vertex-positions", False, "vertex %s: %s" % (vid, exc))
@@ -111,6 +124,7 @@ def run_checks(doc):
             add("vertex-positions", False,
                 "vertex %s: position length %d != rank %d" % (vid, len(pos), rank))
             ok_vertices = False
+            continue
         positions[vid] = pos
     if ok_vertices:
         add("vertex-positions", True)
@@ -120,10 +134,19 @@ def run_checks(doc):
     adjacency = {vid: [] for vid in ids}
     outward = {vid: [] for vid in ids}
     for i, re_ in enumerate(raw_edges):
-        label = "edge %d (%s-%s)" % (i, re_.get("v"), re_.get("w"))
+        if not isinstance(re_, dict) or not {"v", "w", "weight"} <= re_.keys():
+            add("edge-fields", False, "edge %d: expected an object with v, w and weight" % i)
+            continue
         v, w = str(re_["v"]), str(re_["w"])
-        weight = tuple(int(a) for a in re_["weight"])
-        if v not in positions or w not in positions:
+        label = "edge %d (%s-%s)" % (i, v, w)
+        if not (isinstance(re_["weight"], list) and all(map(_is_int, re_["weight"]))):
+            add("edge-weight-integer", False, label + ": weight must be a list of integers")
+            continue
+        weight = tuple(re_["weight"])
+        if v == w:
+            add("edge-self-loop", False, label)
+            continue
+        if v not in degree or w not in degree:
             add("edge-endpoints", False, label + ": unknown endpoint")
             continue
         if len(weight) != rank:
@@ -133,13 +156,14 @@ def run_checks(doc):
             add("edge-weight-nonzero", False, label)
             continue
         add("edge-weight-primitive", _is_primitive(weight), label)
-        diff = tuple(pw - pv for pv, pw in zip(positions[v], positions[w]))
-        pivot = next((k for k, a in enumerate(weight) if a != 0))
-        lam = diff[pivot] / weight[pivot]
-        parallel_ok = (lam > 0 and
-                       all(d == lam * a for d, a in zip(diff, weight)))
-        add("edge-parallel-to-positions", parallel_ok,
-            label + ": position difference must be a positive multiple of the weight")
+        if v in positions and w in positions:
+            diff = tuple(pw - pv for pv, pw in zip(positions[v], positions[w]))
+            pivot = next((k for k, a in enumerate(weight) if a != 0))
+            lam = diff[pivot] / weight[pivot]
+            parallel_ok = (lam > 0 and
+                           all(d == lam * a for d, a in zip(diff, weight)))
+            add("edge-parallel-to-positions", parallel_ok,
+                label + ": position difference must be a positive multiple of the weight")
         degree[v] += 1
         degree[w] += 1
         adjacency[v].append(w)
@@ -183,7 +207,7 @@ def parse_gkm(text):
     """Parse and validate a GKM document (JSON text) into a GkmGraph."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GkmValidationError("malformed JSON: %s" % exc)
     checks = run_checks(doc)
     failures = [(name, detail) for name, ok, detail in checks if not ok]

@@ -6,17 +6,14 @@ from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
                     catalog, cup, cup_power, equivariant_symplectic_class,
                     expand_in_basis, is_member, kirwan_reduce, parse_gkm,
                     restrict_to_circle)
-from gkmlef.cohomology import (CircleClass, EulerData, ExpansionError,
-                               NonPolynomialError, constant_class,
-                               localization_pairing_invertible)
-from gkmlef.exact import TorusPoly, UPoly
+from gkmlef.cohomology import (CircleClass, ExpansionError,
+                               NonPolynomialError, congruence_space,
+                               constant_class, localization_pairing_invertible,
+                               specialization_matrix)
+from gkmlef.exact import TorusPoly, solve_affine
 from gkmlef.model import GkmGraph
 
 F = Fraction
-
-
-def mono(c, k):
-    return UPoly.monomial(c, k)
 
 
 # -- membership -------------------------------------------------------------
@@ -35,7 +32,7 @@ def test_position_pairing_is_member(su3):
 
 def test_indicator_is_not_member(su3):
     _, graph, _ = su3
-    polys = {v.id: TorusPoly.zero_poly(graph.rank) for v in graph.vertices}
+    polys = {v.id: TorusPoly(graph.rank) for v in graph.vertices}
     polys["A"] = TorusPoly.constant(graph.rank, 1)
     assert not is_member(graph, polys)
 
@@ -54,56 +51,53 @@ def test_cup_betas_vanish_at_minimum(su3, su3_basis):
     for f in ("B", "C", "D"):
         for g in ("C", "E", "F"):
             prod = cup(su3_basis.beta[f], su3_basis.beta[g])
-            assert prod.at(profile.min_vertex).is_zero
+            assert prod.at(profile.min_vertex) == 0
 
 
 def test_cp1_symplectic_square(cp1):
     _, graph, profile = cp1
     omega = equivariant_symplectic_class(profile)  # mu = (0, 1)
-    assert omega.at("p0") == UPoly.zero
-    assert omega.at("p1") == mono(-1, 1)
+    assert omega.degree == 2
+    assert omega.at("p0") == 0
+    assert omega.at("p1") == -1  # -u
     square = cup(omega, omega)
-    assert square.at("p0") == UPoly.zero
-    assert square.at("p1") == mono(1, 2)
+    assert square.degree == 4
+    assert square.at("p0") == 0
+    assert square.at("p1") == 1  # u^2
 
 
 # -- localization -----------------------------------------------------------
 
 def test_abbv_degree_rule_cp1(cp1):
     _, graph, profile = cp1
-    euler = EulerData(profile)
-    assert abbv_integrate(constant_class(graph), euler) == UPoly.zero
+    assert abbv_integrate(constant_class(graph), profile) == 0
 
 
 def test_abbv_cp1_area(cp1):
     _, graph, profile = cp1
-    euler = EulerData(profile)
     omega = equivariant_symplectic_class(profile)
-    assert abbv_integrate(omega, euler) == UPoly([1])
+    assert abbv_integrate(omega, profile) == 1
 
 
 def test_abbv_su3_volume(su3):
     _, graph, profile = su3
-    euler = EulerData(profile)
     omega = equivariant_symplectic_class(profile, shift=profile.min_value())
     # value frozen from the six-term localization sum computed by hand
-    assert abbv_integrate(cup_power(omega, 3), euler) == UPoly([6])
+    assert abbv_integrate(cup_power(omega, 3), profile) == 6
 
 
 def test_abbv_low_degree_always_zero(su3, su3_basis):
     _, graph, profile = su3
-    euler = EulerData(profile)
     for f in su3_basis.order:
         if profile.index[f] < 2 * profile.n:
-            assert abbv_integrate(su3_basis.alpha[f], euler) == UPoly.zero
+            assert abbv_integrate(su3_basis.alpha[f], profile) == 0
 
 
 def test_abbv_rejects_fake_class(cp1):
     _, graph, profile = cp1
-    euler = EulerData(profile)
-    fake = CircleClass(graph, 0, {"p0": UPoly([1]), "p1": UPoly.zero})
+    fake = CircleClass(graph, 0, {"p0": F(1), "p1": F(0)})
     with pytest.raises(NonPolynomialError):
-        abbv_integrate(fake, euler)
+        abbv_integrate(fake, profile)
 
 
 # -- canonical classes ------------------------------------------------------
@@ -115,8 +109,9 @@ def test_minimum_class_is_unit(su3, su3_basis, cp1, cp1_basis):
 
 
 def test_cp1_north_class(cp1, cp1_basis):
-    assert cp1_basis.alpha["p1"].at("p0") == UPoly.zero
-    assert cp1_basis.alpha["p1"].at("p1") == mono(-1, 1)
+    assert cp1_basis.alpha["p1"].degree == 2
+    assert cp1_basis.alpha["p1"].at("p0") == 0
+    assert cp1_basis.alpha["p1"].at("p1") == -1  # -u
 
 
 SU3_ALPHA = {
@@ -133,9 +128,9 @@ SU3_ALPHA = {
 def test_su3_degree2_classes_frozen(su3, su3_basis):
     _, _, profile = su3
     for f, expected in SU3_ALPHA.items():
-        d = profile.index[f] // 2
+        assert su3_basis.alpha[f].degree == profile.index[f]
         for v, c in expected.items():
-            assert su3_basis.alpha[f].at(v) == mono(c, d), (f, v)
+            assert su3_basis.alpha[f].at(v) == c, (f, v)
 
 
 def test_oracle_equivalence_all_catalog():
@@ -150,19 +145,30 @@ def test_oracle_equivalence_all_catalog():
 
 
 def test_constructed_classes_are_members(su3, su3_basis):
-    _, graph, _ = su3
+    # a canonical class keeps only its circle values: rebuild a torus lift
+    # from the congruence space and check the GKM congruences on it
+    _, graph, profile = su3
     for f in su3_basis.order:
-        assert is_member(graph, su3_basis.alpha[f].torus.polys)
+        d = profile.index[f] // 2
+        alpha = su3_basis.alpha[f]
+        mat = specialization_matrix(graph, d, profile.xi)
+        sol = solve_affine(mat, [alpha.at(v.id) for v in graph.vertices])
+        assert sol is not None, f
+        lift = {v.id: sum((c * b[v.id] for c, b in zip(sol[0], congruence_space(graph, d))),
+                          TorusPoly(graph.rank))
+                for v in graph.vertices}
+        assert is_member(graph, lift), f
+        assert all(p.evaluate(profile.xi) == alpha.at(v) for v, p in lift.items()), f
 
 
 def test_triangularity(su3, su3_basis):
     _, _, profile = su3
     order = su3_basis.order
     for i, f in enumerate(order):
-        d = profile.index[f] // 2
-        assert su3_basis.beta[f].at(f) == mono(1, d)
+        assert su3_basis.beta[f].degree == profile.index[f]
+        assert su3_basis.beta[f].at(f) == 1
         for g in order[:i]:
-            assert su3_basis.beta[f].at(g).is_zero
+            assert su3_basis.beta[f].at(g) == 0
 
 
 def test_uniqueness_under_vertex_permutation(su3):
@@ -184,30 +190,30 @@ def test_symplectic_class_restrictions(su3):
     _, _, profile = su3
     cls = equivariant_symplectic_class(profile, shift=F(-1))
     for v in profile.level(1):
-        assert cls.at(v).is_zero  # shift by c_2 kills the index-2 level
+        assert cls.at(v) == 0  # shift by c_2 kills the index-2 level
     cls0 = equivariant_symplectic_class(profile, shift=profile.min_value())
-    assert cls0.at(profile.min_vertex).is_zero
+    assert cls0.at(profile.min_vertex) == 0
 
 
 def test_expand_basis_element(su3_basis):
     coeffs = expand_in_basis(su3_basis.beta["D"], su3_basis)
     for f, c in coeffs.items():
-        assert c == (UPoly([1]) if f == "D" else UPoly.zero)
+        assert c == (1 if f == "D" else 0)
 
 
 def test_expand_symplectic_su3(su3, su3_basis):
     _, _, profile = su3
     omega = equivariant_symplectic_class(profile, shift=profile.min_value())
     coeffs = expand_in_basis(omega, su3_basis)
-    assert coeffs["A"] == UPoly.zero  # a0 = 0 at the minimum
+    assert coeffs["A"] == 0  # a0 = 0 at the minimum
     # both index-2 coefficients equal -c_2 after min-normalization (c_2 = 1)
-    assert coeffs["B"] == UPoly([-1])
-    assert coeffs["C"] == UPoly([-1])
+    assert coeffs["B"] == -1
+    assert coeffs["C"] == -1
 
 
 def test_expand_rejects_nonclass(su3, su3_basis):
     _, graph, _ = su3
-    bogus = CircleClass(graph, 0, {v.id: (UPoly([1]) if v.id == "F" else UPoly.zero)
+    bogus = CircleClass(graph, 0, {v.id: F(1 if v.id == "F" else 0)
                                    for v in graph.vertices})
     with pytest.raises(ExpansionError):
         expand_in_basis(bogus, su3_basis)
@@ -237,13 +243,12 @@ def test_su3_structure_constants_against_pairings(su3, su3_basis, su3_ring):
     # cross-check the reduced products against localization pairings with the
     # top class: <x*y, beta_top-dual> realized as integrals of triple products
     _, _, profile = su3
-    euler = EulerData(profile)
     for (f, g), expansion in [(("B", "B"), {"E": 2}), (("C", "C"), {"D": 2})]:
         prod = cup(su3_basis.beta[f], su3_basis.beta[g])
         for b2 in ("B", "C"):
-            lhs = abbv_integrate(cup(prod, su3_basis.beta[b2]), euler).at0()
+            lhs = abbv_integrate(cup(prod, su3_basis.beta[b2]), profile)
             rhs = sum(F(cv) * abbv_integrate(
-                cup(su3_basis.beta[hv], su3_basis.beta[b2]), euler).at0()
+                cup(su3_basis.beta[hv], su3_basis.beta[b2]), profile)
                 for hv, cv in expansion.items())
             assert lhs == rhs
 

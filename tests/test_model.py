@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gkmlef import (GkmValidationError, betti, catalog, check_hypothesis,
                     emit_gkm, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
-from gkmlef.model import CircleProfile, GkmGraph, Vertex
+from gkmlef.cli import main
+from gkmlef.model import CircleProfile, GkmGraph, Vertex, run_checks
 
 F = Fraction
 
@@ -57,6 +59,78 @@ def test_parse_rejects_dependent_weights(cp1):
     }
     with pytest.raises(GkmValidationError, match="gkm-independence"):
         parse_gkm(json.dumps(doc))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+MALFORMED = {
+    "vertices-not-list": (_set(["vertices"], 5), "document-structure"),
+    "vertex-without-position": (_drop(["vertices", 0, "position"]), "vertex-positions"),
+    "edge-without-v": (_drop(["edges", 0, "v"]), "edge-fields"),
+    "fractional-weight": (_set(["edges", 0, "weight"], ["1/2"]), "edge-weight-integer"),
+    "boolean-weight": (_set(["edges", 0, "weight"], [True]), "edge-weight-integer"),
+    "self-loop": (_set(["edges", 0, "w"], "p0"), "edge-self-loop"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_named_failure(case, capsys, tmp_path):
+    mutate, check = MALFORMED[case]
+    doc = json.loads(catalog.get("cp1").document)
+    mutate(doc)
+    assert (check, False) in [(name, ok) for name, ok, _ in run_checks(doc)]
+    with pytest.raises(GkmValidationError, match=check):
+        parse_gkm(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL %s" % check in out
+    assert out.endswith("verdict: invalid\n")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["p0", "p1", "1/2", "0", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rank", "dimension", "vertices", "edges",
+                                       "id", "position", "v", "w", "weight"]),
+                      inner, max_size=5),
+    max_leaves=12)
+
+
+CP1_PATHS = [["rank"], ["dimension"], ["vertices", 0], ["vertices", 0, "id"],
+             ["vertices", 1, "position"], ["vertices", 1, "position", 0],
+             ["edges", 0], ["edges", 0, "w"], ["edges", 0, "weight"],
+             ["edges", 0, "weight", 0]]
+
+
+@given(json_values, st.sampled_from(CP1_PATHS), json_values)
+def test_parse_raises_only_validation_errors(doc, path, value):
+    mutated = json.loads(catalog.get("cp1").document)
+    _set(path, value)(mutated)
+    for d in (doc, mutated):
+        assert all(isinstance(name, str) for name, _, _ in run_checks(d))
+        try:
+            parse_gkm(json.dumps(d))
+        except GkmValidationError:
+            pass
 
 
 def test_su3_profile_matches_example(su3):
