@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .model import Edge, GkmGraph, Vertex, emit_gkm
 
@@ -25,9 +25,7 @@ def _graph(rank, dimension, vertices, edges):
 
 
 def _primitive(vec):
-    g = 0
-    for a in vec:
-        g = gcd(g, abs(a))
+    g = gcd(*vec)
     return tuple(a // g for a in vec)
 
 
@@ -138,19 +136,12 @@ def sphere_product(n):
     g = _graph(n, 2 * n, verts, edges)
     return CatalogEntry(
         "sphere_product%d" % n, emit_gkm(g), xi,
-        {"betti": [_binom(n, k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)],
+        {"betti": [comb(n, k // 2) if k % 2 == 0 else 0 for k in range(2 * n + 1)],
          "levels": [Fraction(k) for k in range(n + 1)],
          "constant_on_levels": True,
          "normalizer": (Fraction(2), Fraction(0)),
          "hl_holds": True,
          "semifree": True})
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def hirzebruch(k):

@@ -121,7 +121,8 @@ def build_parser():
     common(p_re)
     p_re.add_argument("--out", help="output SVG path")
     p_re.add_argument("--projection",
-                      help="for rank > 2: two projection rows, e.g. '1,0,0;0,1,0'")
+                      help="two projection rows, e.g. '1,0,0;0,1,0' "
+                           "(required unless rank = 2)")
     p_re.set_defaults(func=cmd_render)
 
     p_va = sub.add_parser("validate", help="check every document invariant")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (TorusPoly, mat_vec, matrix_rank, monomial_exponents,
-                    nullspace, solve_affine)
+from .exact import (TorusPoly, matrix_rank, monomial_exponents, nullspace,
+                    solve_affine)
 
 
 class ClassConstructionError(ValueError):
@@ -131,11 +131,12 @@ def congruence_space(graph, d):
                  for vec in nullspace(rows, ncols))
 
 
-def specialization_matrix(graph, d, xi):
-    """Rows = vertices (graph order), columns = congruence-space basis classes;
-    entry = the u^d coefficient of the restriction to the circle xi."""
-    basis = congruence_space(graph, d)
-    return [[b[v.id].evaluate(xi) for b in basis] for v in graph.vertices]
+def circle_annihilator(graph, d, xi):
+    """Rows z, one value per vertex in graph order, with z . y = 0 exactly
+    when y is the circle restriction of a degree-d class: the null space of
+    the congruence-space basis specialized to the circle xi."""
+    return nullspace([[b[v.id].evaluate(xi) for v in graph.vertices]
+                      for b in congruence_space(graph, d)], len(graph.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -158,97 +159,89 @@ def basis_order(profile):
                         key=lambda vid: (profile.mu[vid], profile.index[vid], vid)))
 
 
-def _canonical_constraints(profile, fid, mat, vids):
-    """Constraint rows/rhs on congruence-space coefficients for alpha_F."""
-    rows, rhs = [], []
-    muF = profile.mu[fid]
-    kF = profile.index[fid]
+def _annihilators(graph, profile):
+    """circle_annihilator for each Morse index that occurs, keyed by index."""
+    return {k: circle_annihilator(graph, k // 2, profile.xi)
+            for k in set(profile.index.values())}
+
+
+def _class_system(profile, fid, annihilators, vids):
+    """Rows/rhs on the circle values of alpha_F, one unknown per vertex: the
+    values are a circle restriction of F's degree, equal the product of the
+    negative weights at F, and vanish below F's moment value or at index <= F's."""
+    rows = list(annihilators[profile.index[fid]])
+    rhs = [Fraction(0)] * len(rows)
+    mu, index = profile.mu, profile.index
     for i, vid in enumerate(vids):
-        if vid == fid:
-            rows.append(mat[i])
-            rhs.append(profile.negative_weight_product(fid))
-        elif profile.mu[vid] < muF or profile.index[vid] <= kF:
-            rows.append(mat[i])
-            rhs.append(Fraction(0))
+        if mu[vid] < mu[fid] or index[vid] <= index[fid]:
+            rows.append([Fraction(int(j == i)) for j in range(len(vids))])
+            rhs.append(profile.negative_weight_product(fid) if vid == fid else Fraction(0))
     return rows, rhs
 
 
-def _alpha_beta(profile, fid, mat, vids, x):
-    """alpha_F from its congruence-space coordinates x, and its normalization
-    beta_F = alpha_F / (product of the negative weights at F)."""
-    values = dict(zip(vids, mat_vec(mat, x)))
+def _alpha_beta(profile, fid, values):
+    """alpha_F from its circle values {vertex id: Fraction}, and its
+    normalization beta_F = alpha_F / (product of the negative weights at F)."""
     wprod = profile.negative_weight_product(fid)
     graph, degree = profile.graph, profile.index[fid]
     return (CircleClass(graph, degree, values),
             CircleClass(graph, degree, {v: c / wprod for v, c in values.items()}))
 
 
-def _check_specialized_unique(mat, null_basis, fid):
-    for nu in null_basis:
-        if any(c != 0 for c in mat_vec(mat, nu)):
-            ambiguous = sum(1 for nu in null_basis
-                            if any(c != 0 for c in mat_vec(mat, nu)))
-            raise ClassConstructionError(
-                "canonical class at %s is not unique after specialization "
-                "(ambiguity dimension %d)" % (fid, ambiguous))
+def _not_unique(fid, ambiguity):
+    return ClassConstructionError(
+        "canonical class at %s is not unique (ambiguity dimension %d)"
+        % (fid, ambiguity))
 
 
 def canonical_classes(graph, profile):
     """Canonical class basis, one class per fixed point, built in ascending
-    moment order by solving the per-point linear conditions inside the
-    degree-matched congruence space."""
+    moment order by solving each class for its circle values inside the
+    circle image of its degree's congruence space."""
     vids = [v.id for v in graph.vertices]
-    alpha = {}
-    beta = {}
-    for fid in basis_order(profile):
-        d = profile.index[fid] // 2
-        mat = specialization_matrix(graph, d, profile.xi)
-        rows, rhs = _canonical_constraints(profile, fid, mat, vids)
-        sol = solve_affine(rows, rhs)
+    order = basis_order(profile)
+    annihilators = _annihilators(graph, profile)
+    alpha, beta = {}, {}
+    for fid in order:
+        sol = solve_affine(*_class_system(profile, fid, annihilators, vids))
         if sol is None:
             raise ClassConstructionError(
                 "no canonical class at %s: the fixed-point data is not realizable" % fid)
-        x, null_basis = sol
-        _check_specialized_unique(mat, null_basis, fid)
-        alpha[fid], beta[fid] = _alpha_beta(profile, fid, mat, vids, x)
-    return CanonicalBasis(profile, basis_order(profile), alpha, beta)
+        y, null_basis = sol
+        if null_basis:
+            raise _not_unique(fid, len(null_basis))
+        alpha[fid], beta[fid] = _alpha_beta(profile, fid, dict(zip(vids, y)))
+    return CanonicalBasis(profile, order, alpha, beta)
 
 
 def canonical_classes_global(graph, profile):
     """Oracle construction: one global linear system imposing every defining
-    condition of every canonical class simultaneously."""
+    condition of every canonical class simultaneously, one block of V
+    columns per class."""
     vids = [v.id for v in graph.vertices]
+    nv = len(vids)
     fids = basis_order(profile)
-    mats = {}
-    offsets = {}
-    ncols = 0
-    for fid in fids:
-        d = profile.index[fid] // 2
-        mats[fid] = specialization_matrix(graph, d, profile.xi)
-        offsets[fid] = ncols
-        ncols += len(mats[fid][0])
-
+    annihilators = _annihilators(graph, profile)
     rows, rhs = [], []
-    for fid in fids:
-        mat = mats[fid]
-        local_rows, local_rhs = _canonical_constraints(profile, fid, mat, vids)
-        for lrow, lb in zip(local_rows, local_rhs):
-            row = [Fraction(0)] * ncols
-            row[offsets[fid]:offsets[fid] + len(lrow)] = lrow
+    for b, fid in enumerate(fids):
+        local_rows, local_rhs = _class_system(profile, fid, annihilators, vids)
+        for lrow in local_rows:
+            row = [Fraction(0)] * (nv * len(fids))
+            row[b * nv:(b + 1) * nv] = lrow
             rows.append(row)
-            rhs.append(lb)
+        rhs.extend(local_rhs)
     sol = solve_affine(rows, rhs)
     if sol is None:
         raise ClassConstructionError("global canonical-class system is inconsistent")
-    x, null_basis = sol
+    y, null_basis = sol
 
-    alpha = {}
-    beta = {}
-    for fid in fids:
-        mat = mats[fid]
-        off, end = offsets[fid], offsets[fid] + len(mat[0])
-        _check_specialized_unique(mat, [nu[off:end] for nu in null_basis], fid)
-        alpha[fid], beta[fid] = _alpha_beta(profile, fid, mat, vids, x[off:end])
+    alpha, beta = {}, {}
+    for b, fid in enumerate(fids):
+        block = slice(b * nv, (b + 1) * nv)
+        ambiguity = sum(1 for nu in null_basis if any(nu[block]))
+        if ambiguity:
+            raise _not_unique(fid, ambiguity)
+        alpha[fid], beta[fid] = _alpha_beta(profile, fid, dict(zip(vids, y[block])))
     return CanonicalBasis(profile, fids, alpha, beta)
 
 

@@ -220,15 +220,12 @@ def matrix_rank(mat):
     return len(pivots)
 
 
-def nullspace(mat, ncols):
-    """Basis of the right nullspace of `mat` (ncols unknowns)."""
-    if not mat:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
-    rows, pivots = _rref(mat, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def _null_basis(rows, pivots, ncols):
+    """Null-space basis read off a reduced row echelon form: one vector per
+    free column."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -237,27 +234,32 @@ def nullspace(mat, ncols):
     return basis
 
 
+def nullspace(mat, ncols):
+    """Basis of the right nullspace of `mat` (ncols unknowns)."""
+    rows, pivots = _rref(mat, ncols)
+    return _null_basis(rows, pivots, ncols)
+
+
 def solve_affine(mat, rhs):
-    """Solve mat * x = rhs exactly.
+    """Solve mat * x = rhs exactly, with one elimination of the augmented
+    matrix.
 
     Returns None if inconsistent, otherwise (particular, nullspace_basis);
     the solution set is the particular point plus the span of the basis.
     """
     if not mat:
-        ncols = 0
         if any(b != 0 for b in rhs):
             return None
         return [], []
     ncols = len(mat[0])
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
     rows, pivots = _rref(aug, ncols)
-    for row in rows:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
     particular = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][ncols]
-    return particular, nullspace(mat, ncols)
+    return particular, _null_basis(rows, pivots, ncols)
 
 
 def mat_vec(mat, vec):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exact import format_rational, matrix_rank
 from .cohomology import (abbv_integrate, constant_class, cup, cup_power,
@@ -134,7 +135,7 @@ def verify_vanish(profile, k):
                   "vanishes on all %d vertices of index %d" % (len(profile.level(k)), 2 * k))
 
 
-def verify_distinct(profile, basis=None):
+def verify_distinct(profile):
     """Distinctness of the level constants, cross-checked by localization:
     every (n-fold) product of distinctly shifted symplectic classes is a top
     class with the same nonzero integral."""
@@ -207,16 +208,10 @@ def delta_certificate(basis, profile, gamma, k):
         delta = cup(delta, equivariant_symplectic_class(profile, shift=cs[j]))
     low_ok = all(delta.at(v) == 0 for v in basis.order
                  if profile.index[v] < 2 * (n - k))
-    formula_ok = True
-    for v in basis.order:
-        if profile.index[v] < 2 * (n - k):
-            continue
-        scalar = Fraction(1)
-        for j in range(k, n - k):
-            scalar *= cs[j] - profile.mu[v]
-        if delta.at(v) != gamma.at(v) * scalar:
-            formula_ok = False
-            break
+    formula_ok = all(
+        delta.at(v) == gamma.at(v) * prod((cs[j] - profile.mu[v] for j in range(k, n - k)),
+                                          start=Fraction(1))
+        for v in basis.order if profile.index[v] >= 2 * (n - k))
     nonzero = not delta.is_zero
     return _entry(name, True, low_ok and formula_ok,
                   "vanishes below index %d: %s; restriction product formula: %s; "

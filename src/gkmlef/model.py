@@ -6,7 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from .exact import format_rational, parse_rational
 
@@ -39,15 +40,6 @@ class GkmGraph:
     def n(self):
         return self.dimension // 2
 
-    def vertex(self, vid):
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
-    def position(self, vid):
-        return self.vertex(vid).position
-
     def outward_weights(self, vid):
         """Tangent weights at `vid`, one per incident edge, oriented outward."""
         out = []
@@ -57,13 +49,6 @@ class GkmGraph:
             elif e.w == vid:
                 out.append((e.v, tuple(-a for a in e.weight)))
         return out
-
-
-def _is_primitive(vec):
-    g = 0
-    for a in vec:
-        g = gcd(g, abs(a))
-    return g == 1
 
 
 def _parallel(a, b):
@@ -155,7 +140,7 @@ def run_checks(doc):
         if all(a == 0 for a in weight):
             add("edge-weight-nonzero", False, label)
             continue
-        add("edge-weight-primitive", _is_primitive(weight), label)
+        add("edge-weight-primitive", gcd(*weight) == 1, label)
         if v in positions and w in positions:
             diff = tuple(pw - pv for pv, pw in zip(positions[v], positions[w]))
             pivot = next((k for k, a in enumerate(weight) if a != 0))
@@ -178,7 +163,7 @@ def run_checks(doc):
     for vid in ids:
         ok = True
         detail = ""
-        for (l1, w1), (l2, w2) in _pairs(outward[vid]):
+        for (l1, w1), (l2, w2) in combinations(outward[vid], 2):
             if _parallel(w1, w2):
                 ok = False
                 detail = "vertex %s: dependent weights on %s and %s" % (vid, l1, l2)
@@ -195,12 +180,6 @@ def run_checks(doc):
                     stack.append(nb)
         add("graph-connected", len(seen) == len(ids))
     return checks
-
-
-def _pairs(items):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield items[i], items[j]
 
 
 def parse_gkm(text):
@@ -294,17 +273,10 @@ class CircleProfile:
 
     def negative_weight_product(self, vid):
         """Product of the negative circle weights at a vertex (1 at the minimum)."""
-        out = Fraction(1)
-        for w in self.weights[vid]:
-            if w < 0:
-                out *= w
-        return out
+        return prod((w for w in self.weights[vid] if w < 0), start=Fraction(1))
 
     def full_weight_product(self, vid):
-        out = Fraction(1)
-        for w in self.weights[vid]:
-            out *= w
-        return out
+        return prod(self.weights[vid], start=Fraction(1))
 
 
 def restrict_to_circle(graph, xi):

@@ -20,18 +20,18 @@ def _fmt(x):
 def render_svg(graph, xi=None, profile=None, projection=None):
     """Render the moment image to an SVG 1.1 document string.
 
-    Inputs of rank > 2 need an explicit `projection`: two rational row
-    vectors mapping positions into the plane.
+    `projection` is two rational row vectors mapping positions into the
+    plane; it defaults to the identity on rank-2 inputs and is required on
+    any other rank.
     """
-    if graph.rank != 2:
-        if projection is None:
+    if projection is None:
+        if graph.rank != 2:
             raise GkmValidationError(
                 "rank-%d input needs an explicit 2-plane projection" % graph.rank)
-        proj = [[Fraction(x) for x in row] for row in projection]
-        if len(proj) != 2 or any(len(row) != graph.rank for row in proj):
-            raise GkmValidationError("projection must be 2 rows of length rank")
-    else:
-        proj = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        projection = [[1, 0], [0, 1]]
+    proj = [[Fraction(x) for x in row] for row in projection]
+    if len(proj) != 2 or any(len(row) != graph.rank for row in proj):
+        raise GkmValidationError("projection must be 2 rows of length rank")
 
     points = {v.id: mat_vec(proj, list(v.position)) for v in graph.vertices}
     xs = [p[0] for p in points.values()]

@@ -118,3 +118,7 @@ def test_render_rank3_needs_projection(capsys):
                        "--projection", "1,0,0;0,1,0")
     assert code == 0
     assert out.count("<circle") == 4
+    # a given projection is checked on rank-2 inputs too
+    code, _, err = run(capsys, "render", "--example", "su3", "--projection", "1,0")
+    assert code == 1
+    assert "projection" in err

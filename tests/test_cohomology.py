@@ -7,10 +7,10 @@ from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
                     expand_in_basis, is_member, kirwan_reduce, parse_gkm,
                     restrict_to_circle)
 from gkmlef.cohomology import (CircleClass, ExpansionError,
-                               NonPolynomialError, congruence_space,
-                               constant_class, localization_pairing_invertible,
-                               specialization_matrix)
-from gkmlef.exact import TorusPoly, solve_affine
+                               NonPolynomialError, circle_annihilator,
+                               congruence_space, constant_class,
+                               localization_pairing_invertible)
+from gkmlef.exact import TorusPoly, mat_vec, solve_affine
 from gkmlef.model import GkmGraph
 
 F = Fraction
@@ -151,14 +151,27 @@ def test_constructed_classes_are_members(su3, su3_basis):
     for f in su3_basis.order:
         d = profile.index[f] // 2
         alpha = su3_basis.alpha[f]
-        mat = specialization_matrix(graph, d, profile.xi)
+        space = congruence_space(graph, d)
+        mat = [[b[v.id].evaluate(profile.xi) for b in space] for v in graph.vertices]
         sol = solve_affine(mat, [alpha.at(v.id) for v in graph.vertices])
         assert sol is not None, f
-        lift = {v.id: sum((c * b[v.id] for c, b in zip(sol[0], congruence_space(graph, d))),
+        lift = {v.id: sum((c * b[v.id] for c, b in zip(sol[0], space)),
                           TorusPoly(graph.rank))
                 for v in graph.vertices}
         assert is_member(graph, lift), f
         assert all(p.evaluate(profile.xi) == alpha.at(v) for v, p in lift.items()), f
+
+
+def test_circle_annihilator_cuts_out_the_circle_image(su3, su3_basis):
+    # in degree 2d the circle image is spanned by the beta_F of index <= 2d
+    _, graph, profile = su3
+    for d in range(profile.n + 1):
+        rows = circle_annihilator(graph, d, profile.xi)
+        below = [f for f in su3_basis.order if profile.index[f] <= 2 * d]
+        assert len(rows) == len(graph.vertices) - len(below), d
+        for f in below:
+            y = [su3_basis.beta[f].at(v.id) for v in graph.vertices]
+            assert not any(mat_vec(rows, y)), (d, f)
 
 
 def test_triangularity(su3, su3_basis):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gkmlef import exact
 from gkmlef.exact import (TorusPoly, format_rational, mat_vec,
                           matrix_rank, monomial_exponents, nullspace,
                           parse_rational, solve_affine)
@@ -68,6 +69,21 @@ def test_solve_affine_empty():
     assert solve_affine([[F(1)], [F(1)]], [F(0), F(1)]) is None
 
 
+def test_solve_affine_eliminates_once(monkeypatch):
+    calls = []
+    rref = exact._rref
+
+    def counting(mat, ncols):
+        calls.append(ncols)
+        return rref(mat, ncols)
+
+    monkeypatch.setattr(exact, "_rref", counting)
+    particular, null = solve_affine([[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [F(1), F(3)])
+    assert calls == [3]
+    assert particular == [F(-2), F(0), F(1)]
+    assert null == [[F(-2), F(1), F(0)]]
+
+
 def test_rank():
     assert matrix_rank([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]) == 3
     assert matrix_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
@@ -113,5 +129,6 @@ def test_solve_reconstructs_rhs(rows, rhs):
         return
     particular, null = sol
     assert mat_vec(rows, particular) == rhs
+    assert len(null) == len(rows[0]) - matrix_rank(rows)
     for vec in null:
         assert all(x == 0 for x in mat_vec(rows, vec))
