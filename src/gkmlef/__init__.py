@@ -13,7 +13,7 @@ from .cohomology import (CanonicalBasis, CircleClass, OrdinaryRing,
                          abbv_integrate, canonical_classes,
                          canonical_classes_global, cup, cup_power,
                          equivariant_symplectic_class, expand_in_basis,
-                         is_member, kirwan_reduce)
+                         kirwan_reduce)
 from .lefschetz import (HLReport, hard_lefschetz_check, semifree_monotone_analysis,
                         verify_distinct, verify_symp_expansion, verify_vanish,
                         verify_zeroclass, delta_certificate)
@@ -25,7 +25,7 @@ __all__ = [
     "restrict_to_circle", "betti", "check_hypothesis", "self_indexing_normalizer",
     "CanonicalBasis", "CircleClass", "OrdinaryRing",
     "abbv_integrate", "canonical_classes", "canonical_classes_global", "cup",
-    "cup_power", "equivariant_symplectic_class", "expand_in_basis", "is_member",
+    "cup_power", "equivariant_symplectic_class", "expand_in_basis",
     "kirwan_reduce", "HLReport", "hard_lefschetz_check",
     "semifree_monotone_analysis", "verify_distinct", "verify_symp_expansion",
     "verify_vanish", "verify_zeroclass", "delta_certificate", "analyze",

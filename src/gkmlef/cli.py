@@ -1,7 +1,7 @@
 """Command-line front end: analyze, render, validate.
 
-Exit codes for analyze: 0 clean, 1 input error, 2 when the constancy
-hypothesis fails (the report is still produced).
+Exit codes for analyze: 0 clean, 1 input or usage error, 2 when the
+constancy hypothesis fails (the report is still produced).
 """
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ from .analysis import analyze, report_to_json, report_to_text
 from .exact import parse_rational
 from .model import GkmValidationError, parse_gkm, restrict_to_circle, run_checks
 from .render import render_svg
+
+
+class _UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code analyze keeps for a failed
+    # hypothesis; raise instead, so main reports it as exit 1
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _parse_xi(text):
@@ -92,7 +103,7 @@ def cmd_validate(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkmlef",
         description="Exact workbench for GKM fixed-point data of Hamiltonian "
                     "circle actions: canonical classes, Kirwan reduction, and "
@@ -133,18 +144,19 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # fold "--xi -1,1" into "--xi=-1,1" so leading minus signs survive argparse
+    # fold "--xi -1,1" into "--xi=-1,1" so leading minus signs survive argparse;
+    # a following option is not a value
     while "--xi" in argv:
         i = argv.index("--xi")
-        if i + 1 >= len(argv):
+        if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
             break
         argv[i:i + 2] = ["--xi=" + argv[i + 1]]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GkmValidationError, KeyError, ValueError, OSError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+    except (_UsageError, GkmValidationError, KeyError, ValueError, OSError) as exc:
+        # str() of a KeyError quotes its message
+        sys.stderr.write("error: %s\n" % (exc.args[0] if isinstance(exc, KeyError) else exc))
         return 1
 
 

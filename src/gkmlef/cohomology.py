@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .exact import (TorusPoly, matrix_rank, monomial_exponents, nullspace,
-                    solve_affine)
+from .exact import (matrix_rank, monomial_exponents, monomial_residue,
+                    nullspace, solve_affine, sparse_nullspace)
 
 
 class ClassConstructionError(ValueError):
@@ -53,16 +54,6 @@ def constant_class(graph, c=1):
     return CircleClass(graph, 0, {v.id: Fraction(c) for v in graph.vertices})
 
 
-def is_member(graph, polys):
-    """GKM membership of torus restrictions {vertex id: TorusPoly}: every edge
-    congruence f_v - f_w = 0 mod weight."""
-    for e in graph.edges:
-        diff = polys[e.v] - polys[e.w]
-        if not diff.divisible_by(e.weight):
-            return False
-    return True
-
-
 def cup(a, b):
     """Vertex-wise product of circle classes on the same graph."""
     return CircleClass(a.graph, a.degree + b.degree,
@@ -98,45 +89,44 @@ def abbv_integrate(cls, profile):
 
 @lru_cache(maxsize=None)
 def congruence_space(graph, d):
-    """Basis of homogeneous degree-d (polynomial degree) solutions of all
-    edge congruences, each a dict vertex id -> TorusPoly.
-    """
-    rank = graph.rank
-    monos = monomial_exponents(rank, d)
-    vids = [v.id for v in graph.vertices]
-    col_of = {(vid, m): i for i, (vid, m) in
-              enumerate((vid, m) for vid in vids for m in monos)}
-    ncols = len(col_of)
+    """Basis of the homogeneous degree-d (polynomial degree) solutions of all
+    edge congruences f_v = f_w mod weight, as sparse vectors {column: Fraction}.
 
+    A solution is one coefficient per vertex and monomial: column i * M + j
+    holds the coefficient of the j-th of the M monomials in
+    monomial_exponents(rank, d) at the i-th vertex in graph order.
+    """
+    monos = monomial_exponents(graph.rank, d)
+    col = {v.id: i * len(monos) for i, v in enumerate(graph.vertices)}
+    ncols = len(col) * len(monos)
     rows = []
     for e in graph.edges:
-        # coefficient rows of (f_v - f_w) after eliminating along the weight
-        per_col = {}
-        for m in monos:
-            mono = TorusPoly(rank, {m: 1})
-            sub = mono.eliminate(e.weight)
-            per_col[m] = sub.terms
-        residual_monos = sorted({exp for terms in per_col.values() for exp in terms})
-        for exp in residual_monos:
+        # one row per residual monomial of f_v - f_w modulo the weight
+        residues = [monomial_residue(m, e.weight) for m in monos]
+        for exp in sorted(set().union(*residues)):
             row = [Fraction(0)] * ncols
-            for m in monos:
-                c = per_col[m].get(exp, Fraction(0))
+            for j, res in enumerate(residues):
+                c = res.get(exp)
                 if c:
-                    row[col_of[(e.v, m)]] += c
-                    row[col_of[(e.w, m)]] -= c
+                    row[col[e.v] + j] += c
+                    row[col[e.w] + j] -= c
             rows.append(row)
-
-    return tuple({vid: TorusPoly(rank, {m: vec[col_of[(vid, m)]] for m in monos})
-                  for vid in vids}
-                 for vec in nullspace(rows, ncols))
+    return tuple(sparse_nullspace(rows, ncols))
 
 
 def circle_annihilator(graph, d, xi):
     """Rows z, one value per vertex in graph order, with z . y = 0 exactly
     when y is the circle restriction of a degree-d class: the null space of
-    the congruence-space basis specialized to the circle xi."""
-    return nullspace([[b[v.id].evaluate(xi) for v in graph.vertices]
-                      for b in congruence_space(graph, d)], len(graph.vertices))
+    the congruence-space basis evaluated at t = xi."""
+    at_xi = [prod((Fraction(x) ** e for x, e in zip(xi, m)), start=Fraction(1))
+             for m in monomial_exponents(graph.rank, d)]
+    rows = []
+    for b in congruence_space(graph, d):
+        values = [Fraction(0)] * len(graph.vertices)
+        for c, x in b.items():
+            values[c // len(at_xi)] += x * at_xi[c % len(at_xi)]
+        rows.append(values)
+    return nullspace(rows, len(graph.vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 from .exact import format_rational, matrix_rank
-from .cohomology import (abbv_integrate, constant_class, cup, cup_power,
+from .cohomology import (abbv_integrate, cup, cup_power,
                          equivariant_symplectic_class, expand_in_basis)
 
 
@@ -150,13 +151,13 @@ def verify_distinct(profile):
                       detail + "; equal constants cannot arise from a genuine "
                       "symplectic manifold")
     n = profile.n
-    integrals = []
-    for omit in range(n + 1):
-        prod = constant_class(profile.graph)
-        for j in range(n + 1):
-            if j != omit:
-                prod = cup(prod, equivariant_symplectic_class(profile, shift=cs[j]))
-        integrals.append(abbv_integrate(prod, profile))
+    shifted = [equivariant_symplectic_class(profile, shift=c) for c in cs]
+    # the n + 1 products omitting one factor, from prefix and suffix products
+    prefix = list(accumulate(shifted[:-1], cup))  # prefix[i]: factors 0 .. i
+    suffix = list(accumulate(shifted[:0:-1], cup))  # suffix[i]: factors n - i .. n
+    tops = ([suffix[-1]] + [cup(prefix[i - 1], suffix[n - i - 1]) for i in range(1, n)]
+            + [prefix[-1]])
+    integrals = [abbv_integrate(top, profile) for top in tops]
     witness_ok = len(set(integrals)) == 1 and integrals[0] != 0
     detail += "; top-product integral %s" % format_rational(integrals[0])
     return _entry(name, True, distinct and witness_ok, detail)

@@ -52,6 +52,33 @@ def test_analyze_nongeneric_xi_error(capsys):
     assert "pairs to zero" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("analyze", "--example", "su3", "--format", "xml"), "--format"),
+    (("analyze", "--example", "su3", "--xi"), "--xi"),
+    (("analyze", "--example", "su3", "--xi", "--format", "text"), "--xi"),
+    (("analyze", "--example", "su3", "--bogus"), "--bogus"),
+    (("frobnicate",), "frobnicate"),
+])
+def test_usage_error_exit_1(capsys, argv, named):
+    # exit 2 is reserved for analyze's failed-hypothesis report
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and named in err and "usage:" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_unknown_example_message_unquoted(capsys):
+    code, _, err = run(capsys, "analyze", "--example", "nope")
+    assert code == 1
+    assert err.startswith("error: unknown catalog example 'nope'")
+
+
 def test_report_determinism(capsys):
     _, out1, _ = run(capsys, "analyze", "--example", "su3")
     _, out2, _ = run(capsys, "analyze", "--example", "su3")

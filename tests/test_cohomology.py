@@ -1,40 +1,110 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb, prod
 
 import pytest
 
 from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
                     catalog, cup, cup_power, equivariant_symplectic_class,
-                    expand_in_basis, is_member, kirwan_reduce, parse_gkm,
+                    expand_in_basis, kirwan_reduce, parse_gkm,
                     restrict_to_circle)
 from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
                                localization_pairing_invertible)
-from gkmlef.exact import TorusPoly, mat_vec, solve_affine
+from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_affine
 from gkmlef.model import GkmGraph
 
 F = Fraction
 
 
 # -- membership -------------------------------------------------------------
+# A degree-d torus tuple is one coefficient per (vertex, monomial), in the
+# columns of congruence_space: vertex i, monomial j sits at i * M + j.
+
+def _coefficients(graph, d, polys):
+    """Sparse column vector of {vertex id: {exponent: coefficient}}."""
+    monos = monomial_exponents(graph.rank, d)
+    return {i * len(monos) + j: F(polys[v.id][m])
+            for i, v in enumerate(graph.vertices)
+            for j, m in enumerate(monos) if polys[v.id].get(m)}
+
+
+def _values_at(graph, d, vec, point):
+    """{vertex id: value at t = point} of a sparse column vector."""
+    monos = monomial_exponents(graph.rank, d)
+    values = {v.id: F(0) for v in graph.vertices}
+    for col, c in vec.items():
+        mono = monos[col % len(monos)]
+        values[graph.vertices[col // len(monos)].id] += c * prod(
+            F(x) ** e for x, e in zip(point, mono))
+    return values
+
+
+def _in_span(graph, d, polys):
+    ncols = len(graph.vertices) * len(monomial_exponents(graph.rank, d))
+    space = [[b.get(c, F(0)) for c in range(ncols)] for b in congruence_space(graph, d)]
+    vec = _coefficients(graph, d, polys)
+    return matrix_rank(space + [[vec.get(c, F(0)) for c in range(ncols)]]) == len(space)
+
 
 def test_constant_tuple_is_member(su3):
     _, graph, _ = su3
-    ones = {v.id: TorusPoly.constant(graph.rank, 1) for v in graph.vertices}
-    assert is_member(graph, ones)
+    assert _in_span(graph, 0, {v.id: {(0, 0): 1} for v in graph.vertices})
 
 
 def test_position_pairing_is_member(su3):
     _, graph, _ = su3
-    forms = {v.id: TorusPoly.linear_form(v.position) for v in graph.vertices}
-    assert is_member(graph, forms)
+    assert _in_span(graph, 1, {v.id: {(1, 0): v.position[0], (0, 1): v.position[1]}
+                               for v in graph.vertices})
 
 
 def test_indicator_is_not_member(su3):
     _, graph, _ = su3
-    polys = {v.id: TorusPoly(graph.rank) for v in graph.vertices}
-    polys["A"] = TorusPoly.constant(graph.rank, 1)
-    assert not is_member(graph, polys)
+    polys = {v.id: {} for v in graph.vertices}
+    polys["A"] = {(0, 0): 1}
+    assert not _in_span(graph, 0, polys)
+
+
+SPACES = ["su3", "cp3", "sphere_product2", "hirzebruch1"]
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_congruence_space_dimension(name):
+    # equivariant formality: degree d is free over the polynomial ring in r
+    # variables on one generator of degree k per unit of b_2k, k <= d
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    b, r = entry.expected["betti"], graph.rank
+    for d in range(graph.n + 1):
+        expected = sum(b[2 * k] * comb(r + d - k - 1, d - k) for k in range(d + 1))
+        assert len(congruence_space(graph, d)) == expected, d
+
+
+def _kernel_points(weight, d):
+    """The principal lattice of order d on the hyperplane weight . t = 0: the
+    points sum a_j k_j with a_j >= 0 and sum a_j = d, over the kernel basis
+    k_j = weight[p] e_j - weight[j] e_p (j != p).  A degree-d form vanishes on
+    the hyperplane exactly when it vanishes at all of them."""
+    r = len(weight)
+    p = next(i for i, a in enumerate(weight) if a)
+    kernel = [[weight[p] if i == j else -weight[j] if i == p else 0 for i in range(r)]
+              for j in range(r) if j != p]
+    return [[sum(kernel[j][i] for j in combo) for i in range(r)]
+            for combo in combinations_with_replacement(range(r - 1), d)]
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_congruence_space_edge_check(name):
+    graph = parse_gkm(catalog.get(name).document)
+    for d in range(graph.n + 1):
+        for e in graph.edges:
+            points = _kernel_points(e.weight, d)
+            assert len(points) == comb(graph.rank + d - 2, d)
+            for b in congruence_space(graph, d):
+                for point in points:
+                    values = _values_at(graph, d, b, point)
+                    assert values[e.v] == values[e.w], (d, e, point)
 
 
 # -- cup product ------------------------------------------------------------
@@ -145,21 +215,23 @@ def test_oracle_equivalence_all_catalog():
 
 
 def test_constructed_classes_are_members(su3, su3_basis):
-    # a canonical class keeps only its circle values: rebuild a torus lift
-    # from the congruence space and check the GKM congruences on it
+    # a canonical class keeps only its circle values: it has a lift in the
+    # congruence space whose values at xi are the class
     _, graph, profile = su3
     for f in su3_basis.order:
         d = profile.index[f] // 2
         alpha = su3_basis.alpha[f]
         space = congruence_space(graph, d)
-        mat = [[b[v.id].evaluate(profile.xi) for b in space] for v in graph.vertices]
+        at_xi = [_values_at(graph, d, b, profile.xi) for b in space]
+        mat = [[values[v.id] for values in at_xi] for v in graph.vertices]
         sol = solve_affine(mat, [alpha.at(v.id) for v in graph.vertices])
         assert sol is not None, f
-        lift = {v.id: sum((c * b[v.id] for c, b in zip(sol[0], space)),
-                          TorusPoly(graph.rank))
-                for v in graph.vertices}
-        assert is_member(graph, lift), f
-        assert all(p.evaluate(profile.xi) == alpha.at(v) for v, p in lift.items()), f
+        lift = {}
+        for c, b in zip(sol[0], space):
+            for col, x in b.items():
+                lift[col] = lift.get(col, F(0)) + c * x
+        values = _values_at(graph, d, lift, profile.xi)
+        assert all(values[v.id] == alpha.at(v.id) for v in graph.vertices), f
 
 
 def test_circle_annihilator_cuts_out_the_circle_image(su3, su3_basis):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gkmlef import exact
-from gkmlef.exact import (TorusPoly, format_rational, mat_vec,
-                          matrix_rank, monomial_exponents, nullspace,
-                          parse_rational, solve_affine)
+from gkmlef.exact import (format_rational, mat_vec, matrix_rank,
+                          monomial_exponents, monomial_residue, parse_rational,
+                          solve_affine)
 
 F = Fraction
 
@@ -21,33 +21,23 @@ def test_parse_rational():
             parse_rational(bad)
 
 
-def test_specialize_edge_weights():
-    # hexagon edge direction (-1,1) paired with xi = (-1,1) gives 2u
-    alpha = TorusPoly.linear_form([-1, 1])
-    assert alpha.evaluate((-1, 1)) == 2
-    # square edge direction (0,1) paired with xi = (-1,3) gives 3u
-    assert TorusPoly.linear_form([0, 1]).evaluate((-1, 3)) == 3
-
-
-def test_specialize_multiplicative():
-    a = TorusPoly.linear_form([1, 0])
-    b = TorusPoly.linear_form([0, 1])
-    assert (a * b).evaluate((1, 1)) == 1
-    assert (a * b).evaluate((2, 3)) == a.evaluate((2, 3)) * b.evaluate((2, 3)) == 6
-
-
-def test_specialize_rank_mismatch():
-    with pytest.raises(ValueError):
-        TorusPoly.linear_form([1, 0]).evaluate((1, 2, 3))
+def _residue(poly, weight):
+    """Residue of a polynomial {exponent: coefficient} modulo weight . t."""
+    out = {}
+    for mono, c in poly.items():
+        for exp, r in monomial_residue(mono, weight).items():
+            out[exp] = out.get(exp, 0) + c * r
+    return {exp: c for exp, c in out.items() if c}
 
 
 def test_divisibility():
-    alpha = [-1, 1]
-    lin = TorusPoly.linear_form(alpha)
-    other = TorusPoly.linear_form([1, 2])
-    assert (lin * other).divisible_by(alpha)
-    assert not other.divisible_by(alpha)
-    assert TorusPoly(2).divisible_by(alpha)
+    # (t1 - t0)(t0 + 2 t1) = -t0^2 - t0 t1 + 2 t1^2
+    assert _residue({(2, 0): -1, (1, 1): -1, (0, 2): 2}, (-1, 1)) == {}
+    assert _residue({(1, 0): 1, (0, 1): 2}, (-1, 1)) == {(0, 1): 3}
+    assert _residue({}, (-1, 1)) == {}
+    # pivot t1 of (0, 2, -1): t1 -> t2 / 2, so (2 t1 - t2) t0 vanishes
+    assert _residue({(1, 1, 0): 2, (1, 0, 1): -1}, (0, 2, -1)) == {}
+    assert monomial_residue((0, 2, 1), (0, 2, -1)) == {(0, 0, 3): F(1, 4)}
 
 
 def test_solve_affine_unique():
@@ -96,27 +86,6 @@ def test_monomial_exponents():
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
-
-
-def torus_polys(rank=2, max_deg=2):
-    exps = st.tuples(*(st.integers(0, max_deg) for _ in range(rank)))
-    return st.dictionaries(exps, rationals, max_size=4).map(
-        lambda terms: TorusPoly(rank, terms))
-
-
-@given(torus_polys(), torus_polys(), torus_polys())
-def test_ring_axioms(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert (a + b) - b == a
-
-
-@given(torus_polys(), torus_polys())
-def test_specialize_is_hom(a, b):
-    xi = (2, -3)
-    assert (a * b).evaluate(xi) == a.evaluate(xi) * b.evaluate(xi)
-    assert (a + b).evaluate(xi) == a.evaluate(xi) + b.evaluate(xi)
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=2, max_size=4),

@@ -4,7 +4,7 @@ import pytest
 
 from gkmlef import (abbv_integrate, canonical_classes, catalog, cup_power,
                     equivariant_symplectic_class, hard_lefschetz_check,
-                    kirwan_reduce, parse_gkm, restrict_to_circle,
+                    kirwan_reduce, lefschetz, parse_gkm, restrict_to_circle,
                     semifree_monotone_analysis, verify_distinct,
                     verify_symp_expansion, verify_vanish, verify_zeroclass)
 from gkmlef.cohomology import CircleClass
@@ -91,6 +91,18 @@ def test_lemma_distinct(su3, so5):
     for _, _, profile in (su3, so5):
         entry = verify_distinct(profile)
         assert entry["applicable"] and entry["pass"]
+
+
+def test_lemma_distinct_cup_count(su3, monkeypatch):
+    # the n + 1 products omitting one shifted class come from prefix and
+    # suffix products: O(n) cups, not (n + 1) * n
+    _, _, profile = su3
+    calls = []
+    cup = lefschetz.cup
+    monkeypatch.setattr(lefschetz, "cup", lambda a, b: calls.append(1) or cup(a, b))
+    entry = verify_distinct(profile)
+    assert entry["pass"] and "top-product integral 6" in entry["detail"]
+    assert len(calls) <= 3 * profile.n
 
 
 def test_lemma_distinct_flags_synthetic_equality(so5):
