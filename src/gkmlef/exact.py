@@ -1,13 +1,16 @@
 """Exact arithmetic substrate: rationals, monomials and linear algebra.
 
 Everything here is over Q (``fractions.Fraction``); there is no floating
-point in this module or anywhere downstream of it.
+point in this module or anywhere downstream of it.  Linear systems are
+eliminated mod a prime first and the answer is checked exactly over Q.
 """
 from __future__ import annotations
 
+import logging
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -65,6 +68,21 @@ def monomial_residue(mono, weight):
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q.  Matrices are lists of lists of Fractions.
+#
+# Every elimination runs first mod the prime P (_rref_mod) and is lifted back
+# to Q.  A lifted answer is returned only when it is certified; otherwise the
+# same elimination is redone over Fraction (_rref) and a DEBUG line on the
+# "gkmlef" logger names the reason.
+
+P = (1 << 61) - 1
+_LIFT_BOUND = 1 << 30  # rational reconstruction: |numerator|, denominator < 2^30
+_log = logging.getLogger("gkmlef")
+
+
+class _Uncertified(Exception):
+    """A modular result that cannot be certified; args[0] names the reason:
+    denominator, reconstruction, check, rank-deficit or inconsistent."""
+
 
 def _rref(mat, ncols):
     """Reduced row echelon form (in place copy); returns (rows, pivot_cols)."""
@@ -89,21 +107,155 @@ def _rref(mat, ncols):
     return rows, pivots
 
 
-def matrix_rank(mat):
-    if not mat:
-        return 0
-    _, pivots = _rref(mat, len(mat[0]))
-    return len(pivots)
+def _rref_mod(mat, ncols):
+    """_rref over the integers mod P: (rows of ints in [0, P), pivot_cols).
+
+    Raises _Uncertified("denominator") if an entry's denominator is
+    divisible by P, since such an entry has no image mod P.
+    """
+    inverse = {1: 1}
+    rows = []
+    for src in mat:
+        row = [0] * len(src)
+        for j, x in enumerate(src):
+            if x:
+                d = x.denominator
+                if d not in inverse:
+                    if d % P == 0:
+                        raise _Uncertified("denominator")
+                    inverse[d] = pow(d, -1, P)
+                row[j] = x.numerator * inverse[d] % P
+        rows.append(row)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, P)
+        prow = rows[r] = [x * inv % P for x in rows[r]]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % P
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _lift(a):
+    """A Fraction n/d with |n|, d < 2^30 and n = a * d mod P, or None
+    (rational reconstruction by the half-extended Euclidean algorithm)."""
+    r0, r1, t0, t1 = P, a, 0, 1
+    while r1 >= _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) >= _LIFT_BOUND:
+        return None
+    return Fraction(r1, t1)
+
+
+def _annihilates(mat, vecs):
+    """True when mat * v = 0 exactly over Q for every sparse vector v
+    {column: Fraction} in vecs.  Each row and each vector is scaled to
+    integers first, so the sums run over ints."""
+    cols = {}
+    for i, row in enumerate(mat):
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        scale = lcm(*(x.denominator for _, x in entries))
+        for j, x in entries:
+            cols.setdefault(j, []).append((i, x.numerator * (scale // x.denominator)))
+    for vec in vecs:
+        scale = lcm(*(x.denominator for x in vec.values()))
+        total = {}
+        for c, x in vec.items():
+            x = x.numerator * (scale // x.denominator)
+            for i, a in cols.get(c, ()):
+                total[i] = total.get(i, 0) + a * x
+        if any(total.values()):
+            return False
+    return True
 
 
 def _null_basis(rows, pivots, ncols):
     """Null-space basis read off a reduced row echelon form: one sparse vector
-    {column: Fraction} per free column, holding its 1 and the nonzero pivot
+    {column: value} per free column, holding its 1 and the nonzero pivot
     entries."""
     pivot_set = set(pivots)
     return [{fc: Fraction(1), **{pc: -rows[r][fc] for r, pc in enumerate(pivots)
                                  if rows[r][fc]}}
             for fc in range(ncols) if fc not in pivot_set]
+
+
+def _particular(rows, pivots, ncols):
+    """The solution with every free unknown 0, {pivot column: value}, read off
+    a reduced row echelon form of an augmented matrix; None if inconsistent."""
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    return {pc: rows[r][ncols] for r, pc in enumerate(pivots)}
+
+
+def _lifted(vec):
+    """{column: value mod P} lifted to {column: Fraction}."""
+    out = {}
+    for c, a in vec.items():
+        q = _lift(a % P)
+        if q is None:
+            raise _Uncertified("reconstruction")
+        out[c] = q
+    return out
+
+
+def _solve_mod(mat, ncols, augmented):
+    """Null basis of the first ncols columns of mat and, if `augmented` (the
+    last column is the right-hand side), the particular solution; both
+    sparse, from one elimination mod P.
+
+    Every vector is lifted to Q and checked exactly against mat.  When all
+    ncols - rank_P null vectors pass, rank over Q equals rank mod P, the
+    pivots are those of the rational RREF, and the result is exactly what
+    _rref would give.  Anything else raises _Uncertified.
+    """
+    rows, pivots = _rref_mod(mat, ncols)
+    basis = [_lifted(v) for v in _null_basis(rows, pivots, ncols)]
+    point, vecs = None, basis
+    if augmented:
+        point = _particular(rows, pivots, ncols)
+        if point is None:
+            raise _Uncertified("inconsistent")
+        point = _lifted(point)
+        vecs = basis + [{**point, ncols: Fraction(-1)}]
+    del rows
+    if not _annihilates(mat, vecs):
+        raise _Uncertified("check")
+    return point, basis
+
+
+def _fallback(exc, mat, ncols):
+    _log.debug("modular elimination of a %d x %d system not certified (%s); "
+               "eliminating over Fraction", len(mat), ncols, exc.args[0])
+
+
+def matrix_rank(mat):
+    """Rank over Q.  The rank mod P never exceeds it, so a full rank mod P is
+    returned as is; a deficit is recomputed over Fraction."""
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    try:
+        rank = len(_rref_mod(mat, ncols)[1])
+        if rank == min(len(mat), ncols):
+            return rank
+        raise _Uncertified("rank-deficit")
+    except _Uncertified as exc:
+        _fallback(exc, mat, ncols)
+    return len(_rref(mat, ncols)[1])
 
 
 def _dense(vecs, ncols):
@@ -112,7 +264,12 @@ def _dense(vecs, ncols):
 
 def sparse_nullspace(mat, ncols):
     """Basis of the right nullspace of `mat` (ncols unknowns), as sparse
-    vectors {column: Fraction}."""
+    vectors {column: Fraction}: the basis read off the reduced row echelon
+    form."""
+    try:
+        return _solve_mod(mat, ncols, False)[1]
+    except _Uncertified as exc:
+        _fallback(exc, mat, ncols)
     return _null_basis(*_rref(mat, ncols), ncols)
 
 
@@ -123,7 +280,7 @@ def nullspace(mat, ncols):
 
 def solve_affine(mat, rhs):
     """Solve mat * x = rhs exactly, with one elimination of the augmented
-    matrix.
+    matrix (and one more over Fraction if the modular one is not certified).
 
     Returns None if inconsistent, otherwise (particular, nullspace_basis);
     the solution set is the particular point plus the span of the basis.
@@ -134,13 +291,16 @@ def solve_affine(mat, rhs):
         return [], []
     ncols = len(mat[0])
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    rows, pivots = _rref(aug, ncols)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
-        return None
-    particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rows[r][ncols]
-    return particular, _dense(_null_basis(rows, pivots, ncols), ncols)
+    try:
+        point, basis = _solve_mod(aug, ncols, True)
+    except _Uncertified as exc:
+        _fallback(exc, aug, ncols)
+        rows, pivots = _rref(aug, ncols)
+        point = _particular(rows, pivots, ncols)
+        if point is None:
+            return None
+        basis = _null_basis(rows, pivots, ncols)
+    return _dense([point], ncols)[0], _dense(basis, ncols)
 
 
 def mat_vec(mat, vec):

@@ -42,3 +42,13 @@ def cp1():
 def cp1_basis(cp1):
     _, graph, profile = cp1
     return canonical_classes(graph, profile)
+
+
+@pytest.fixture
+def cold_congruence_cache():
+    """An empty congruence_space cache, emptied again afterwards so that no
+    other test sees entries computed under this test's monkeypatches."""
+    from gkmlef.cohomology import congruence_space
+    congruence_space.cache_clear()
+    yield
+    congruence_space.cache_clear()

@@ -5,7 +5,7 @@ from math import comb, prod
 import pytest
 
 from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
-                    catalog, cup, cup_power, equivariant_symplectic_class,
+                    catalog, cup, cup_power, equivariant_symplectic_class, exact,
                     expand_in_basis, kirwan_reduce, parse_gkm,
                     restrict_to_circle)
 from gkmlef.cohomology import (CircleClass, ExpansionError,
@@ -105,6 +105,39 @@ def test_congruence_space_edge_check(name):
                 for point in points:
                     values = _values_at(graph, d, b, point)
                     assert values[e.v] == values[e.w], (d, e, point)
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "cp4", "sphere_product3", "hirzebruch1"])
+def test_modular_elimination_certified_on_catalog(name, monkeypatch, cold_congruence_cache):
+    # every elimination behind the canonical classes is certified mod P, and
+    # the Fraction fallback, when forced, gives the same spaces and classes
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    profile = restrict_to_circle(graph, entry.default_xi)
+    rational = []
+    rref = exact._rref
+
+    def counting(mat, ncols):
+        rational.append(ncols)
+        return rref(mat, ncols)
+
+    monkeypatch.setattr(exact, "_rref", counting)
+    basis = canonical_classes(graph, profile)
+    assert rational == []
+    degrees = range(graph.n + 1)
+    spaces = [[list(b.items()) for b in congruence_space(graph, d)] for d in degrees]
+    annihilators = [circle_annihilator(graph, d, profile.xi) for d in degrees]
+
+    congruence_space.cache_clear()
+    monkeypatch.setattr(exact, "_annihilates", lambda mat, vecs: False)
+    assert [[list(b.items()) for b in congruence_space(graph, d)] for d in degrees] == spaces
+    assert [circle_annihilator(graph, d, profile.xi) for d in degrees] == annihilators
+    fallback = canonical_classes(graph, profile)
+    assert rational
+    assert fallback.order == basis.order
+    for f in basis.order:
+        assert fallback.alpha[f].values == basis.alpha[f].values, f
+        assert fallback.beta[f].values == basis.beta[f].values, f
 
 
 # -- cup product ------------------------------------------------------------

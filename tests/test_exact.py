@@ -1,12 +1,13 @@
+import logging
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gkmlef import exact
-from gkmlef.exact import (format_rational, mat_vec, matrix_rank,
+from gkmlef.exact import (P, format_rational, mat_vec, matrix_rank,
                           monomial_exponents, monomial_residue, parse_rational,
-                          solve_affine)
+                          solve_affine, sparse_nullspace)
 
 F = Fraction
 
@@ -59,19 +60,31 @@ def test_solve_affine_empty():
     assert solve_affine([[F(1)], [F(1)]], [F(0), F(1)]) is None
 
 
-def test_solve_affine_eliminates_once(monkeypatch):
+def _counting(monkeypatch, name):
+    """Record the ncols argument of every call to exact.<name>."""
     calls = []
-    rref = exact._rref
+    elimination = getattr(exact, name)
 
     def counting(mat, ncols):
         calls.append(ncols)
-        return rref(mat, ncols)
+        return elimination(mat, ncols)
 
-    monkeypatch.setattr(exact, "_rref", counting)
-    particular, null = solve_affine([[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [F(1), F(3)])
-    assert calls == [3]
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
+def test_solve_affine_eliminates_once(monkeypatch):
+    system = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [F(1), F(3)]
+    modular, rational = _counting(monkeypatch, "_rref_mod"), _counting(monkeypatch, "_rref")
+    particular, null = solve_affine(*system)
+    assert (modular, rational) == ([3], [])
     assert particular == [F(-2), F(0), F(1)]
     assert null == [[F(-2), F(1), F(0)]]
+    # an uncertified modular result costs one more elimination, over Fraction
+    monkeypatch.setattr(exact, "_lift", lambda a: None)
+    modular.clear()
+    assert solve_affine(*system) == (particular, null)
+    assert (modular, rational) == ([3], [3])
 
 
 def test_rank():
@@ -101,3 +114,82 @@ def test_solve_reconstructs_rhs(rows, rhs):
     assert len(null) == len(rows[0]) - matrix_rank(rows)
     for vec in null:
         assert all(x == 0 for x in mat_vec(rows, vec))
+
+
+# -- modular elimination against the Fraction reference ---------------------
+
+def _reference_solve(mat, rhs):
+    """solve_affine computed directly from _rref of the augmented matrix."""
+    ncols = len(mat[0])
+    rows, pivots = exact._rref([row + [b] for row, b in zip(mat, rhs)], ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
+    particular = [F(0)] * ncols
+    for r, pc in enumerate(pivots):
+        particular[pc] = rows[r][ncols]
+    return particular, [[v.get(c, F(0)) for c in range(ncols)]
+                        for v in exact._null_basis(rows, pivots, ncols)]
+
+
+def _exactly(vecs):
+    """Sparse vectors as (column, type, value) lists, so key order and
+    entry types are compared too."""
+    return [[(c, type(x), x) for c, x in v.items()] for v in vecs]
+
+
+entries = st.one_of(st.just(F(0)), rationals,
+                    st.fractions(max_denominator=2 ** 40).map(lambda q: q * 2 ** 31))
+
+
+@st.composite
+def systems(draw):
+    ncols = draw(st.integers(1, 5))
+    mat = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                        min_size=1, max_size=5))
+    if len(mat) > 1 and draw(st.booleans()):  # a dependent row
+        a, b = draw(rationals), draw(rationals)
+        mat.append([a * x + b * y for x, y in zip(mat[0], mat[1])])
+    rhs = draw(st.lists(entries, min_size=len(mat), max_size=len(mat)))
+    return mat, rhs
+
+
+@given(systems())
+def test_modular_elimination_matches_fraction_rref(system):
+    mat, rhs = system
+    ncols = len(mat[0])
+    rows, pivots = exact._rref(mat, ncols)
+    assert matrix_rank(mat) == len(pivots)
+    reference = exact._null_basis(rows, pivots, ncols)
+    assert _exactly(sparse_nullspace(mat, ncols)) == _exactly(reference)
+    assert solve_affine(mat, rhs) == _reference_solve(mat, rhs)
+
+
+@pytest.mark.parametrize("call,expected,reason", [
+    # an entry with no image mod P
+    (lambda: sparse_nullspace([[F(1, P), F(1)]], 2), [{1: F(1), 0: F(-P)}], "denominator"),
+    # [[P]] is [[0]] mod P: rank 0 there, 1 over Q
+    (lambda: matrix_rank([[F(P)]]), 1, "rank-deficit"),
+    (lambda: sparse_nullspace([[F(P)]], 1), [], "check"),
+    # null-vector entries of height above 2^30
+    (lambda: sparse_nullspace([[F(2 ** 31), F(1)]], 2), [{1: F(1), 0: F(-1, 2 ** 31)}],
+     "reconstruction"),
+    (lambda: sparse_nullspace([[F(1), F(2 ** 31)]], 2), [{1: F(1), 0: F(-2 ** 31)}],
+     "reconstruction"),
+    # a small fraction congruent to -5^14/3^20 lifts, and fails the check
+    (lambda: sparse_nullspace([[F(3 ** 20), F(5 ** 14)]], 2),
+     [{1: F(1), 0: F(-5 ** 14, 3 ** 20)}], "check"),
+    (lambda: solve_affine([[F(1)], [F(1)]], [F(0), F(1)]), None, "inconsistent"),
+])
+def test_uncertified_results_fall_back_exactly(caplog, call, expected, reason):
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    assert call() == expected
+    assert [(r.name, r.levelno) for r in caplog.records] == [("gkmlef", logging.DEBUG)]
+    assert "(%s)" % reason in caplog.records[0].getMessage()
+
+
+def test_certified_results_log_nothing(caplog):
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    assert matrix_rank([[F(1, 2), F(3)], [F(0), F(5)]]) == 2
+    assert sparse_nullspace([[F(1), F(2), F(3)]], 3) == [{1: F(1), 0: F(-2)}, {2: F(1), 0: F(-3)}]
+    assert solve_affine([[F(2), F(0)], [F(0), F(3)]], [F(1), F(1)]) == ([F(1, 2), F(1, 3)], [])
+    assert caplog.records == []

@@ -27,6 +27,7 @@ GOLDEN = {
     ("cp3", "text"): (0, "c1b688634533664a77212b1de3304cead10b0701ffc828f03f9e4cde1d159746"),
     ("cp4", "json"): (0, "4b77f99441c852e053146e984d89832d899f06428a3c22f64821fd95fa934682"),
     ("cp4", "text"): (0, "32bede00412eebc44cd1c16177d9a446bd59e6bef61774a84b5a0a2deb2eebe0"),
+    ("cp5", "json"): (0, "ead664b7e0433ae7c27c0cc143109279d677f255827fe897c9543e0672bdc4c7"),
     ("sphere_product1", "json"):
         (0, "8ec77a0ad946d76164080d0288135ff22dd5909bbcd5de2f5fb4c2b24ca48d61"),
     ("sphere_product1", "text"):
@@ -39,6 +40,8 @@ GOLDEN = {
         (0, "353bf3249acec1887c7ca3072dcb2d6d9141a10b40458543ce744582138b7cfa"),
     ("sphere_product3", "text"):
         (0, "6f0c9a8cefbd821fa8fd5190a91002e7f23d091bcf259099f94755e1c8c18473"),
+    ("sphere_product4", "json"):
+        (0, "f007fa51cfe233795afb6beeb2875184f4accf99c9bc9499ae6fcc390902f255"),
     ("hirzebruch1", "json"):
         (2, "27bcca82f534337e721de2ca2c275dd8668123e0207503b7844113345ed8495c"),
     ("hirzebruch1", "text"):
