@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from .exact import (matrix_rank, monomial_exponents, monomial_residue,
                     nullspace, solve_affine, sparse_nullspace)
@@ -91,6 +91,7 @@ def abbv_integrate(cls, profile):
 def congruence_space(graph, d):
     """Basis of the homogeneous degree-d (polynomial degree) solutions of all
     edge congruences f_v = f_w mod weight, as sparse vectors {column: Fraction}.
+    Each edge row is scaled to integers by the lcm of its denominators.
 
     A solution is one coefficient per vertex and monomial: column i * M + j
     holds the coefficient of the j-th of the M monomials in
@@ -104,12 +105,12 @@ def congruence_space(graph, d):
         # one row per residual monomial of f_v - f_w modulo the weight
         residues = [monomial_residue(m, e.weight) for m in monos]
         for exp in sorted(set().union(*residues)):
-            row = [Fraction(0)] * ncols
-            for j, res in enumerate(residues):
-                c = res.get(exp)
-                if c:
-                    row[col[e.v] + j] += c
-                    row[col[e.w] + j] -= c
+            coeffs = [(j, res[exp]) for j, res in enumerate(residues) if res.get(exp)]
+            scale = lcm(*(c.denominator for _, c in coeffs))
+            row = {}
+            for j, c in coeffs:
+                row[col[e.v] + j] = c.numerator * (scale // c.denominator)
+                row[col[e.w] + j] = -row[col[e.v] + j]
             rows.append(row)
     return tuple(sparse_nullspace(rows, ncols))
 
@@ -117,15 +118,17 @@ def congruence_space(graph, d):
 def circle_annihilator(graph, d, xi):
     """Rows z, one value per vertex in graph order, with z . y = 0 exactly
     when y is the circle restriction of a degree-d class: the null space of
-    the congruence-space basis evaluated at t = xi."""
-    at_xi = [prod((Fraction(x) ** e for x, e in zip(xi, m)), start=Fraction(1))
-             for m in monomial_exponents(graph.rank, d)]
+    the congruence-space basis evaluated at t = xi, each basis vector scaled
+    to integers by the lcm of its denominators first."""
+    at_xi = [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
     rows = []
     for b in congruence_space(graph, d):
-        values = [Fraction(0)] * len(graph.vertices)
+        scale = lcm(*(x.denominator for x in b.values()))
+        values = {}
         for c, x in b.items():
-            values[c // len(at_xi)] += x * at_xi[c % len(at_xi)]
-        rows.append(values)
+            i, j = divmod(c, len(at_xi))
+            values[i] = values.get(i, 0) + x.numerator * (scale // x.denominator) * at_xi[j]
+        rows.append({i: v for i, v in values.items() if v})
     return nullspace(rows, len(graph.vertices))
 
 

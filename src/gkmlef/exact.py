@@ -12,11 +12,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def parse_rational(s):
-    """Parse a rational from its "p" or "p/q" string form."""
+    """Parse a rational from its "p" or "p/q" string form, q > 0."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     s = str(s).strip()
@@ -67,12 +67,14 @@ def monomial_residue(mono, weight):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q.  Matrices are lists of lists of Fractions.
+# Exact linear algebra over Q.  Inside, a matrix is a list of sparse rows
+# {column: Fraction or int} of its nonzero entries; the public functions
+# convert lists of lists once, and the null-space functions take sparse rows too.
 #
 # Every elimination runs first mod the prime P (_rref_mod) and is lifted back
 # to Q.  A lifted answer is returned only when it is certified; otherwise the
-# same elimination is redone over Fraction (_rref) and a DEBUG line on the
-# "gkmlef" logger names the reason.
+# same elimination is redone over Fraction (_rref, on dense rows) and a DEBUG
+# line on the "gkmlef" logger names the reason.
 
 P = (1 << 61) - 1
 _LIFT_BOUND = 1 << 30  # rational reconstruction: |numerator|, denominator < 2^30
@@ -82,6 +84,16 @@ _log = logging.getLogger("gkmlef")
 class _Uncertified(Exception):
     """A modular result that cannot be certified; args[0] names the reason:
     denominator, reconstruction, check, rank-deficit or inconsistent."""
+
+
+def _sparse(mat):
+    """Rows as sparse dicts of their nonzero entries; dict rows pass through."""
+    return [row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
+            for row in mat]
+
+
+def _dense(vecs, ncols):
+    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in vecs]
 
 
 def _rref(mat, ncols):
@@ -108,45 +120,59 @@ def _rref(mat, ncols):
 
 
 def _rref_mod(mat, ncols):
-    """_rref over the integers mod P: (rows of ints in [0, P), pivot_cols).
+    """_rref of sparse rows over the integers mod P: (sparse rows of ints in
+    [1, P), the pivot rows first in pivot order; pivot_cols).
 
-    Raises _Uncertified("denominator") if an entry's denominator is
-    divisible by P, since such an entry has no image mod P.
+    Each column pivots on the sparsest row holding it that is not a pivot row
+    yet, the lowest index on ties.  The reduced form is unique, so this choice
+    changes only the work.  Raises _Uncertified("denominator") if an entry's
+    denominator is divisible by P, since such an entry has no image mod P.
     """
     inverse = {1: 1}
-    rows = []
-    for src in mat:
-        row = [0] * len(src)
-        for j, x in enumerate(src):
-            if x:
-                d = x.denominator
-                if d not in inverse:
-                    if d % P == 0:
-                        raise _Uncertified("denominator")
-                    inverse[d] = pow(d, -1, P)
-                row[j] = x.numerator * inverse[d] % P
+    rows, holders = [], {}  # holders: column -> indices of the rows holding it
+    for i, src in enumerate(mat):
+        row = {}
+        for j, x in src.items():
+            d = x.denominator
+            if d not in inverse:
+                if d % P == 0:
+                    raise _Uncertified("denominator")
+                inverse[d] = pow(d, -1, P)
+            a = x.numerator * inverse[d] % P
+            if a:
+                row[j] = a
+                holders.setdefault(j, set()).add(i)
         rows.append(row)
-    pivots = []
-    r = 0
+    pivots, pivot_rows, rest = [], [], set(range(len(rows)))
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, P)
-        prow = rows[r] = [x * inv % P for x in rows[r]]
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                row = rows[i]
-                for j, y in support:
-                    row[j] = (row[j] - f * y) % P
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not rest:
             break
-    return rows, pivots
+        candidates = [i for i in holders.get(c, ()) if i in rest]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        rest.remove(p)
+        prow = rows[p]
+        inv = pow(prow[c], -1, P)
+        for j in prow:
+            prow[j] = prow[j] * inv % P
+        support = list(prow.items())
+        for i in holders[c] - {p}:
+            row = rows[i]
+            f = row[c]
+            for j, y in support:
+                a = row.get(j)
+                if a is None:
+                    row[j] = -f * y % P
+                    holders[j].add(i)
+                elif a := (a - f * y) % P:
+                    row[j] = a
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        pivots.append(c)
+        pivot_rows.append(p)
+    return [rows[i] for i in pivot_rows] + [rows[i] for i in sorted(rest)], pivots
 
 
 def _lift(a):
@@ -163,13 +189,12 @@ def _lift(a):
 
 def _annihilates(mat, vecs):
     """True when mat * v = 0 exactly over Q for every sparse vector v
-    {column: Fraction} in vecs.  Each row and each vector is scaled to
-    integers first, so the sums run over ints."""
+    {column: Fraction} in vecs (mat: sparse rows).  Each row and each vector
+    is scaled to integers first, so the sums run over ints."""
     cols = {}
     for i, row in enumerate(mat):
-        entries = [(j, x) for j, x in enumerate(row) if x]
-        scale = lcm(*(x.denominator for _, x in entries))
-        for j, x in entries:
+        scale = lcm(*(x.denominator for x in row.values()))
+        for j, x in row.items():
             cols.setdefault(j, []).append((i, x.numerator * (scale // x.denominator)))
     for vec in vecs:
         scale = lcm(*(x.denominator for x in vec.values()))
@@ -184,21 +209,25 @@ def _annihilates(mat, vecs):
 
 
 def _null_basis(rows, pivots, ncols):
-    """Null-space basis read off a reduced row echelon form: one sparse vector
-    {column: value} per free column, holding its 1 and the nonzero pivot
-    entries."""
+    """Null-space basis read off a reduced row echelon form (dense or sparse
+    rows): one sparse vector {column: value} per free column, holding its 1
+    and the nonzero pivot entries in pivot order."""
     pivot_set = set(pivots)
-    return [{fc: Fraction(1), **{pc: -rows[r][fc] for r, pc in enumerate(pivots)
-                                 if rows[r][fc]}}
-            for fc in range(ncols) if fc not in pivot_set]
+    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(_sparse(rows), pivots):
+        for c, x in row.items():
+            if c in basis:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def _particular(rows, pivots, ncols):
     """The solution with every free unknown 0, {pivot column: value}, read off
     a reduced row echelon form of an augmented matrix; None if inconsistent."""
-    if any(row[ncols] for row in rows[len(pivots):]):
+    rows = _sparse(rows)
+    if any(ncols in row for row in rows[len(pivots):]):
         return None
-    return {pc: rows[r][ncols] for r, pc in enumerate(pivots)}
+    return {pc: row[ncols] for row, pc in zip(rows, pivots) if ncols in row}
 
 
 def _lifted(vec):
@@ -213,9 +242,9 @@ def _lifted(vec):
 
 
 def _solve_mod(mat, ncols, augmented):
-    """Null basis of the first ncols columns of mat and, if `augmented` (the
-    last column is the right-hand side), the particular solution; both
-    sparse, from one elimination mod P.
+    """Null basis of the first ncols columns of the sparse rows mat and, if
+    `augmented` (column ncols is the right-hand side), the particular
+    solution; both sparse, from one elimination mod P.
 
     Every vector is lifted to Q and checked exactly against mat.  When all
     ncols - rank_P null vectors pass, rank over Q equals rank mod P, the
@@ -249,7 +278,7 @@ def matrix_rank(mat):
         return 0
     ncols = len(mat[0])
     try:
-        rank = len(_rref_mod(mat, ncols)[1])
+        rank = len(_rref_mod(_sparse(mat), ncols)[1])
         if rank == min(len(mat), ncols):
             return rank
         raise _Uncertified("rank-deficit")
@@ -258,19 +287,16 @@ def matrix_rank(mat):
     return len(_rref(mat, ncols)[1])
 
 
-def _dense(vecs, ncols):
-    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in vecs]
-
-
 def sparse_nullspace(mat, ncols):
-    """Basis of the right nullspace of `mat` (ncols unknowns), as sparse
-    vectors {column: Fraction}: the basis read off the reduced row echelon
-    form."""
+    """Basis of the right nullspace of `mat` (ncols unknowns; rows dense or
+    sparse), as sparse vectors {column: Fraction}: the basis read off the
+    reduced row echelon form."""
+    rows = _sparse(mat)
     try:
-        return _solve_mod(mat, ncols, False)[1]
+        return _solve_mod(rows, ncols, False)[1]
     except _Uncertified as exc:
-        _fallback(exc, mat, ncols)
-    return _null_basis(*_rref(mat, ncols), ncols)
+        _fallback(exc, rows, ncols)
+    return _null_basis(*_rref(_dense(rows, ncols), ncols), ncols)
 
 
 def nullspace(mat, ncols):
@@ -290,12 +316,12 @@ def solve_affine(mat, rhs):
             return None
         return [], []
     ncols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    aug = [{**row, ncols: b} if b else row for row, b in zip(_sparse(mat), rhs)]
     try:
         point, basis = _solve_mod(aug, ncols, True)
     except _Uncertified as exc:
         _fallback(exc, aug, ncols)
-        rows, pivots = _rref(aug, ncols)
+        rows, pivots = _rref(_dense(aug, ncols + 1), ncols)
         point = _particular(rows, pivots, ncols)
         if point is None:
             return None

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +82,18 @@ def test_unknown_example_message_unquoted(capsys):
     code, _, err = run(capsys, "analyze", "--example", "nope")
     assert code == 1
     assert err.startswith("error: unknown catalog example 'nope'")
+
+
+def test_zero_denominator_scale_is_an_input_error():
+    # in a child process, so an uncaught exception would print its traceback
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gkmlef.cli", "analyze", "--example", "so5",
+                           "--scale", "1/0"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_determinism(capsys):

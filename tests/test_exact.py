@@ -17,7 +17,7 @@ def test_parse_rational():
     assert parse_rational("-7") == F(-7)
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(5)) == "5"
-    for bad in ("1.5", "pi", "", "1/0x"):
+    for bad in ("1.5", "pi", "", "1/0x", "1/0", "-3/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -141,15 +141,22 @@ entries = st.one_of(st.just(F(0)), rationals,
                     st.fractions(max_denominator=2 ** 40).map(lambda q: q * 2 ** 31))
 
 
+# mostly zeros, some plain ints like the integer-scaled congruence rows: the
+# rows differ in sparsity, so the sparsest pivot candidate is often not the first
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(F(0)), st.integers(-3, 3), entries)
+
+
 @st.composite
 def systems(draw):
-    ncols = draw(st.integers(1, 5))
-    mat = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                        min_size=1, max_size=5))
+    wide = draw(st.booleans())
+    ncols = draw(st.integers(1, 8 if wide else 5))
+    cell = sparse_entries if wide else entries
+    mat = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                        min_size=1, max_size=7 if wide else 5))
     if len(mat) > 1 and draw(st.booleans()):  # a dependent row
         a, b = draw(rationals), draw(rationals)
         mat.append([a * x + b * y for x, y in zip(mat[0], mat[1])])
-    rhs = draw(st.lists(entries, min_size=len(mat), max_size=len(mat)))
+    rhs = draw(st.lists(cell, min_size=len(mat), max_size=len(mat)))
     return mat, rhs
 
 

@@ -28,6 +28,7 @@ GOLDEN = {
     ("cp4", "json"): (0, "4b77f99441c852e053146e984d89832d899f06428a3c22f64821fd95fa934682"),
     ("cp4", "text"): (0, "32bede00412eebc44cd1c16177d9a446bd59e6bef61774a84b5a0a2deb2eebe0"),
     ("cp5", "json"): (0, "ead664b7e0433ae7c27c0cc143109279d677f255827fe897c9543e0672bdc4c7"),
+    ("cp6", "json"): (0, "33cb0b8739433869f0a84e15ebb384522546f1333aee8ac83a214bd8f0c79a2a"),
     ("sphere_product1", "json"):
         (0, "8ec77a0ad946d76164080d0288135ff22dd5909bbcd5de2f5fb4c2b24ca48d61"),
     ("sphere_product1", "text"):
@@ -42,6 +43,8 @@ GOLDEN = {
         (0, "6f0c9a8cefbd821fa8fd5190a91002e7f23d091bcf259099f94755e1c8c18473"),
     ("sphere_product4", "json"):
         (0, "f007fa51cfe233795afb6beeb2875184f4accf99c9bc9499ae6fcc390902f255"),
+    ("sphere_product5", "json"):
+        (0, "836be08af8c96ea994a50f7587bacd42fdf9c67b4e00df500f6f7e09cb5e5016"),
     ("hirzebruch1", "json"):
         (2, "27bcca82f534337e721de2ca2c275dd8668123e0207503b7844113345ed8495c"),
     ("hirzebruch1", "text"):

@@ -86,6 +86,8 @@ MALFORMED = {
     "fractional-weight": (_set(["edges", 0, "weight"], ["1/2"]), "edge-weight-integer"),
     "boolean-weight": (_set(["edges", 0, "weight"], [True]), "edge-weight-integer"),
     "self-loop": (_set(["edges", 0, "w"], "p0"), "edge-self-loop"),
+    "zero-denominator-position": (_set(["vertices", 0, "position", 0], "1/0"),
+                                  "vertex-positions"),
 }
 
 
@@ -107,7 +109,7 @@ def test_malformed_document_named_failure(case, capsys, tmp_path):
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
-    | st.sampled_from(["p0", "p1", "1/2", "0", "1"]),
+    | st.sampled_from(["p0", "p1", "1/2", "1/0", "0", "1"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["rank", "dimension", "vertices", "edges",
                                        "id", "position", "v", "w", "weight"]),
