@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm, prod
 
 from .exact import (matrix_rank, monomial_exponents, monomial_residue,
-                    nullspace, solve_affine, solve_many, sparse_nullspace)
+                    nullspace, solve_many, sparse_nullspace)
 
 _log = logging.getLogger("gkmlef")
 
@@ -33,14 +33,17 @@ class ExpansionError(ValueError):
     """A class could not be expanded in the canonical basis."""
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class CircleClass:
     graph: object
     degree: int  # cohomological, even
-    values: dict  # vertex id -> Fraction c; the restriction is c * u^(degree/2)
+    values: dict  # vertex id -> Fraction c, the restriction c * u^(degree/2); absent: 0
 
     def at(self, vid):
-        return self.values.get(vid, Fraction(0))
+        return self.values.get(vid, _ZERO)
 
     @property
     def is_zero(self):
@@ -59,9 +62,11 @@ def constant_class(graph, c=1):
 
 
 def cup(a, b):
-    """Vertex-wise product of circle classes on the same graph."""
+    """Vertex-wise product of circle classes on the same graph, over the
+    vertices stored in both."""
+    small, large = sorted((a.values, b.values), key=len)
     return CircleClass(a.graph, a.degree + b.degree,
-                       {v: c * b.at(v) for v, c in a.values.items()})
+                       {v: c * large[v] for v, c in small.items() if v in large})
 
 
 def cup_power(a, m):
@@ -172,8 +177,10 @@ def basis_order(profile):
 
 
 def _annihilators(graph, profile):
-    """circle_annihilator for each Morse index that occurs, keyed by index."""
-    return {k: circle_annihilator(graph, k // 2, profile.xi)
+    """circle_annihilator for each Morse index that occurs, keyed by index,
+    as sparse rows {vertex position: Fraction}."""
+    return {k: [{j: x for j, x in enumerate(row) if x}
+                for row in circle_annihilator(graph, k // 2, profile.xi)]
             for k in set(profile.index.values())}
 
 
@@ -309,111 +316,88 @@ def flow_up_classes(graph, profile):
     return tau
 
 
-def flow_up_annihilators(graph, profile):
-    """What _annihilators computes, from flow_up_classes: for each index k
-    that occurs, the null space of the circle values of the classes of
-    index <= k, which span the circle image of degree k / 2.  Raises
-    FlowUpError."""
-    tau = flow_up_classes(graph, profile)
-    xi = profile.xi
-    at_xi = {d: [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
-             for d in {k // 2 for k in profile.index.values()}}
-    values = {}
-    for p, classes in tau.items():
-        point = at_xi[profile.index[p] // 2]
-        row = {i: sum(c * point[j] for j, c in classes[v.id].items())
-               for i, v in enumerate(graph.vertices) if v.id in classes}
-        scale = lcm(*(x.denominator for x in row.values()))
-        values[p] = {i: x.numerator * (scale // x.denominator) for i, x in row.items() if x}
-    return {k: nullspace([values[p] for p in tau if profile.index[p] <= k],
-                         len(graph.vertices))
-            for k in set(profile.index.values())}
-
-
-def _class_system(profile, fid, annihilators, vids):
-    """Rows/rhs on the circle values of alpha_F, one unknown per vertex: the
-    values are a circle restriction of F's degree, equal the product of the
-    negative weights at F, and vanish below F's moment value or at index <= F's."""
-    rows = list(annihilators[profile.index[fid]])
-    rhs = [Fraction(0)] * len(rows)
-    mu, index = profile.mu, profile.index
-    for i, vid in enumerate(vids):
-        if mu[vid] < mu[fid] or index[vid] <= index[fid]:
-            rows.append([Fraction(int(j == i)) for j in range(len(vids))])
-            rhs.append(profile.negative_weight_product(fid) if vid == fid else Fraction(0))
-    return rows, rhs
-
-
 def _alpha_beta(profile, fid, values):
-    """alpha_F from its circle values {vertex id: Fraction}, and its
-    normalization beta_F = alpha_F / (product of the negative weights at F)."""
+    """alpha_F from its circle values {vertex id: Fraction}, zeros dropped,
+    and its normalization beta_F = alpha_F / (product of the negative weights
+    at F)."""
     wprod = profile.negative_weight_product(fid)
     graph, degree = profile.graph, profile.index[fid]
+    values = {v: c for v, c in values.items() if c}
     return (CircleClass(graph, degree, values),
             CircleClass(graph, degree, {v: c / wprod for v, c in values.items()}))
 
 
-def _not_unique(fid, ambiguity):
-    return ClassConstructionError(
-        "canonical class at %s is not unique (ambiguity dimension %d)"
-        % (fid, ambiguity))
-
-
 def canonical_classes(graph, profile):
-    """Canonical class basis, one class per fixed point, built in ascending
-    moment order by solving each class for its circle values inside the
-    circle image of its degree, cut out by flow_up_annihilators (or, if the
-    flow-up classes are not certified, by the congruence-space annihilators
-    of the oracle)."""
-    vids = [v.id for v in graph.vertices]
-    order = basis_order(profile)
+    """Canonical class basis, one class per fixed point, by forward
+    substitution on the circle values of the flow-up classes: alpha_F is
+    the sum of c_q tau_q over the q of index <= index(F), which span the
+    circle image of its degree, with c_q = (target(q) - (earlier terms at
+    q)) / tau_q(q) in basis_order from F on; target(q) is the product of the
+    negative weights at F if q = F and 0 otherwise.  tau_q vanishes before q,
+    so alpha_F vanishes below F's moment value, and tau_q(q) at a generic xi
+    is nonzero.  If the flow-up classes are not certified, a DEBUG line names
+    the reason and the oracle canonical_classes_global is returned."""
     try:
-        annihilators = flow_up_annihilators(graph, profile)
+        classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
-        _log.debug("flow-up classes not certified (%s); using the congruence-space "
-                   "annihilators", exc)
-        annihilators = _annihilators(graph, profile)
+        _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
+        return canonical_classes_global(graph, profile)
+    order, index, xi = basis_order(profile), profile.index, profile.xi
+    at_xi = {d: [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
+             for d in {k // 2 for k in index.values()}}
+    tau = {}  # p -> {vertex id: nonzero value of tau_p at xi}
+    for p, coeffs in classes.items():
+        point = at_xi[index[p] // 2]
+        tau[p] = {q: x for q, f in coeffs.items() if (x := sum(c * point[j] for j, c in f.items()))}
     alpha, beta = {}, {}
-    for fid in order:
-        sol = solve_affine(*_class_system(profile, fid, annihilators, vids))
-        if sol is None:
-            raise ClassConstructionError(
-                "no canonical class at %s: the fixed-point data is not realizable" % fid)
-        y, null_basis = sol
-        if null_basis:
-            raise _not_unique(fid, len(null_basis))
-        alpha[fid], beta[fid] = _alpha_beta(profile, fid, dict(zip(vids, y)))
+    for i, fid in enumerate(order):
+        target = profile.negative_weight_product(fid)
+        values = {}
+        for q in order[i:]:
+            if index[q] <= index[fid]:
+                c = ((target if q == fid else 0) - values.get(q, 0)) / tau[q][q]
+                if c:
+                    for v, x in tau[q].items():
+                        values[v] = values.get(v, 0) + c * x
+        alpha[fid], beta[fid] = _alpha_beta(profile, fid, values)
     return CanonicalBasis(profile, order, alpha, beta)
 
 
 def canonical_classes_global(graph, profile):
     """Oracle construction: one global linear system imposing every defining
-    condition of every canonical class simultaneously, one block of V
-    columns per class."""
+    condition of every canonical class at once, one block of V columns per
+    class.  The values of alpha_F lie in the circle image of its degree, cut
+    out by the congruence-space annihilators, equal the product of the
+    negative weights at F, and vanish below F's moment value or at index <=
+    F's.  Every row is sparse."""
     vids = [v.id for v in graph.vertices]
     nv = len(vids)
     fids = basis_order(profile)
+    mu, index = profile.mu, profile.index
     annihilators = _annihilators(graph, profile)
     rows, rhs = [], []
     for b, fid in enumerate(fids):
-        local_rows, local_rhs = _class_system(profile, fid, annihilators, vids)
-        for lrow in local_rows:
-            row = [Fraction(0)] * (nv * len(fids))
-            row[b * nv:(b + 1) * nv] = lrow
-            rows.append(row)
-        rhs.extend(local_rhs)
-    sol = solve_affine(rows, rhs)
-    if sol is None:
+        for row in annihilators[index[fid]]:
+            rows.append({b * nv + j: x for j, x in row.items()})
+            rhs.append(_ZERO)
+        for j, vid in enumerate(vids):
+            if mu[vid] < mu[fid] or index[vid] <= index[fid]:
+                rows.append({b * nv + j: Fraction(1)})
+                rhs.append(profile.negative_weight_product(fid) if vid == fid else _ZERO)
+    (point,), null_basis = solve_many(rows, [rhs], nv * len(fids))
+    if point is None:
         raise ClassConstructionError("global canonical-class system is inconsistent")
-    y, null_basis = sol
 
     alpha, beta = {}, {}
     for b, fid in enumerate(fids):
-        block = slice(b * nv, (b + 1) * nv)
-        ambiguity = sum(1 for nu in null_basis if any(nu[block]))
+        block = range(b * nv, (b + 1) * nv)
+        ambiguity = sum(1 for nu in null_basis if any(c in block for c in nu))
         if ambiguity:
-            raise _not_unique(fid, ambiguity)
-        alpha[fid], beta[fid] = _alpha_beta(profile, fid, dict(zip(vids, y[block])))
+            raise ClassConstructionError(
+                "canonical class at %s is not unique (ambiguity dimension %d)"
+                % (fid, ambiguity))
+        alpha[fid], beta[fid] = _alpha_beta(
+            profile, fid, {vid: point.get(b * nv + j, _ZERO) for j, vid in enumerate(vids)})
     return CanonicalBasis(profile, fids, alpha, beta)
 
 
@@ -426,7 +410,7 @@ def equivariant_symplectic_class(profile, shift=0):
     """
     shift = Fraction(shift)
     return CircleClass(profile.graph, 2,
-                       {v: -mu + shift for v, mu in profile.mu.items()})
+                       {v: c for v, mu in profile.mu.items() if (c := -mu + shift)})
 
 
 def expand_in_basis(cls, basis):
@@ -436,21 +420,19 @@ def expand_in_basis(cls, basis):
     profile = basis.profile
     if cls.degree % 2 != 0:
         raise ExpansionError("odd-degree class")
-    m = cls.degree // 2
-    residual = {v.id: cls.at(v.id) for v in cls.graph.vertices}
+    residual = dict(cls.values)
     coeffs = {}
     for fid in basis.order:
-        r = coeffs[fid] = residual[fid]
+        r = coeffs[fid] = residual.get(fid, _ZERO)
         if r == 0:
             continue
         if profile.index[fid] > cls.degree:
             raise ExpansionError(
                 "class of degree %d has a nonzero restriction at %s of index %d; "
                 "not in the span" % (cls.degree, fid, profile.index[fid]))
-        b = basis.beta[fid]
-        for vid in residual:
-            residual[vid] -= r * b.at(vid)
-    if any(c != 0 for c in residual.values()):
+        for vid, x in basis.beta[fid].values.items():
+            residual[vid] = residual.get(vid, _ZERO) - r * x
+    if any(residual.values()):
         raise ExpansionError("nonzero residual after triangular expansion")
     return coeffs
 
@@ -530,12 +512,8 @@ def localization_pairing_matrix(basis, k):
     profile = basis.profile
     low = [l for l in basis.order if profile.index[l] == k]
     high = [l for l in basis.order if profile.index[l] == 2 * profile.n - k]
-    mat = []
-    for f in low:
-        row = []
-        for g in high:
-            row.append(abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile))
-        mat.append(row)
+    mat = [[abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile) for g in high]
+           for f in low]
     return low, high, mat
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, prod
 
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
                     catalog, cohomology, cup, cup_power,
@@ -14,8 +16,7 @@ from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
 from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
-                               flow_up_annihilators, flow_up_classes,
-                               localization_pairing_invertible)
+                               flow_up_classes, localization_pairing_invertible)
 from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_affine
 from gkmlef.model import GkmGraph
 
@@ -157,18 +158,36 @@ def _flow_up_case(name, xi):
     return graph, restrict_to_circle(graph, xi or entry.default_xi)
 
 
+def _flow_up_values(graph, profile, tau, p):
+    """The values of tau_p at xi, one per vertex in graph order, evaluated
+    from its coefficients by _values_at, not by canonical_classes."""
+    d = profile.index[p] // 2
+    m = len(monomial_exponents(graph.rank, d))
+    vec = {k * m + j: c for k, v in enumerate(graph.vertices)
+           for j, c in tau[p].get(v.id, {}).items()}
+    values = _values_at(graph, d, vec, profile.xi)
+    return [values[v.id] for v in graph.vertices]
+
+
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
 def test_flow_up_annihilators_cut_out_the_circle_image(name, xi):
-    # at (4, 1) and (-3, -1) the class at Y must vanish at Z on the circle
-    # only: its torus value there is a nonzero multiple of t1
+    # the circle values of the flow-up classes of index <= 2d are a basis of
+    # the circle image of degree d, and the canonical classes solved over them
+    # are the oracle's; at (4, 1) and (-3, -1) the class at Y must vanish at Z
+    # on the circle only: its torus value there is a nonzero multiple of t1
     graph, profile = _flow_up_case(name, xi)
-    flow_up = flow_up_annihilators(graph, profile)
-    assert sorted(flow_up) == [2 * d for d in range(graph.n + 1)]
-    for k, rows in flow_up.items():
-        oracle = circle_annihilator(graph, k // 2, profile.xi)
-        rank = matrix_rank(rows)
-        assert rank == len(rows) == len(oracle), k
-        assert matrix_rank(rows + oracle) == rank, k
+    tau = flow_up_classes(graph, profile)
+    for d in range(graph.n + 1):
+        rows = circle_annihilator(graph, d, profile.xi)
+        values = [_flow_up_values(graph, profile, tau, p) for p in tau
+                  if profile.index[p] <= 2 * d]
+        assert all(not any(mat_vec(rows, y)) for y in values), d
+        assert matrix_rank(values) == len(values) == len(graph.vertices) - len(rows), d
+    basis = canonical_classes(graph, profile)
+    oracle = canonical_classes_global(graph, profile)
+    assert basis.order == oracle.order
+    for f in basis.order:
+        assert basis.alpha[f] == oracle.alpha[f] and basis.beta[f] == oracle.beta[f], f
 
 
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
@@ -200,6 +219,31 @@ def test_canonical_classes_skip_the_congruence_space(name, xi, monkeypatch, capl
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     canonical_classes(graph, profile)
     assert calls == [] and caplog.records == []
+
+
+@pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
+def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
+    # on the certified path the only elimination is the sweep's solve_many:
+    # no solve_affine, nullspace or sparse_nullspace call, and one modular
+    # elimination per solve_many call
+    graph, profile = _flow_up_case(name, xi)
+    calls = []
+
+    def counting(module, fn):
+        original = getattr(module, fn)
+
+        def counted(*args):
+            calls.append(fn)
+            return original(*args)
+        monkeypatch.setattr(module, fn, counted, raising=False)
+
+    for fn in ("solve_affine", "nullspace", "sparse_nullspace", "_rref_mod", "_rref"):
+        counting(exact, fn)  # any elimination cohomology imports still reaches _rref_mod
+    for fn in ("solve_many", "nullspace", "sparse_nullspace"):
+        counting(cohomology, fn)
+    canonical_classes(graph, profile)
+    assert calls.count("solve_many") == calls.count("_rref_mod") > 0
+    assert set(calls) == {"solve_many", "_rref_mod"}
 
 
 def _first_call(monkeypatch, name, change):
@@ -476,6 +520,44 @@ def test_expand_rejects_nonclass(su3, su3_basis):
                                    for v in graph.vertices})
     with pytest.raises(ExpansionError):
         expand_in_basis(bogus, su3_basis)
+
+
+@cache
+def _catalog_basis(name):
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    return canonical_classes(graph, restrict_to_circle(graph, entry.default_xi))
+
+
+def _padded(cls, data):
+    """cls with an explicit 0 stored at a drawn set of the vertices it leaves
+    out, the zeros first in the dict."""
+    vids = sorted(v.id for v in cls.graph.vertices)
+    extra = data.draw(st.sets(st.sampled_from(vids)), label="zeros") - set(cls.values)
+    return CircleClass(cls.graph, cls.degree, {**{v: F(0) for v in extra}, **cls.values})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3", "hirzebruch1"]), st.data())
+def test_explicit_zero_entries_change_no_cup_or_expansion(name, data):
+    basis = _catalog_basis(name)
+    profile = basis.profile
+    f, g = (data.draw(st.sampled_from(basis.order), label=label) for label in ("f", "g"))
+    a, b = basis.beta[f], basis.beta[g]
+    assert all(a.values.values()) and all(b.values.values())
+    product = cup(a, b)
+    padded = cup(_padded(a, data), _padded(b, data))
+    assert padded == product
+    assert {v: c for v, c in padded.values.items() if c} == product.values
+    if product.degree <= 2 * profile.n:
+        coeffs = expand_in_basis(product, basis)
+        assert expand_in_basis(padded, basis) == coeffs
+        assert expand_in_basis(_padded(product, data), basis) == coeffs
+    # a degree-0 class that is not a constant is in no span, zeros or not
+    v = data.draw(st.sampled_from(sorted(profile.mu)), label="v")
+    c = data.draw(st.integers(1, 3) | st.integers(-3, -1), label="c")
+    with pytest.raises(ExpansionError):
+        expand_in_basis(_padded(CircleClass(basis.graph, 0, {v: F(c)}), data), basis)
 
 
 # -- Kirwan reduction -------------------------------------------------------
