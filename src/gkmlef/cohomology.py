@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .exact import (matrix_rank, monomial_exponents, monomial_residue,
                     nullspace, solve_many, sparse_nullspace)
@@ -176,143 +177,119 @@ def basis_order(profile):
                         key=lambda vid: (profile.mu[vid], profile.index[vid], vid)))
 
 
-def _annihilators(graph, profile):
-    """circle_annihilator for each Morse index that occurs, keyed by index,
-    as sparse rows {vertex position: Fraction}."""
-    return {k: [{j: x for j, x in enumerate(row) if x}
-                for row in circle_annihilator(graph, k // 2, profile.xi)]
-            for k in set(profile.index.values())}
-
-
 class FlowUpError(ValueError):
     """The flow-up classes could not be built or certified."""
 
 
-def _parallel(a, b):
-    return all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(len(a)), 2))
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
 
-def _form_product(weights, rank):
-    """The product of the linear forms weight . t, as {exponent: int}."""
-    out = {(0,) * rank: 1}
-    for weight in weights:
-        step = {}
-        for exp, c in out.items():
-            for i, a in enumerate(weight):
-                if a:
-                    e = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                    step[e] = step.get(e, 0) + c * a
-        out = step
+def projection_eta(graph, xi):
+    """eta = (1, m, ..., m^(r-1)) for the least m >= 1 that keeps the
+    projections w -> (w . xi, w . eta) of the weights at each vertex pairwise
+    non-parallel.  Those of a and b are parallel when eta is orthogonal to
+    n = (a . xi) b - (b . xi) a, nonzero unless a, b are (FlowUpError); n . eta
+    is a polynomial in m of degree < r, so each pair rules out < r values."""
+    incident = {v.id: [] for v in graph.vertices}
+    for e in graph.edges:
+        incident[e.v].append(e.weight)
+        incident[e.w].append(e.weight)
+    normals = set()
+    for v, weights in incident.items():
+        for a, b in combinations(weights, 2):
+            ax, bx = _dot(a, xi), _dot(b, xi)
+            normal = tuple(ax * y - bx * x for x, y in zip(a, b))
+            if not any(normal):
+                raise FlowUpError("parallel weights %r and %r at %s" % (a, b, v))
+            normals.add(normal)
+    m = 1
+    while not all(_dot(n, (m ** i for i in range(graph.rank))) for n in normals):
+        m += 1
+    return tuple(m ** i for i in range(graph.rank))
+
+
+def _linear_product(lines):
+    """The product of the binary linear forms a x + b y, (a, b) in lines, as
+    integer coefficients, the coefficient of x^(deg - i) y^i at i."""
+    out = [1]
+    for a, b in lines:
+        out = [a * hi + b * lo for hi, lo in zip(out + [0], [0] + out)]
     return out
 
 
-def _down_edges(graph, order):
-    """{vertex id: [(earlier neighbour, outward weight toward it, edge
-    weight)]}, earlier meaning before it in order."""
-    rank = {v: i for i, v in enumerate(order)}
-    down = {v: [] for v in order}
-    for e in graph.edges:
-        if rank[e.v] > rank[e.w]:
-            down[e.v].append((e.w, e.weight, e.weight))
-        else:
-            down[e.w].append((e.v, tuple(-a for a in e.weight), e.weight))
-    return down
-
-
-@lru_cache(maxsize=1024)
-def _residue_columns(weight, d):
-    """residue_rows(weight, d) by monomial: one [(row, coefficient)] per
-    monomial index, so that _residue touches only the monomials where its
-    (mostly sparse) argument is nonzero."""
-    cols = [[] for _ in monomial_exponents(len(weight), d)]
-    for r, row in enumerate(residue_rows(weight, d)):
-        for j, c in row.items():
-            cols[j].append((r, c))
-    return cols
-
-
-def _residue(weight, d, f):
-    """{row: value} of residue_rows(weight, d) applied to the coefficients
-    f ({monomial index: Fraction}), zeros dropped: empty exactly when the
-    weight divides the form."""
-    scale = lcm(*(x.denominator for x in f.values()))
-    cols = _residue_columns(weight, d)
-    out = {}
-    for j, x in f.items():
-        x = x.numerator * (scale // x.denominator)
-        for r, c in cols[j]:
-            out[r] = out.get(r, 0) + c * x
-    return {r: Fraction(x, scale) for r, x in out.items() if x}
+def _powers(point, d):
+    """The degree-d monomials at point = (x, y), in the order of _linear_product."""
+    x, y = point
+    return [x ** (d - i) * y ** i for i in range(d + 1)]
 
 
 def flow_up_classes(graph, profile):
-    """The flow-up classes of Guillemin-Zara, one per vertex p: tau_p has
-    degree d = index(p) / 2, vanishes at every vertex before p in
-    basis_order and restricts at p to the product of the weights of p's
-    edges to earlier vertices.  Returns {p: {q: {j: Fraction}}}, the
-    coefficients of tau_p(q) over monomial_exponents(rank, d) at p and every
-    vertex q after it.
+    """The flow-up classes of Guillemin-Zara on the rank-2 projection
+    w -> (w . xi, w . eta) of the torus, eta = projection_eta(graph, xi):
+    tau_p, one per vertex p, has degree d = index(p) / 2, vanishes before p
+    in basis_order and restricts at p to the product of the projected
+    weights of p's edges to earlier vertices.  Returns {p: {q: (coefficients,
+    denominator)}}: each nonzero tau_p(q) as a binary form in (x, y), integer
+    coefficients x^d first (as _linear_product) over a positive denominator,
+    reduced by their gcd.  Its circle value is the x^d coefficient over the
+    denominator.
 
-    Walking basis_order, tau_p(q) at a later q is the particular solution
-    (free unknowns 0) of tau_p(q) = tau_p(w) mod the weight of the edge q-w,
-    over q's earlier neighbours w: one elimination per q and degree, with
-    one right-hand side per class.  Raises FlowUpError unless every vertex
-    has index / 2 edges to earlier vertices, their weights pairwise
-    non-parallel, and every class passes an exact check of every edge
-    congruence.  Then a degree-d class whose first nonzero value in
-    basis_order is at p is divisible there by the product of the weights,
-    so it is a polynomial multiple of tau_p plus a class that vanishes at p
-    too: the classes of index <= 2d span the degree-d congruence space over
-    the polynomial ring.
+    tau_p(q) = tau_p(w) mod a x + b y says that the two forms agree at the
+    point (-b, a), so tau_p(q) is the Lagrange interpolant through the first
+    min(k, d + 1) of q's k down-edge points, padded by a power of y.  Raises
+    FlowUpError unless every vertex has index / 2 down edges and every class
+    passes an exact check of every projected edge congruence.  On the GKM
+    graph of a Hamiltonian T-manifold the GKM theorem holds for the subtorus
+    too (its weights at each vertex are pairwise independent), so these
+    classes span the circle image in each degree, as over the torus.
     """
-    order = basis_order(profile)
-    down = _down_edges(graph, order)
+    order, xi = basis_order(profile), profile.xi
+    eta = projection_eta(graph, xi)
+    position = {v: i for i, v in enumerate(order)}
+    degree = {v: profile.index[v] // 2 for v in order}
+    down = {v: [] for v in order}  # [(earlier neighbour, projected outward weight)]
+    for e in graph.edges:
+        a, b = _dot(e.weight, xi), _dot(e.weight, eta)
+        if position[e.v] > position[e.w]:
+            down[e.v].append((e.w, (a, b)))
+        else:
+            down[e.w].append((e.v, (-a, -b)))
     for q in order:
-        if 2 * len(down[q]) != profile.index[q]:
+        if len(down[q]) != degree[q]:
             raise FlowUpError("vertex %s has %d edges to earlier vertices and index %d"
                               % (q, len(down[q]), profile.index[q]))
-        for (_, a, _), (_, b, _) in combinations(down[q], 2):
-            if _parallel(a, b):
-                raise FlowUpError("parallel weights %r and %r at %s" % (a, b, q))
-    monos = {d: monomial_exponents(graph.rank, d) for d in {k // 2 for k in profile.index.values()}}
-    tau = {}
-    for i, q in enumerate(order):
-        col = {m: j for j, m in enumerate(monos[profile.index[q] // 2])}
-        product = _form_product([outward for _, outward, _ in down[q]], graph.rank)
-        tau[q] = {q: {col[m]: Fraction(c) for m, c in product.items() if c}}
-        by_degree = {}
-        for p in order[:i]:
-            by_degree.setdefault(profile.index[p] // 2, []).append(p)
-        for d, ps in sorted(by_degree.items()):
-            rows, rhss = [], [[] for _ in ps]
-            for w, _, weight in down[q]:
-                res = residue_rows(weight, d)
-                rows.extend(res)
-                for rhs, p in zip(rhss, ps):
-                    r = _residue(weight, d, tau[p].get(w, {}))
-                    rhs.extend(r.get(k, 0) for k in range(len(res)))
+    tau, by_degree = {}, {}  # by_degree: the vertices before q, by degree
+    for q in order:
+        lines = [line for _, line in down[q]]
+        tau[q] = {q: (_linear_product(lines), 1)}
+        for d, ps in by_degree.items():
+            n = min(len(lines), d + 1)
+            powers = [_powers((-b, a), d) for a, b in lines[:n]]
+            basis = [[0] * (d + 1 - n) + _linear_product(lines[:j] + lines[j + 1:n])
+                     for j in range(n)]
+            scales = [_dot(f, pw) for f, pw in zip(basis, powers)]
             for p in ps:
-                tau[p][q] = {}  # the particular solution of a zero right-hand side
-            live = [(p, rhs) for p, rhs in zip(ps, rhss) if any(rhs)]
-            if not live:
-                continue
-            points, _ = solve_many(rows, [rhs for _, rhs in live], len(monos[d]))
-            for (p, _), point in zip(live, points):
-                if point is None:
-                    raise FlowUpError("inconsistent local system at %s for the class of %s"
-                                      % (q, p))
-                tau[p][q] = point
-    for p, values in tau.items():
-        d = profile.index[p] // 2
-        for e in graph.edges:
-            f, g = values.get(e.v), values.get(e.w)
-            if f is None and g is None:  # both endpoints before p
-                continue
-            f, g = f or {}, g or {}
-            diff = {j: f.get(j, 0) - g.get(j, 0) for j in f.keys() | g.keys()}
-            if _residue(e.weight, d, diff):
-                raise FlowUpError("edge %s-%s fails its congruence in the class of %s"
-                                  % (e.v, e.w, p))
+                terms = [(value, tau[p][w][1] * s, f)
+                         for (w, _), pw, f, s in zip(down[q], powers, basis, scales)
+                         if w in tau[p] and (value := _dot(tau[p][w][0], pw))]
+                if terms:
+                    den = lcm(*(abs(s) for _, s, _ in terms))
+                    terms = [(value * (den // s), f) for value, s, f in terms]
+                    coeffs = [sum(c * f[i] for c, f in terms) for i in range(d + 1)]
+                    g = gcd(den, *coeffs)
+                    tau[p][q] = ([c // g for c in coeffs], den // g)
+        by_degree.setdefault(degree[q], []).append(q)
+    for e in graph.edges:
+        point = (-_dot(e.weight, eta), _dot(e.weight, xi))
+        powers = {d: _powers(point, d) for d in by_degree}
+        for p, values in tau.items():
+            if e.v in values or e.w in values:
+                (f, fden), (g, gden) = values.get(e.v, ((), 1)), values.get(e.w, ((), 1))
+                pw = powers[degree[p]]
+                if _dot(f, pw) * gden != _dot(g, pw) * fden:
+                    raise FlowUpError("edge %s-%s fails its congruence in the class of %s"
+                                      % (e.v, e.w, p))
     return tau
 
 
@@ -329,26 +306,23 @@ def _alpha_beta(profile, fid, values):
 
 def canonical_classes(graph, profile):
     """Canonical class basis, one class per fixed point, by forward
-    substitution on the circle values of the flow-up classes: alpha_F is
-    the sum of c_q tau_q over the q of index <= index(F), which span the
-    circle image of its degree, with c_q = (target(q) - (earlier terms at
-    q)) / tau_q(q) in basis_order from F on; target(q) is the product of the
-    negative weights at F if q = F and 0 otherwise.  tau_q vanishes before q,
-    so alpha_F vanishes below F's moment value, and tau_q(q) at a generic xi
-    is nonzero.  If the flow-up classes are not certified, a DEBUG line names
-    the reason and the oracle canonical_classes_global is returned."""
+    substitution on the circle values of the flow-up classes (each the x^d
+    coefficient over the denominator): alpha_F is the sum of c_q tau_q over
+    the q of index <= index(F), which span the circle image of its degree,
+    with c_q = (target(q) - (earlier terms at q)) / tau_q(q) in basis_order
+    from F on; target(q) is the product of the negative weights at F if
+    q = F and 0 otherwise.  tau_q vanishes before q, so alpha_F vanishes
+    below F's moment value, and tau_q(q) at a generic xi is nonzero.  If the
+    flow-up classes are not certified, a DEBUG line names the reason and the
+    oracle canonical_classes_global is returned."""
     try:
         classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
         _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
         return canonical_classes_global(graph, profile)
-    order, index, xi = basis_order(profile), profile.index, profile.xi
-    at_xi = {d: [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
-             for d in {k // 2 for k in index.values()}}
-    tau = {}  # p -> {vertex id: nonzero value of tau_p at xi}
-    for p, coeffs in classes.items():
-        point = at_xi[index[p] // 2]
-        tau[p] = {q: x for q, f in coeffs.items() if (x := sum(c * point[j] for j, c in f.items()))}
+    order, index = basis_order(profile), profile.index
+    tau = {p: {q: Fraction(f[0], den) for q, (f, den) in forms.items() if f[0]}
+           for p, forms in classes.items()}  # p -> {vertex id: nonzero circle value}
     alpha, beta = {}, {}
     for i, fid in enumerate(order):
         target = profile.negative_weight_product(fid)
@@ -374,11 +348,11 @@ def canonical_classes_global(graph, profile):
     nv = len(vids)
     fids = basis_order(profile)
     mu, index = profile.mu, profile.index
-    annihilators = _annihilators(graph, profile)
+    annihilators = {k: circle_annihilator(graph, k // 2, profile.xi) for k in set(index.values())}
     rows, rhs = [], []
     for b, fid in enumerate(fids):
         for row in annihilators[index[fid]]:
-            rows.append({b * nv + j: x for j, x in row.items()})
+            rows.append({b * nv + j: x for j, x in enumerate(row) if x})
             rhs.append(_ZERO)
         for j, vid in enumerate(vids):
             if mu[vid] < mu[fid] or index[vid] <= index[fid]:

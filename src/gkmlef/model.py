@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, prod
 
@@ -233,16 +234,32 @@ class CircleProfile:
     def n(self):
         return self.graph.n
 
+    # computed once per profile; dataclasses.replace builds a new one
+    @cached_property
+    def _levels(self):
+        """{Morse index: (vertex ids sorted by id, sorted distinct moment values)}."""
+        out = {}
+        for v, ix in sorted(self.index.items()):
+            out.setdefault(ix, []).append(v)
+        return {ix: (tuple(vs), tuple(sorted({self.mu[v] for v in vs})))
+                for ix, vs in out.items()}
+
+    @cached_property
+    def _weight_products(self):
+        """{vertex id: (product of the negative weights, product of all)}."""
+        return {v: (prod((w for w in ws if w < 0), start=Fraction(1)),
+                    prod(ws, start=Fraction(1))) for v, ws in self.weights.items()}
+
     def level(self, k):
         """Vertex ids of Morse index 2k, sorted by id."""
-        return tuple(sorted(v for v, ix in self.index.items() if ix == 2 * k))
+        return self._levels.get(2 * k, ((), ()))[0]
 
     def levels(self):
         return [self.level(k) for k in range(self.n + 1)]
 
     def level_values(self, k):
         """Sorted distinct moment values on the index-2k level."""
-        return tuple(sorted({self.mu[v] for v in self.level(k)}))
+        return self._levels.get(2 * k, ((), ()))[1]
 
     @property
     def constant_on_levels(self):
@@ -273,10 +290,10 @@ class CircleProfile:
 
     def negative_weight_product(self, vid):
         """Product of the negative circle weights at a vertex (1 at the minimum)."""
-        return prod((w for w in self.weights[vid] if w < 0), start=Fraction(1))
+        return self._weight_products[vid][0]
 
     def full_weight_product(self, vid):
-        return prod(self.weights[vid], start=Fraction(1))
+        return self._weight_products[vid][1]
 
 
 def restrict_to_circle(graph, xi):

@@ -1,13 +1,13 @@
 import dataclasses
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
-from math import comb, prod
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd, prod
 
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
                     catalog, cohomology, cup, cup_power,
@@ -158,15 +158,41 @@ def _flow_up_case(name, xi):
     return graph, restrict_to_circle(graph, xi or entry.default_xi)
 
 
-def _flow_up_values(graph, profile, tau, p):
-    """The values of tau_p at xi, one per vertex in graph order, evaluated
-    from its coefficients by _values_at, not by canonical_classes."""
-    d = profile.index[p] // 2
-    m = len(monomial_exponents(graph.rank, d))
-    vec = {k * m + j: c for k, v in enumerate(graph.vertices)
-           for j, c in tau[p].get(v.id, {}).items()}
-    values = _values_at(graph, d, vec, profile.xi)
-    return [values[v.id] for v in graph.vertices]
+def _form_at(form, point):
+    """A flow-up value (integer coefficients, x^d first, over a denominator)
+    at point = (x, y), in Fraction arithmetic."""
+    coeffs, den = form
+    d = len(coeffs) - 1
+    x, y = map(F, point)
+    return sum((c * x ** (d - i) * y ** i for i, c in enumerate(coeffs)), F(0)) / den
+
+
+def _flow_up_values(graph, tau, p):
+    """The circle values of tau_p, one per vertex in graph order: each form
+    at (x, y) = (1, 0), evaluated by _form_at, not by canonical_classes."""
+    return [_form_at(tau[p][v.id], (1, 0)) if v.id in tau[p] else F(0)
+            for v in graph.vertices]
+
+
+def _projected(weight, xi, eta):
+    return (sum(a * b for a, b in zip(weight, xi)), sum(a * b for a, b in zip(weight, eta)))
+
+
+def _parallel_pair_at_a_vertex(graph, xi, eta):
+    """True if the projections of two edge weights at some vertex are parallel."""
+    for v in graph.vertices:
+        lines = [_projected(e.weight, xi, eta) for e in graph.edges if v.id in (e.v, e.w)]
+        if any(a * d == b * c for (a, b), (c, d) in combinations(lines, 2)):
+            return True
+    return False
+
+
+def _matches_oracle(graph, profile):
+    basis = canonical_classes(graph, profile)
+    oracle = canonical_classes_global(graph, profile)
+    return basis.order == oracle.order and all(
+        basis.alpha[f] == oracle.alpha[f] and basis.beta[f] == oracle.beta[f]
+        for f in basis.order)
 
 
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
@@ -179,35 +205,64 @@ def test_flow_up_annihilators_cut_out_the_circle_image(name, xi):
     tau = flow_up_classes(graph, profile)
     for d in range(graph.n + 1):
         rows = circle_annihilator(graph, d, profile.xi)
-        values = [_flow_up_values(graph, profile, tau, p) for p in tau
-                  if profile.index[p] <= 2 * d]
+        values = [_flow_up_values(graph, tau, p) for p in tau if profile.index[p] <= 2 * d]
         assert all(not any(mat_vec(rows, y)) for y in values), d
         assert matrix_rank(values) == len(values) == len(graph.vertices) - len(rows), d
-    basis = canonical_classes(graph, profile)
-    oracle = canonical_classes_global(graph, profile)
-    assert basis.order == oracle.order
-    for f in basis.order:
-        assert basis.alpha[f] == oracle.alpha[f] and basis.beta[f] == oracle.beta[f], f
+    assert _matches_oracle(graph, profile)
 
 
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
 def test_flow_up_classes_are_triangular_classes(name, xi):
-    # checked on the kernel lattice points of each edge, not with the
-    # residues the sweep itself uses
+    # checked at the kernel point (-b, a) of each projected edge weight
+    # (a, b), with _form_at, not with the evaluation the sweep itself uses
     graph, profile = _flow_up_case(name, xi)
     order = cohomology.basis_order(profile)
+    eta = cohomology.projection_eta(graph, profile.xi)
+    assert not _parallel_pair_at_a_vertex(graph, profile.xi, eta)
     tau = flow_up_classes(graph, profile)
     for i, p in enumerate(order):
-        assert set(tau[p]) == set(order[i:]), p
+        assert p in tau[p] and set(tau[p]) <= set(order[i:]), p
         d = profile.index[p] // 2
-        m = len(monomial_exponents(graph.rank, d))
-        vec = {k * m + j: c for k, v in enumerate(graph.vertices)
-               for j, c in tau[p].get(v.id, {}).items()}
-        assert _values_at(graph, d, vec, profile.xi)[p] == profile.negative_weight_product(p)
+        for coeffs, den in tau[p].values():
+            assert len(coeffs) == d + 1 and den > 0 and gcd(den, *coeffs) == 1, p
+        assert _form_at(tau[p][p], (1, 0)) == profile.negative_weight_product(p)
         for e in graph.edges:
-            for point in _kernel_points(e.weight, d):
-                values = _values_at(graph, d, vec, point)
-                assert values[e.v] == values[e.w], (p, e, point)
+            a, b = _projected(e.weight, profile.xi, eta)
+            values = [_form_at(tau[p][v], (-b, a)) if v in tau[p] else 0 for v in (e.v, e.w)]
+            assert values[0] == values[1], (p, e)
+
+
+@pytest.mark.parametrize("name, xi, eta, generic", [
+    # at rank 2 eta = (1, 1) parallel to xi projects every weight onto one
+    # line; xi = (1, 1) pairs to 0 with the weight (-1, 1), so no profile
+    ("sphere_product2", (1, 1), (1, 2), False),
+    ("cp3", (-3, -2, -1), (1, 2, 4), True),
+])
+def test_projection_eta_rejects_m_1_and_takes_m_2(name, xi, eta, generic):
+    graph = parse_gkm(catalog.get(name).document)
+    assert _parallel_pair_at_a_vertex(graph, xi, (1,) * graph.rank)
+    assert not _parallel_pair_at_a_vertex(graph, xi, eta)
+    assert cohomology.projection_eta(graph, xi) == eta
+    if generic:
+        assert _matches_oracle(graph, restrict_to_circle(graph, xi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3", "cp4", "hirzebruch1"]), st.data())
+def test_projected_classes_at_random_generic_circles(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    eta = cohomology.projection_eta(graph, xi)
+    assert not _parallel_pair_at_a_vertex(graph, xi, eta), eta
+    assert _matches_oracle(graph, restrict_to_circle(graph, xi))
+
+
+@pytest.mark.parametrize("name", ["cp5", "sphere_product4"])
+def test_projection_below_the_torus_rank_matches_the_oracle(name):
+    graph, profile = _flow_up_case(name, None)
+    assert graph.rank > 2
+    assert _matches_oracle(graph, profile)
 
 
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
@@ -223,9 +278,9 @@ def test_canonical_classes_skip_the_congruence_space(name, xi, monkeypatch, capl
 
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
 def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
-    # on the certified path the only elimination is the sweep's solve_many:
-    # no solve_affine, nullspace or sparse_nullspace call, and one modular
-    # elimination per solve_many call
+    # the certified path eliminates nothing at all, the sweep included: no
+    # linear solve, null space or modular or rational RREF, and none of the
+    # full-torus monomial residues
     graph, profile = _flow_up_case(name, xi)
     calls = []
 
@@ -237,13 +292,14 @@ def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, fn, counted, raising=False)
 
-    for fn in ("solve_affine", "nullspace", "sparse_nullspace", "_rref_mod", "_rref"):
-        counting(exact, fn)  # any elimination cohomology imports still reaches _rref_mod
-    for fn in ("solve_many", "nullspace", "sparse_nullspace"):
+    for fn in ("solve_many", "solve_affine", "nullspace", "sparse_nullspace", "_rref_mod",
+               "_rref", "monomial_exponents", "monomial_residue"):
+        counting(exact, fn)
+    for fn in ("solve_many", "nullspace", "sparse_nullspace", "residue_rows",
+               "monomial_exponents"):
         counting(cohomology, fn)
     canonical_classes(graph, profile)
-    assert calls.count("solve_many") == calls.count("_rref_mod") > 0
-    assert set(calls) == {"solve_many", "_rref_mod"}
+    assert calls == []
 
 
 def _first_call(monkeypatch, name, change):
@@ -263,51 +319,50 @@ def _first_call(monkeypatch, name, change):
     monkeypatch.setattr(cohomology, name, patched)
 
 
-_FORM_PRODUCT = cohomology._form_product
+_LINEAR_PRODUCT = cohomology._linear_product
 
 
 def _monomial_at_the_first(count):
     """tau_p(p) at the first vertex with `count` down weights replaced by
-    t_1^count: the congruences at a later neighbour then have no common
-    solution, so the right-hand side itself is inconsistent."""
+    x^count: no longer divisible by the projected weights of its edges to
+    earlier vertices, so the class breaks an edge congruence."""
     def change(product, args):
-        weights, rank = args
-        if len(weights) == count:
-            return {(count,) + (0,) * (rank - 1): 1}
+        (lines,) = args
+        if len(lines) == count:
+            return [1] + [0] * count
         return None
     return change
 
 
 def _wrong_weight_at_the_top(product, args):
     # tau_p(p) at the maximum of su3 or cp3 (its 3 = n down weights) built
-    # from its first down weight 3 times over
-    weights, rank = args
-    if len(weights) == 3:
-        return _FORM_PRODUCT([weights[0]] * 3, rank)
+    # from its first projected down weight 3 times over
+    (lines,) = args
+    if len(lines) == 3:
+        return _LINEAR_PRODUCT([lines[0]] * 3)
     return None
 
 
-_INCONSISTENT = ["not certified (inconsistent)", "inconsistent local system at"]
 _EDGE_CHECK = ["fails its congruence in the class of"]
 
 
 @pytest.mark.parametrize("name, change, reasons", [
-    ("su3", _monomial_at_the_first(1), _INCONSISTENT),
-    ("cp3", _monomial_at_the_first(2), _INCONSISTENT),
+    ("su3", _monomial_at_the_first(1), _EDGE_CHECK),
+    ("cp3", _monomial_at_the_first(2), _EDGE_CHECK),
     ("su3", _wrong_weight_at_the_top, _EDGE_CHECK),
     ("cp3", _wrong_weight_at_the_top, _EDGE_CHECK),
 ], ids=["su3-inconsistent", "cp3-inconsistent", "su3-edge-check", "cp3-edge-check"])
 def test_uncertified_flow_up_falls_back(name, change, reasons, monkeypatch, caplog):
-    # an inconsistent local system logs the elimination's own fallback to
-    # Fraction, then the flow-up fallback; a failed edge check logs only the
-    # latter
+    # the sweep interpolates through the first down-edge points only, so an
+    # inconsistent local system shows up as a failed edge check too: one
+    # DEBUG line, then the oracle's classes
     graph, profile = _flow_up_case(name, None)
     certified = canonical_classes(graph, profile)
-    _first_call(monkeypatch, "_form_product", change)
+    _first_call(monkeypatch, "_linear_product", change)
     with pytest.raises(cohomology.FlowUpError, match=reasons[-1]):
         flow_up_classes(graph, profile)
     monkeypatch.undo()
-    _first_call(monkeypatch, "_form_product", change)
+    _first_call(monkeypatch, "_linear_product", change)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     fallback = canonical_classes(graph, profile)
     assert fallback.alpha == certified.alpha and fallback.beta == certified.beta

@@ -31,6 +31,7 @@ GOLDEN = {
     ("cp6", "json"): (0, "33cb0b8739433869f0a84e15ebb384522546f1333aee8ac83a214bd8f0c79a2a"),
     ("cp7", "json"): (0, "9aa52ba7ef389bca9a77b7cfe423725105e97398b5e40b6e9b7acf7e3807a2f4"),
     ("cp8", "json"): (0, "5cbaad78cd9f2b4dc01fea5a5762b0f03996065a9ff265c4d6f9aaa482fcc7b7"),
+    ("cp9", "json"): (0, "935c9173807fac2d9a95160ed764a3cdae2928a71ad5e81bc391ac617064d951"),
     ("sphere_product1", "json"):
         (0, "8ec77a0ad946d76164080d0288135ff22dd5909bbcd5de2f5fb4c2b24ca48d61"),
     ("sphere_product1", "text"):
@@ -49,6 +50,8 @@ GOLDEN = {
         (0, "836be08af8c96ea994a50f7587bacd42fdf9c67b4e00df500f6f7e09cb5e5016"),
     ("sphere_product6", "json"):
         (0, "d8f5c0d2d8bdec64b20f4b02399346d94c3946c241781aa17ff905ccd42d925f"),
+    ("sphere_product7", "json"):
+        (0, "57f1cbd243c8c429dac874b9ce32b35a8173cadb149ad257f01aaa081bbcc2bd"),
     ("hirzebruch1", "json"):
         (2, "27bcca82f534337e721de2ca2c275dd8668123e0207503b7844113345ed8495c"),
     ("hirzebruch1", "text"):

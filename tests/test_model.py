@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -242,3 +244,19 @@ def test_affine_reparametrization_invariance(su3):
 def test_roundtrip(su3):
     entry, graph, _ = su3
     assert emit_gkm(parse_gkm(emit_gkm(graph))) == emit_gkm(graph) == entry.document
+
+
+def test_profile_caches_follow_dataclasses_replace(su3):
+    # levels and weight products are computed once per profile, and a
+    # replaced profile computes its own
+    _, _, profile = su3
+    assert profile.level(1) == tuple(sorted(v for v, ix in profile.index.items() if ix == 2))
+    assert profile.level(1) is profile.level(1)
+    top = profile.max_vertex
+    moved = dataclasses.replace(profile, index={**profile.index, top: 2},
+                                weights={**profile.weights, top: (-2, 3, 5)})
+    assert top in moved.level(1) and moved.level(profile.n) == ()
+    assert moved.level_values(1) == tuple(sorted({profile.mu[v] for v in moved.level(1)}))
+    assert moved.negative_weight_product(top) == -2 and moved.full_weight_product(top) == -30
+    assert profile.level(profile.n) == (top,)
+    assert profile.full_weight_product(top) == prod(profile.weights[top])
