@@ -97,14 +97,12 @@ def abbv_integrate(cls, profile):
 # ---------------------------------------------------------------------------
 # GKM congruence spaces
 
-@lru_cache(maxsize=1024)
 def residue_rows(weight, d):
     """Divisibility of a degree-d form by the linear form weight . t, as rows
     over its coefficients (one per monomial of monomial_exponents(rank, d)):
     one sparse row {monomial index: int} per residual monomial, each scaled
     to integers by the lcm of its denominators.  The form is divisible
-    exactly when every row annihilates its coefficients.  Callers must not
-    mutate the rows, which are shared between calls.
+    exactly when every row annihilates its coefficients.
     """
     by_exp = {}
     for j, m in enumerate(monomial_exponents(len(weight), d)):
@@ -130,10 +128,12 @@ def congruence_space(graph, d):
     """
     m = len(monomial_exponents(graph.rank, d))
     col = {v.id: i * m for i, v in enumerate(graph.vertices)}
-    rows = []
+    rows, residues = [], {}  # residues: weight -> its residue_rows
     for e in graph.edges:
+        if e.weight not in residues:
+            residues[e.weight] = residue_rows(e.weight, d)
         # one row per residual monomial of f_v - f_w modulo the weight
-        for res in residue_rows(e.weight, d):
+        for res in residues[e.weight]:
             row = {col[e.v] + j: c for j, c in res.items()}
             row.update({col[e.w] + j: -c for j, c in res.items()})
             rows.append(row)

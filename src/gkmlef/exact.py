@@ -2,15 +2,14 @@
 
 Everything here is over Q (``fractions.Fraction``); there is no floating
 point in this module or anywhere downstream of it.  Linear systems are
-eliminated mod a prime first and the answer is checked exactly over Q.
+eliminated fraction-free over the integers, so every answer is exact.
 """
 from __future__ import annotations
 
-import logging
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
@@ -71,19 +70,9 @@ def monomial_residue(mono, weight):
 # {column: Fraction or int} of its nonzero entries; the public functions
 # convert lists of lists once, and the null-space functions take sparse rows too.
 #
-# Every elimination runs first mod the prime P (_rref_mod) and is lifted back
-# to Q.  A lifted answer is returned only when it is certified; otherwise the
-# same elimination is redone over Fraction (_rref, on dense rows) and a DEBUG
-# line on the "gkmlef" logger names the reason.
-
-P = (1 << 61) - 1
-_LIFT_BOUND = 1 << 30  # rational reconstruction: |numerator|, denominator < 2^30
-_log = logging.getLogger("gkmlef")
-
-
-class _Uncertified(Exception):
-    """A modular result that cannot be certified; args[0] names the reason:
-    denominator, reconstruction, check, rank-deficit or inconsistent."""
+# One elimination serves them all: _rref scales each row to integers and
+# eliminates fraction-free, so it is exact by construction, and a Fraction is
+# made only where an answer is read off (-x / row[pivot column]).
 
 
 def _sparse(mat):
@@ -92,56 +81,24 @@ def _sparse(mat):
             for row in mat]
 
 
-def _dense(vecs, ncols):
-    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in vecs]
-
-
 def _rref(mat, ncols):
-    """Reduced row echelon form (in place copy); returns (rows, pivot_cols)."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """Reduced row echelon form of sparse rows over the integers: (sparse rows
+    of ints, the pivot rows first in pivot order; pivot_cols).  Dividing each
+    pivot row by its pivot entry, which is positive, gives the rational RREF.
 
-
-def _rref_mod(mat, ncols):
-    """_rref of sparse rows over the integers mod P: (sparse rows of ints in
-    [1, P), the pivot rows first in pivot order; pivot_cols).
-
-    Each column pivots on the sparsest row holding it that is not a pivot row
-    yet, the lowest index on ties.  The reduced form is unique, so this choice
-    changes only the work.  Raises _Uncertified("denominator") if an entry's
-    denominator is divisible by P, since such an entry has no image mod P.
+    Each row is scaled to integers by the lcm of its denominators.  Each
+    column pivots on the sparsest row holding it that is not a pivot row yet,
+    the lowest index on ties.  The reduced form is unique, so this choice
+    changes only the work.  A row with entry f in the pivot column c becomes
+    (a/g) row - (f/g) pivot_row, a = pivot_row[c], g = gcd(a, f): a unit
+    pivot never rescales it, and a rescaled row is divided by its content.
     """
-    inverse = {1: 1}
     rows, holders = [], {}  # holders: column -> indices of the rows holding it
     for i, src in enumerate(mat):
-        row = {}
-        for j, x in src.items():
-            d = x.denominator
-            if d not in inverse:
-                if d % P == 0:
-                    raise _Uncertified("denominator")
-                inverse[d] = pow(d, -1, P)
-            a = x.numerator * inverse[d] % P
-            if a:
-                row[j] = a
-                holders.setdefault(j, set()).add(i)
+        scale = lcm(*(x.denominator for x in src.values()))
+        row = {j: x.numerator * (scale // x.denominator) for j, x in src.items() if x}
+        for j in row:
+            holders.setdefault(j, set()).add(i)
         rows.append(row)
     pivots, pivot_rows, rest = [], [], set(range(len(rows)))
     for c in range(ncols):
@@ -153,165 +110,86 @@ def _rref_mod(mat, ncols):
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         rest.remove(p)
         prow = rows[p]
-        inv = pow(prow[c], -1, P)
-        for j in prow:
-            prow[j] = prow[j] * inv % P
+        if prow[c] < 0:
+            for j in prow:
+                prow[j] = -prow[j]
+        a = prow[c]
         support = list(prow.items())
         for i in holders[c] - {p}:
             row = rows[i]
-            f = row[c]
+            g = gcd(a, row[c])
+            s, f = a // g, row[c] // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
             for j, y in support:
-                a = row.get(j)
-                if a is None:
-                    row[j] = -f * y % P
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
                     holders[j].add(i)
-                elif a := (a - f * y) % P:
-                    row[j] = a
+                elif x := x - f * y:
+                    row[j] = x
                 else:
                     del row[j]
                     holders[j].discard(i)
+            if s != 1 and (content := gcd(*row.values())) > 1:
+                for j in row:
+                    row[j] //= content
         pivots.append(c)
         pivot_rows.append(p)
     return [rows[i] for i in pivot_rows] + [rows[i] for i in sorted(rest)], pivots
 
 
-def _lift(a):
-    """A Fraction n/d with |n|, d < 2^30 and n = a * d mod P, or None
-    (rational reconstruction by the half-extended Euclidean algorithm)."""
-    r0, r1, t0, t1 = P, a, 0, 1
-    while r1 >= _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) >= _LIFT_BOUND:
-        return None
-    return Fraction(r1, t1)
-
-
-def _annihilates(mat, vecs):
-    """True when mat * v = 0 exactly over Q for every sparse vector v
-    {column: Fraction} in vecs (mat: sparse rows).  Each row and each vector
-    is scaled to integers first, so the sums run over ints."""
-    cols = {}
-    for i, row in enumerate(mat):
-        scale = lcm(*(x.denominator for x in row.values()))
-        for j, x in row.items():
-            cols.setdefault(j, []).append((i, x.numerator * (scale // x.denominator)))
-    for vec in vecs:
-        scale = lcm(*(x.denominator for x in vec.values()))
-        total = {}
-        for c, x in vec.items():
-            x = x.numerator * (scale // x.denominator)
-            for i, a in cols.get(c, ()):
-                total[i] = total.get(i, 0) + a * x
-        if any(total.values()):
-            return False
-    return True
-
-
 def _null_basis(rows, pivots, ncols):
-    """Null-space basis read off a reduced row echelon form (dense or sparse
-    rows): one sparse vector {column: value} per free column, holding its 1
-    and the nonzero pivot entries in pivot order."""
+    """Null-space basis read off _rref: one sparse vector {column: Fraction}
+    per free column, holding its 1 and the nonzero pivot entries in pivot
+    order."""
     pivot_set = set(pivots)
     basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
-    for row, pc in zip(_sparse(rows), pivots):
+    for row, pc in zip(rows, pivots):
         for c, x in row.items():
             if c in basis:
-                basis[c][pc] = -x
+                basis[c][pc] = Fraction(-x, row[pc])
     return list(basis.values())
 
 
 def _particulars(rows, pivots, ncols, nrhs):
     """For each right-hand side in columns ncols .. ncols + nrhs - 1 of an
     augmented matrix, the solution with every free unknown 0, {pivot column:
-    value}, read off a reduced row echelon form; None where inconsistent."""
-    rows = _sparse(rows)
+    Fraction}, read off _rref; None where inconsistent."""
     out = []
     for b in range(ncols, ncols + nrhs):
         if any(b in row for row in rows[len(pivots):]):
             out.append(None)
         else:
-            out.append({pc: row[b] for row, pc in zip(rows, pivots) if b in row})
+            out.append({pc: Fraction(row[b], row[pc]) for row, pc in zip(rows, pivots)
+                        if b in row})
     return out
-
-
-def _lifted(vec):
-    """{column: value mod P} lifted to {column: Fraction}."""
-    out = {}
-    for c, a in vec.items():
-        q = _lift(a % P)
-        if q is None:
-            raise _Uncertified("reconstruction")
-        out[c] = q
-    return out
-
-
-def _solve_mod(mat, ncols, nrhs):
-    """Null basis of the first ncols columns of the sparse rows mat and, for
-    each of the nrhs right-hand sides in the columns after them, the
-    particular solution; all sparse, from one elimination mod P.
-
-    Every vector is lifted to Q and checked exactly against mat.  When all
-    ncols - rank_P null vectors pass, rank over Q equals rank mod P, the
-    pivots are those of the rational RREF, and the result is exactly what
-    _rref would give.  Anything else raises _Uncertified.
-    """
-    rows, pivots = _rref_mod(mat, ncols)
-    basis = [_lifted(v) for v in _null_basis(rows, pivots, ncols)]
-    points = _particulars(rows, pivots, ncols, nrhs)
-    del rows
-    if None in points:
-        raise _Uncertified("inconsistent")
-    points = [_lifted(p) for p in points]
-    vecs = basis + [{**p, ncols + b: Fraction(-1)} for b, p in enumerate(points)]
-    if not _annihilates(mat, vecs):
-        raise _Uncertified("check")
-    return points, basis
-
-
-def _fallback(exc, mat, ncols):
-    _log.debug("modular elimination of a %d x %d system not certified (%s); "
-               "eliminating over Fraction", len(mat), ncols, exc.args[0])
 
 
 def matrix_rank(mat):
-    """Rank over Q.  The rank mod P never exceeds it, so a full rank mod P is
-    returned as is; a deficit is recomputed over Fraction."""
+    """Rank over Q."""
     if not mat:
         return 0
-    ncols = len(mat[0])
-    try:
-        rank = len(_rref_mod(_sparse(mat), ncols)[1])
-        if rank == min(len(mat), ncols):
-            return rank
-        raise _Uncertified("rank-deficit")
-    except _Uncertified as exc:
-        _fallback(exc, mat, ncols)
-    return len(_rref(mat, ncols)[1])
+    return len(_rref(_sparse(mat), len(mat[0]))[1])
 
 
 def sparse_nullspace(mat, ncols):
     """Basis of the right nullspace of `mat` (ncols unknowns; rows dense or
     sparse), as sparse vectors {column: Fraction}: the basis read off the
     reduced row echelon form."""
-    rows = _sparse(mat)
-    try:
-        return _solve_mod(rows, ncols, 0)[1]
-    except _Uncertified as exc:
-        _fallback(exc, rows, ncols)
-    return _null_basis(*_rref(_dense(rows, ncols), ncols), ncols)
+    return _null_basis(*_rref(_sparse(mat), ncols), ncols)
 
 
 def nullspace(mat, ncols):
-    """Basis of the right nullspace of `mat` (ncols unknowns)."""
-    return _dense(sparse_nullspace(mat, ncols), ncols)
+    """Basis of the right nullspace of `mat` (ncols unknowns), as dense rows."""
+    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in sparse_nullspace(mat, ncols)]
 
 
 def solve_many(mat, rhss, ncols):
     """Solve mat * x = b exactly (ncols unknowns; rows dense or sparse) for
     every right-hand side b in rhss, one value per row each, with one
-    elimination of mat augmented by all of them (and one more over Fraction
-    if the modular one is not certified).
+    elimination of mat augmented by all of them.
 
     Returns (points, basis) as sparse vectors {column: Fraction}: points[i]
     is the solution for rhss[i] with every free unknown 0, or None if that
@@ -322,30 +200,8 @@ def solve_many(mat, rhss, ncols):
     for i, row in enumerate(_sparse(mat)):
         extra = {ncols + b: rhs[i] for b, rhs in enumerate(rhss) if rhs[i]}
         aug.append({**row, **extra} if extra else row)
-    try:
-        return _solve_mod(aug, ncols, len(rhss))
-    except _Uncertified as exc:
-        _fallback(exc, aug, ncols)
-    rows, pivots = _rref(_dense(aug, ncols + len(rhss)), ncols)
+    rows, pivots = _rref(aug, ncols)
     return _particulars(rows, pivots, ncols, len(rhss)), _null_basis(rows, pivots, ncols)
-
-
-def solve_affine(mat, rhs):
-    """Solve mat * x = rhs exactly: solve_many with one right-hand side.
-
-    Returns None if inconsistent, otherwise (particular, nullspace_basis)
-    as dense lists; the solution set is the particular point plus the span
-    of the basis.
-    """
-    if not mat:
-        if any(b != 0 for b in rhs):
-            return None
-        return [], []
-    ncols = len(mat[0])
-    (point,), basis = solve_many(mat, [rhs], ncols)
-    if point is None:
-        return None
-    return _dense([point], ncols)[0], _dense(basis, ncols)
 
 
 def mat_vec(mat, vec):

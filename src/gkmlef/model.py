@@ -68,14 +68,21 @@ def run_checks(doc):
     check fails, cmd_validate reports all of them.  Total over any JSON
     value: a malformed document gives failed checks, never an exception.
     """
+    return _checks_and_positions(doc)[0]
+
+
+def _checks_and_positions(doc):
+    """run_checks(doc) and the parsed positions {vertex id: tuple of
+    Fractions} of the vertices whose positions passed their checks."""
     checks = []
+    positions = {}
 
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
     if not isinstance(doc, dict):
         add("document-structure", False, "expected a JSON object")
-        return checks
+        return checks, positions
     rank, dim = doc.get("rank"), doc.get("dimension")
     raw_vertices, raw_edges = doc.get("vertices"), doc.get("edges")
     if not (_is_int(rank) and _is_int(dim) and isinstance(raw_vertices, list)
@@ -83,14 +90,13 @@ def run_checks(doc):
         add("document-structure", False,
             "missing or malformed field: rank and dimension must be integers, "
             "vertices and edges lists")
-        return checks
+        return checks, positions
     add("document-structure", True)
     add("rank-positive", rank >= 1, "rank = %d" % rank)
     add("dimension-even", dim % 2 == 0 and dim >= 2, "dimension = %d" % dim)
     n = dim // 2
 
     ids = []
-    positions = {}
     ok_vertices = True
     for i, rv in enumerate(raw_vertices):
         if not isinstance(rv, dict) or "id" not in rv:
@@ -180,7 +186,7 @@ def run_checks(doc):
                     seen.add(nb)
                     stack.append(nb)
         add("graph-connected", len(seen) == len(ids))
-    return checks
+    return checks, positions
 
 
 def parse_gkm(text):
@@ -189,14 +195,13 @@ def parse_gkm(text):
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise GkmValidationError("malformed JSON: %s" % exc)
-    checks = run_checks(doc)
+    checks, positions = _checks_and_positions(doc)
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     if failures:
         msg = "; ".join("%s: %s" % (n, d) if d else n for n, d in failures)
         raise GkmValidationError(msg)
-    vertices = tuple(
-        Vertex(str(rv["id"]), tuple(parse_rational(x) for x in rv["position"]))
-        for rv in doc["vertices"])
+    # the ids are unique, so positions holds every vertex, in document order
+    vertices = tuple(Vertex(vid, pos) for vid, pos in positions.items())
     edges = tuple(
         Edge(str(re_["v"]), str(re_["w"]), tuple(int(a) for a in re_["weight"]))
         for re_ in doc["edges"])

@@ -6,9 +6,8 @@ import sys
 
 import pytest
 
-from gkmlef import catalog, exact
+from gkmlef import catalog
 from gkmlef.cli import main
-from gkmlef.cohomology import congruence_space
 
 
 def run(capsys, *argv):
@@ -100,21 +99,6 @@ def test_report_determinism(capsys):
     _, out1, _ = run(capsys, "analyze", "--example", "su3")
     _, out2, _ = run(capsys, "analyze", "--example", "su3")
     assert out1 == out2
-
-
-@pytest.mark.parametrize("name", ["su3", "hirzebruch1"])
-def test_fallback_keeps_output_byte_stable(capsys, monkeypatch, cold_congruence_cache, name):
-    # every modular elimination uncertified: the same report, and the DEBUG
-    # lines naming the fallbacks stay off stderr by default
-    certified = run(capsys, "analyze", "--example", name)
-
-    def uncertified(mat, ncols):
-        raise exact._Uncertified("check")
-
-    monkeypatch.setattr(exact, "_rref_mod", uncertified)
-    congruence_space.cache_clear()
-    assert run(capsys, "analyze", "--example", name) == certified
-    assert certified[2] == ""
 
 
 def test_text_format(capsys):

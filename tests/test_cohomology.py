@@ -17,7 +17,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
                                flow_up_classes, localization_pairing_invertible)
-from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_affine
+from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_many
 from gkmlef.model import GkmGraph
 
 F = Fraction
@@ -112,37 +112,41 @@ def test_congruence_space_edge_check(name):
                     assert values[e.v] == values[e.w], (d, e, point)
 
 
+def test_congruence_space_builds_residues_once_per_weight(monkeypatch, cold_congruence_cache):
+    graph = parse_gkm(catalog.get("sphere_product3").document)
+    calls = []
+    residue_rows = cohomology.residue_rows
+
+    def counting(weight, d):
+        calls.append((weight, d))
+        return residue_rows(weight, d)
+
+    monkeypatch.setattr(cohomology, "residue_rows", counting)
+    degrees = range(graph.n + 1)
+    for d in degrees:
+        congruence_space(graph, d)
+    weights = {e.weight for e in graph.edges}
+    assert len(weights) < len(graph.edges)
+    assert sorted(calls) == sorted((w, d) for w in weights for d in degrees)
+
+
 @pytest.mark.parametrize("name", ["su3", "so5", "cp3", "cp4", "sphere_product3", "hirzebruch1"])
-def test_modular_elimination_certified_on_catalog(name, monkeypatch, cold_congruence_cache):
-    # every elimination behind the canonical classes is certified mod P, and
-    # the Fraction fallback, when forced, gives the same spaces and classes
+def test_modular_elimination_certified_on_catalog(name, monkeypatch):
+    # the canonical classes of each catalog entry at its default circle are
+    # certified without any elimination
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
     profile = restrict_to_circle(graph, entry.default_xi)
-    rational = []
+    eliminations = []
     rref = exact._rref
 
     def counting(mat, ncols):
-        rational.append(ncols)
+        eliminations.append(ncols)
         return rref(mat, ncols)
 
     monkeypatch.setattr(exact, "_rref", counting)
-    basis = canonical_classes(graph, profile)
-    assert rational == []
-    degrees = range(graph.n + 1)
-    spaces = [[list(b.items()) for b in congruence_space(graph, d)] for d in degrees]
-    annihilators = [circle_annihilator(graph, d, profile.xi) for d in degrees]
-
-    congruence_space.cache_clear()
-    monkeypatch.setattr(exact, "_annihilates", lambda mat, vecs: False)
-    assert [[list(b.items()) for b in congruence_space(graph, d)] for d in degrees] == spaces
-    assert [circle_annihilator(graph, d, profile.xi) for d in degrees] == annihilators
-    fallback = canonical_classes(graph, profile)
-    assert rational
-    assert fallback.order == basis.order
-    for f in basis.order:
-        assert fallback.alpha[f].values == basis.alpha[f].values, f
-        assert fallback.beta[f].values == basis.beta[f].values, f
+    canonical_classes(graph, profile)
+    assert eliminations == []
 
 
 # -- flow-up classes --------------------------------------------------------
@@ -292,8 +296,8 @@ def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, fn, counted, raising=False)
 
-    for fn in ("solve_many", "solve_affine", "nullspace", "sparse_nullspace", "_rref_mod",
-               "_rref", "monomial_exponents", "monomial_residue"):
+    for fn in ("solve_many", "nullspace", "sparse_nullspace", "_rref",
+               "monomial_exponents", "monomial_residue"):
         counting(exact, fn)
     for fn in ("solve_many", "nullspace", "sparse_nullspace", "residue_rows",
                "monomial_exponents"):
@@ -497,11 +501,11 @@ def test_constructed_classes_are_members(su3, su3_basis):
         space = congruence_space(graph, d)
         at_xi = [_values_at(graph, d, b, profile.xi) for b in space]
         mat = [[values[v.id] for values in at_xi] for v in graph.vertices]
-        sol = solve_affine(mat, [alpha.at(v.id) for v in graph.vertices])
-        assert sol is not None, f
+        (point,), _ = solve_many(mat, [[alpha.at(v.id) for v in graph.vertices]], len(space))
+        assert point is not None, f
         lift = {}
-        for c, b in zip(sol[0], space):
-            for col, x in b.items():
+        for k, c in point.items():
+            for col, x in space[k].items():
                 lift[col] = lift.get(col, F(0)) + c * x
         values = _values_at(graph, d, lift, profile.xi)
         assert all(values[v.id] == alpha.at(v.id) for v in graph.vertices), f

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gkmlef import exact
-from gkmlef.exact import (P, format_rational, mat_vec, matrix_rank,
-                          monomial_exponents, monomial_residue, parse_rational,
-                          solve_affine, sparse_nullspace)
+from gkmlef.exact import (format_rational, mat_vec, matrix_rank, monomial_exponents,
+                          monomial_residue, parse_rational, solve_many, sparse_nullspace)
 
 F = Fraction
 
@@ -41,14 +40,28 @@ def test_divisibility():
     assert monomial_residue((0, 2, 1), (0, 2, -1)) == {(0, 0, 3): F(1, 4)}
 
 
+def _solve(mat, rhs):
+    """mat * x = rhs by solve_many with one right-hand side: None if
+    inconsistent, else (particular, null basis) as dense lists."""
+    ncols = len(mat[0])
+    (point,), basis = solve_many(mat, [rhs], ncols)
+    if point is None:
+        return None
+    return _dense([point], ncols)[0], _dense(basis, ncols)
+
+
+def _dense(vecs, ncols):
+    return [[v.get(c, F(0)) for c in range(ncols)] for v in vecs]
+
+
 def test_solve_affine_unique():
     A = [[F(1), F(0)], [F(0), F(1)]]
-    sol = solve_affine(A, [F(1), F(2)])
+    sol = _solve(A, [F(1), F(2)])
     assert sol == ([F(1), F(2)], [])
 
 
 def test_solve_affine_line():
-    sol = solve_affine([[F(1), F(1)]], [F(0)])
+    sol = _solve([[F(1), F(1)]], [F(0)])
     particular, null = sol
     assert mat_vec([[F(1), F(1)]], particular) == [F(0)]
     assert len(null) == 1
@@ -57,7 +70,7 @@ def test_solve_affine_line():
 
 
 def test_solve_affine_empty():
-    assert solve_affine([[F(1)], [F(1)]], [F(0), F(1)]) is None
+    assert _solve([[F(1)], [F(1)]], [F(0), F(1)]) is None
 
 
 def _counting(monkeypatch, name):
@@ -74,17 +87,11 @@ def _counting(monkeypatch, name):
 
 
 def test_solve_affine_eliminates_once(monkeypatch):
-    system = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [F(1), F(3)]
-    modular, rational = _counting(monkeypatch, "_rref_mod"), _counting(monkeypatch, "_rref")
-    particular, null = solve_affine(*system)
-    assert (modular, rational) == ([3], [])
+    calls = _counting(monkeypatch, "_rref")
+    particular, null = _solve([[F(1), F(2), F(3)], [F(2), F(4), F(7)]], [F(1), F(3)])
+    assert calls == [3]
     assert particular == [F(-2), F(0), F(1)]
     assert null == [[F(-2), F(1), F(0)]]
-    # an uncertified modular result costs one more elimination, over Fraction
-    monkeypatch.setattr(exact, "_lift", lambda a: None)
-    modular.clear()
-    assert solve_affine(*system) == (particular, null)
-    assert (modular, rational) == ([3], [3])
 
 
 def test_rank():
@@ -105,7 +112,7 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
        st.lists(rationals, min_size=4, max_size=4))
 def test_solve_reconstructs_rhs(rows, rhs):
     rhs = rhs[:len(rows)]
-    sol = solve_affine(rows, rhs)
+    sol = _solve(rows, rhs)
     if sol is None:
         assert matrix_rank(rows) < matrix_rank([r + [b] for r, b in zip(rows, rhs)])
         return
@@ -116,19 +123,54 @@ def test_solve_reconstructs_rhs(rows, rhs):
         assert all(x == 0 for x in mat_vec(rows, vec))
 
 
-# -- modular elimination against the Fraction reference ---------------------
+# -- integer elimination against the Fraction reference ----------------------
+
+P = (1 << 61) - 1  # a prime; the hard cases below defeat elimination mod P
+
+
+def _reference_rref(mat, ncols):
+    """Dense reduced row echelon form over Fraction: (rows, pivot_cols)."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _reference_null_basis(rows, pivots, ncols):
+    """One sparse vector per free column: its 1, then the nonzero pivot
+    entries in pivot order."""
+    basis = {fc: {fc: F(1)} for fc in range(ncols) if fc not in pivots}
+    for row, pc in zip(rows, pivots):
+        for c in basis:
+            if row[c]:
+                basis[c][pc] = -row[c]
+    return list(basis.values())
+
 
 def _reference_solve(mat, rhs):
-    """solve_affine computed directly from _rref of the augmented matrix."""
+    """solve_many with one right-hand side, from _reference_rref of the
+    augmented matrix: (point or None, null basis), sparse."""
     ncols = len(mat[0])
-    rows, pivots = exact._rref([row + [b] for row, b in zip(mat, rhs)], ncols)
+    rows, pivots = _reference_rref([list(row) + [b] for row, b in zip(mat, rhs)], ncols)
+    basis = _reference_null_basis(rows, pivots, ncols)
     if any(row[ncols] != 0 for row in rows[len(pivots):]):
-        return None
-    particular = [F(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rows[r][ncols]
-    return particular, [[v.get(c, F(0)) for c in range(ncols)]
-                        for v in exact._null_basis(rows, pivots, ncols)]
+        return None, basis
+    return {pc: row[ncols] for row, pc in zip(rows, pivots) if row[ncols]}, basis
 
 
 def _exactly(vecs):
@@ -161,14 +203,17 @@ def systems(draw):
 
 
 @given(systems())
-def test_modular_elimination_matches_fraction_rref(system):
+def test_integer_elimination_matches_fraction_rref(system):
     mat, rhs = system
     ncols = len(mat[0])
-    rows, pivots = exact._rref(mat, ncols)
+    rows, pivots = _reference_rref(mat, ncols)
     assert matrix_rank(mat) == len(pivots)
-    reference = exact._null_basis(rows, pivots, ncols)
+    reference = _reference_null_basis(rows, pivots, ncols)
     assert _exactly(sparse_nullspace(mat, ncols)) == _exactly(reference)
-    assert solve_affine(mat, rhs) == _reference_solve(mat, rhs)
+    point, basis = _reference_solve(mat, rhs)
+    (got,), got_basis = solve_many(mat, [rhs], ncols)
+    assert _exactly(got_basis) == _exactly(basis)
+    assert got is point is None or _exactly([got]) == _exactly([point])
 
 
 @given(systems(), st.data())
@@ -177,45 +222,45 @@ def test_solve_many_matches_one_solve_per_right_hand_side(system, data):
     ncols = len(mat[0])
     rhss = [rhs] + data.draw(st.lists(
         st.lists(sparse_entries, min_size=len(mat), max_size=len(mat)), max_size=3))
-    points, basis = exact.solve_many(mat, rhss, ncols)
+    points, basis = solve_many(mat, rhss, ncols)
     for b, point in zip(rhss, points):
-        expected = _reference_solve(mat, b)
-        if expected is None:
-            assert point is None
-        else:
-            assert exact._dense([point], ncols)[0] == expected[0]
-            assert exact._dense(basis, ncols) == expected[1]
+        expected, expected_basis = _reference_solve(mat, b)
+        assert _exactly(basis) == _exactly(expected_basis)
+        assert point is expected is None or _exactly([point]) == _exactly([expected])
 
 
+# Systems on which an elimination mod P cannot be certified, labelled by the
+# reason it fails there; the integer elimination solves each exactly.
 @pytest.mark.parametrize("call,expected,reason", [
     # an entry with no image mod P
     (lambda: sparse_nullspace([[F(1, P), F(1)]], 2), [{1: F(1), 0: F(-P)}], "denominator"),
     # [[P]] is [[0]] mod P: rank 0 there, 1 over Q
     (lambda: matrix_rank([[F(P)]]), 1, "rank-deficit"),
     (lambda: sparse_nullspace([[F(P)]], 1), [], "check"),
-    # null-vector entries of height above 2^30
+    # null-vector entries of height above 2^30, beyond rational reconstruction
     (lambda: sparse_nullspace([[F(2 ** 31), F(1)]], 2), [{1: F(1), 0: F(-1, 2 ** 31)}],
      "reconstruction"),
     (lambda: sparse_nullspace([[F(1), F(2 ** 31)]], 2), [{1: F(1), 0: F(-2 ** 31)}],
      "reconstruction"),
-    # a small fraction congruent to -5^14/3^20 lifts, and fails the check
+    # -5^14/3^20 is congruent mod P to a small fraction that is no null vector
     (lambda: sparse_nullspace([[F(3 ** 20), F(5 ** 14)]], 2),
      [{1: F(1), 0: F(-5 ** 14, 3 ** 20)}], "check"),
-    (lambda: solve_affine([[F(1)], [F(1)]], [F(0), F(1)]), None, "inconsistent"),
-    # one inconsistent right-hand side sends all of them to the Fraction path
-    (lambda: exact.solve_many([[F(1)], [F(1)]], [[F(2), F(2)], [F(0), F(1)]], 1),
+    (lambda: solve_many([[F(1)], [F(1)]], [[F(0), F(1)]], 1)[0][0], None, "inconsistent"),
+    # one inconsistent right-hand side leaves the others solved
+    (lambda: solve_many([[F(1)], [F(1)]], [[F(2), F(2)], [F(0), F(1)]], 1),
      ([{0: F(2)}, None], []), "inconsistent"),
 ])
 def test_uncertified_results_fall_back_exactly(caplog, call, expected, reason):
     caplog.set_level(logging.DEBUG, logger="gkmlef")
-    assert call() == expected
-    assert [(r.name, r.levelno) for r in caplog.records] == [("gkmlef", logging.DEBUG)]
-    assert "(%s)" % reason in caplog.records[0].getMessage()
+    result = call()
+    assert result == expected
+    assert repr(result) == repr(expected)  # Fraction entries, in the same key order
+    assert caplog.records == []
 
 
 def test_certified_results_log_nothing(caplog):
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     assert matrix_rank([[F(1, 2), F(3)], [F(0), F(5)]]) == 2
     assert sparse_nullspace([[F(1), F(2), F(3)]], 3) == [{1: F(1), 0: F(-2)}, {2: F(1), 0: F(-3)}]
-    assert solve_affine([[F(2), F(0)], [F(0), F(3)]], [F(1), F(1)]) == ([F(1, 2), F(1, 3)], [])
+    assert _solve([[F(2), F(0)], [F(0), F(3)]], [F(1), F(1)]) == ([F(1, 2), F(1, 3)], [])
     assert caplog.records == []

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gkmlef import (GkmValidationError, betti, catalog, check_hypothesis,
-                    emit_gkm, parse_gkm, restrict_to_circle,
+                    emit_gkm, model, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
 from gkmlef.cli import main
+from gkmlef.exact import parse_rational
 from gkmlef.model import CircleProfile, GkmGraph, Vertex, run_checks
 
 F = Fraction
@@ -28,6 +29,21 @@ def test_parse_so5(so5):
     assert graph.n == 3
     assert len(graph.vertices) == 4
     assert len(graph.edges) == 6
+
+
+def test_parse_reads_each_coordinate_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return parse_rational(x)
+
+    monkeypatch.setattr(model, "parse_rational", counting)
+    document = catalog.get("cp3").document
+    graph = parse_gkm(document)
+    assert len(calls) == graph.rank * len(graph.vertices)
+    assert [v.position for v in graph.vertices] == [
+        tuple(map(F, rv["position"])) for rv in json.loads(document)["vertices"]]
 
 
 def test_parse_rejects_nonparallel_edge(su3):
