@@ -9,9 +9,9 @@ one rational c per fixed point.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
@@ -414,18 +414,32 @@ def expand_in_basis(cls, basis):
 # ---------------------------------------------------------------------------
 # Kirwan reduction to the ordinary ring
 
+def support_violation(basis, fid):
+    """Where beta_F breaks the support of a canonical class: F if beta_F(F)
+    is not 1, else a vertex other than F of index <= index(F) where beta_F is
+    nonzero, else None.  O(nnz)."""
+    index, beta = basis.profile.index, basis.beta[fid]
+    if beta.at(fid) != 1:
+        return fid
+    return next((v for v, c in beta.values.items()
+                 if c and v != fid and index[v] <= index[fid]), None)
+
+
 @dataclass(frozen=True)
 class OrdinaryRing:
-    """H*(M) on the reduced canonical basis, as structure constants.
+    """H*(M) on the reduced canonical basis.
 
     Elements are dicts label -> Fraction over the images of the normalized
-    canonical classes; products truncate above the top degree.
+    canonical classes.  The Lefschetz operator is stored; the structure
+    constants are built on the first read of `table`.  Products truncate
+    above the top degree.
     """
     labels: tuple  # vertex ids in basis order
     degree: dict  # label -> cohomological degree (the Morse index)
-    table: dict  # (label, label) -> dict label -> Fraction
+    lefschetz: dict  # label -> its product with omega, degree + 2 labels only
     omega: dict  # expansion of the symplectic class, degree-2 labels only
     dimension: int  # = 2n
+    basis: CanonicalBasis = field(repr=False, compare=False)
 
     @property
     def n(self):
@@ -433,6 +447,17 @@ class OrdinaryRing:
 
     def basis_in_degree(self, k):
         return [l for l in self.labels if self.degree[l] == k]
+
+    @cached_property
+    def table(self):
+        """(label, label) -> dict label -> Fraction, each pair once in basis
+        order: cup, expand, and keep the coefficients at u = 0."""
+        beta, table = self.basis.beta, {}
+        for i, f in enumerate(self.labels):
+            for g in self.labels[i:]:
+                table[(f, g)] = ({} if self.degree[f] + self.degree[g] > self.dimension
+                                 else _at_u0(cup(beta[f], beta[g]), self.basis))
+        return table
 
     def multiply(self, x, y):
         out = {}
@@ -453,6 +478,16 @@ class OrdinaryRing:
             out = self.multiply(out, self.omega)
         return out
 
+    def lefschetz_power(self, x, m):
+        """x times omega^m, by m applications of the Lefschetz operator."""
+        for _ in range(m):
+            out = {}
+            for l, c in x.items():
+                for h, y in self.lefschetz[l].items():
+                    out[h] = out.get(h, _ZERO) + c * y
+            x = {h: c for h, c in out.items() if c}
+        return x
+
 
 def _at_u0(cls, basis):
     """Expansion of cls with u set to 0: only the basis classes of the class's
@@ -463,32 +498,50 @@ def _at_u0(cls, basis):
 
 
 def kirwan_reduce(basis):
-    """Ordinary cohomology ring: structure constants of the reduced basis
-    obtained by cupping, expanding, and evaluating coefficients at u = 0."""
+    """Ordinary cohomology ring with its Lefschetz operator L, the Kirwan
+    image of multiplication by w = equivariant_symplectic_class(profile,
+    min value), read off the canonical basis by the equivariant Chevalley
+    formula: L(beta_F) = sum of (mu(F) - mu(H)) beta_F(H) beta_H over the H
+    of index(F) + 2.
+
+    X = beta_F w - w(F) u beta_F has the Kirwan image of beta_F w, u going to
+    0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When every beta has canonical
+    support (support_violation), X vanishes at each vertex of index <=
+    index(F), so X minus the sum above vanishes at each vertex of index <= its
+    degree, and such a class is 0.  The support is checked first; a violation
+    raises ExpansionError.  omega is L of the unit, beta at the minimum.
+    """
     profile = basis.profile
-    labels = basis.order
-    degree = {l: profile.index[l] for l in labels}
-    table = {}
-    for i, f in enumerate(labels):
-        for g in labels[i:]:
-            if degree[f] + degree[g] > 2 * profile.n:
-                table[(f, g)] = {}
-                continue
-            table[(f, g)] = _at_u0(cup(basis.beta[f], basis.beta[g]), basis)
-    omega = _at_u0(equivariant_symplectic_class(profile, shift=profile.min_value()),
-                   basis)
-    return OrdinaryRing(labels, degree, table, omega, 2 * profile.n)
+    labels, mu, index = basis.order, profile.mu, profile.index
+    lefschetz = {}
+    for f in labels:
+        bad = support_violation(basis, f)
+        if bad is not None:
+            raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
+                                 % (f, basis.beta[f].at(bad), bad))
+        lefschetz[f] = {h: x for h, c in basis.beta[f].values.items()
+                        if index[h] == index[f] + 2 and (x := (mu[f] - mu[h]) * c)}
+    degree = {l: index[l] for l in labels}
+    return OrdinaryRing(labels, degree, lefschetz, lefschetz[labels[0]], 2 * profile.n,
+                        basis)
 
 
 def localization_pairing_matrix(basis, k):
     """Localization pairing between degree-k and degree-(2n-k) reduced basis
-    classes; invertibility is Poincare duality at the fixed-point level."""
+    classes; invertibility is Poincare duality at the fixed-point level.
+    Each product has the top degree, so its integral is the sum of
+    beta_F(v) beta_G(v) / e(v) over the vertices where both are nonzero."""
     profile = basis.profile
     low = [l for l in basis.order if profile.index[l] == k]
     high = [l for l in basis.order if profile.index[l] == 2 * profile.n - k]
-    mat = [[abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile) for g in high]
-           for f in low]
-    return low, high, mat
+    inverse = {v: 1 / profile.full_weight_product(v) for v in profile.mu}
+
+    def pairing(f, g):
+        small, large = sorted((basis.beta[f].values, basis.beta[g].values), key=len)
+        return sum((c * large[v] * inverse[v] for v, c in small.items() if v in large),
+                   _ZERO)
+
+    return low, high, [[pairing(f, g) for g in high] for f in low]
 
 
 def localization_pairing_invertible(basis, k):

@@ -168,9 +168,12 @@ def _particulars(rows, pivots, ncols, nrhs):
 
 
 def matrix_rank(mat):
-    """Rank over Q."""
+    """Rank over Q of a list of dense rows; a single row or column needs no
+    elimination."""
     if not mat:
         return 0
+    if len(mat) == 1 or len(mat[0]) == 1:
+        return int(any(map(any, mat)))
     return len(_rref(_sparse(mat), len(mat[0]))[1])
 
 

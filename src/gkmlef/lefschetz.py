@@ -10,7 +10,8 @@ from math import prod
 
 from .exact import format_rational, matrix_rank
 from .cohomology import (abbv_integrate, cup, cup_power,
-                         equivariant_symplectic_class, expand_in_basis)
+                         equivariant_symplectic_class, expand_in_basis,
+                         support_violation)
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,13 @@ class HLReport:
 
 def multiplication_matrix(ring, k, power):
     """Matrix of multiplication by omega^power from degree k to k + 2*power,
-    rows indexed by the source basis, columns by the target basis."""
+    rows indexed by the source basis, columns by the target basis: each row
+    is the Lefschetz operator applied power times to a source basis vector."""
     source = ring.basis_in_degree(k)
     target = ring.basis_in_degree(k + 2 * power)
-    omega_pow = ring.omega_power(power)
     mat = []
     for s in source:
-        prod = ring.multiply({s: Fraction(1)}, omega_pow)
+        prod = ring.lefschetz_power({s: Fraction(1)}, power)
         mat.append([prod.get(t, Fraction(0)) for t in target])
     return source, target, mat
 
@@ -165,7 +166,12 @@ def verify_distinct(profile):
 
 def verify_zeroclass(basis, k, side="low"):
     """Only the zero class of degree 2k vanishes on all fixed points of index
-    <= 2k (side="low") or of index >= 2(n-k) (side="high")."""
+    <= 2k (side="low") or of index >= 2(n-k) (side="high").
+
+    On the low side, with rows and columns grouped by index, the matrix is
+    block triangular with identity blocks on the diagonal when every column
+    class has canonical support (support_violation), so it has full rank;
+    only a class without it sends the matrix to matrix_rank."""
     profile = basis.profile
     n = profile.n
     name = "zero-class(k=%d,%s)" % (k, side)
@@ -178,20 +184,24 @@ def verify_zeroclass(basis, k, side="low"):
         raise ValueError("side must be 'low' or 'high'")
     # degree-2k space is spanned by u^(k-i) beta_F over index-2i points, i <= k;
     # restrictions at a vertex are rational multiples of u^k
-    mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
     dim = len(columns)
-    rank = matrix_rank(mat) if mat else 0
+    if side == "low" and all(support_violation(basis, fid) is None for fid in columns):
+        rank = dim
+    else:
+        mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
+        rank = matrix_rank(mat) if mat else 0
     ok = rank == dim
     return _entry(name, True, ok,
                   "space dimension %d, independent vanishing conditions %d" % (dim, rank))
 
 
-def delta_certificate(basis, profile, gamma, k):
+def delta_certificate(basis, profile, gamma, k, shifted=None):
     """Replay of the kernel-elimination product for a degree-2k candidate.
 
     delta = gamma * product of the symplectic classes shifted by c_2k ..
     c_(2n-2k-2); verified to vanish at every index < 2n-2k and to factor as
     gamma restriction times the telescoping scalar product above that index.
+    shifted[j], when given, is the class shifted by c_2j, for every level j.
     """
     n = profile.n
     name = "delta-certificate(k=%d)" % k
@@ -204,9 +214,11 @@ def delta_certificate(basis, profile, gamma, k):
     cs = profile.level_constants()
     if any(c is None for c in cs):
         return _entry(name, False, None, "level constants undefined")
+    if shifted is None:
+        shifted = [equivariant_symplectic_class(profile, shift=c) for c in cs]
     delta = gamma
     for j in range(k, n - k):
-        delta = cup(delta, equivariant_symplectic_class(profile, shift=cs[j]))
+        delta = cup(delta, shifted[j])
     low_ok = all(delta.at(v) == 0 for v in basis.order
                  if profile.index[v] < 2 * (n - k))
     formula_ok = all(
@@ -221,15 +233,19 @@ def delta_certificate(basis, profile, gamma, k):
 
 def delta_certificates(basis, profile):
     """Certificates for a spanning set of candidates per eligible degree: the
-    canonical classes of each index 2k with 2k < n."""
+    canonical classes of each index 2k with 2k < n.  The shifted symplectic
+    classes are built once for all of them."""
     out = []
     n = profile.n
+    cs = profile.level_constants()
+    shifted = None if any(c is None for c in cs) else \
+        [equivariant_symplectic_class(profile, shift=c) for c in cs]
     for k in range(n + 1):
         if 2 * k >= n:
             break
         for fid in basis.order:
             if profile.index[fid] == 2 * k:
-                entry = delta_certificate(basis, profile, basis.alpha[fid], k)
+                entry = delta_certificate(basis, profile, basis.alpha[fid], k, shifted)
                 entry = dict(entry, candidate=fid)
                 out.append(entry)
     return out

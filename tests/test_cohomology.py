@@ -16,7 +16,8 @@ from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
 from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
-                               flow_up_classes, localization_pairing_invertible)
+                               flow_up_classes, localization_pairing_invertible,
+                               localization_pairing_matrix)
 from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_many
 from gkmlef.model import GkmGraph
 
@@ -639,6 +640,74 @@ def test_su3_structure_constants_frozen(su3_ring):
     assert su3_ring.omega == {"B": F(-1), "C": F(-1)}
 
 
+CHEVALLEY_NAMES = ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"]
+
+
+def _assert_lefschetz_is_the_table_route(graph, xi):
+    """The Lefschetz operator read off by the Chevalley formula, and omega,
+    equal the expansions of the products with the symplectic class at u = 0."""
+    profile = restrict_to_circle(graph, xi)
+    basis = canonical_classes(graph, profile)
+    ring = kirwan_reduce(basis)
+    omega = equivariant_symplectic_class(profile, shift=profile.min_value())
+    for f in basis.order:
+        assert ring.lefschetz[f] == cohomology._at_u0(cup(basis.beta[f], omega), basis), (xi, f)
+    assert ring.omega == cohomology._at_u0(omega, basis) != {}
+    return profile
+
+
+@pytest.mark.parametrize("name, xi", [(name, None) for name in CHEVALLEY_NAMES]
+                         + [("su3", (2, -1)), ("hirzebruch1", (4, 1))])
+def test_lefschetz_operator_by_the_chevalley_formula(name, xi):
+    entry = catalog.get(name)
+    profile = _assert_lefschetz_is_the_table_route(parse_gkm(entry.document),
+                                                   xi or entry.default_xi)
+    # hirzebruch1 and su3 at (2, -1) have levels on which mu is not constant
+    assert profile.constant_on_levels == (xi is None and name != "hirzebruch1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHEVALLEY_NAMES), st.data())
+def test_lefschetz_operator_at_random_generic_circles(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    _assert_lefschetz_is_the_table_route(graph, xi)
+
+
+def _doctored(basis, fid, values):
+    """basis with beta_F given the extra or changed values {vertex id: value}."""
+    beta = dict(basis.beta)
+    beta[fid] = CircleClass(basis.graph, beta[fid].degree, {**beta[fid].values, **values})
+    return dataclasses.replace(basis, beta=beta)
+
+
+@pytest.mark.parametrize("fid, values, named", [
+    ("B", {"C": F(2)}, "C"),  # at another vertex of the same index
+    ("D", {"B": F(1)}, "B"),  # at a vertex of lower index
+    ("B", {"B": F(2)}, "B"),  # not 1 at its own vertex
+])
+def test_kirwan_reduce_checks_the_canonical_support(su3_basis, fid, values, named):
+    assert cohomology.support_violation(su3_basis, fid) is None
+    doctored = _doctored(su3_basis, fid, values)
+    assert cohomology.support_violation(doctored, fid) == named
+    with pytest.raises(ExpansionError, match="beta_%s .* at %s$" % (fid, named)):
+        kirwan_reduce(doctored)
+
+
+def test_structure_table_is_built_on_first_read(monkeypatch):
+    from gkmlef import analysis
+    rings = []
+    reduce = analysis.kirwan_reduce
+    monkeypatch.setattr(analysis, "kirwan_reduce", lambda b: rings.append(reduce(b)) or rings[-1])
+    entry = catalog.get("su3")
+    analysis.analyze(parse_gkm(entry.document), entry.default_xi)
+    (ring,) = rings
+    assert "table" not in ring.__dict__
+    assert ring.table[("B", "C")] == {"D": F(2), "E": F(2)}
+    assert "table" in ring.__dict__
+
+
 def test_su3_structure_constants_against_pairings(su3, su3_basis, su3_ring):
     # cross-check the reduced products against localization pairings with the
     # top class: <x*y, beta_top-dual> realized as integrals of triple products
@@ -658,3 +727,15 @@ def test_localization_pairing_invertible(su3_basis, cp1_basis):
         n = basis.profile.n
         for k in range(n + 1):
             assert localization_pairing_invertible(basis, 2 * k)
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"])
+def test_localization_pairing_matrix_is_the_localization_integral(name):
+    basis = _catalog_basis(name)
+    profile = basis.profile
+    for k in range(0, 2 * profile.n + 1, 2):
+        low, high, mat = localization_pairing_matrix(basis, k)
+        expected = [[abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile) for g in high]
+                    for f in low]
+        assert [[(type(x), x) for x in row] for row in mat] == \
+            [[(type(x), x) for x in row] for row in expected], k

@@ -1,5 +1,6 @@
 import logging
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -227,6 +228,17 @@ def test_solve_many_matches_one_solve_per_right_hand_side(system, data):
         expected, expected_basis = _reference_solve(mat, b)
         assert _exactly(basis) == _exactly(expected_basis)
         assert point is expected is None or _exactly([point]) == _exactly([expected])
+
+
+@given(st.integers(1, 6), st.booleans(), st.booleans(), st.data())
+def test_rank_of_a_single_row_or_column_needs_no_elimination(m, column, zero, data):
+    cells = [0] * m if zero else data.draw(
+        st.lists(sparse_entries, min_size=m, max_size=m), label="cells")
+    mat = [[x] for x in cells] if column else [cells]
+    ncols = len(mat[0])
+    expected = len(_reference_rref(mat, ncols)[1])
+    with mock.patch.object(exact, "_rref", side_effect=AssertionError("eliminated")):
+        assert matrix_rank(mat) == expected == int(any(cells))
 
 
 # Systems on which an elimination mod P cannot be certified, labelled by the

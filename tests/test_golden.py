@@ -52,6 +52,8 @@ GOLDEN = {
         (0, "d8f5c0d2d8bdec64b20f4b02399346d94c3946c241781aa17ff905ccd42d925f"),
     ("sphere_product7", "json"):
         (0, "57f1cbd243c8c429dac874b9ce32b35a8173cadb149ad257f01aaa081bbcc2bd"),
+    ("sphere_product8", "json"):
+        (0, "77e30e09d785e9892882fba0592ba5f03a395b9905d8d61e654a0eb58168de46"),
     ("hirzebruch1", "json"):
         (2, "27bcca82f534337e721de2ca2c275dd8668123e0207503b7844113345ed8495c"),
     ("hirzebruch1", "text"):

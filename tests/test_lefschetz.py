@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from gkmlef import (abbv_integrate, canonical_classes, catalog, cup_power,
                     verify_symp_expansion, verify_vanish, verify_zeroclass)
 from gkmlef.cohomology import CircleClass
 from gkmlef.lefschetz import (delta_certificate, delta_certificates,
-                              rank_symmetry_holds)
+                              multiplication_matrix, rank_symmetry_holds)
 
 F = Fraction
 
@@ -126,6 +127,66 @@ def test_lemma_zeroclass(su3_basis, so5):
     _, graph, profile = so5
     basis = canonical_classes(graph, profile)
     assert verify_zeroclass(basis, 2, "high")["pass"]
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"])
+def test_multiplication_matrix_by_lefschetz_equals_the_table_route(name):
+    _, _, ring = pipeline(name)
+    for k in range(0, 2 * ring.n + 1, 2):
+        for power in range(ring.n - k // 2 + 1):
+            source, target, mat = multiplication_matrix(ring, k, power)
+            omega_pow = ring.omega_power(power)
+            products = [ring.multiply({s: F(1)}, omega_pow) for s in source]
+            assert mat == [[p.get(t, F(0)) for t in target] for p in products], (k, power)
+
+
+def _counting_ranks(monkeypatch):
+    calls = []
+    rank = lefschetz.matrix_rank
+    monkeypatch.setattr(lefschetz, "matrix_rank", lambda mat: calls.append(mat) or rank(mat))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"])
+def test_zeroclass_low_side_certified_by_support(name, monkeypatch):
+    # every entry equals the one the rank of the whole matrix gives
+    profile, basis, _ = pipeline(name)
+    ranks = _counting_ranks(monkeypatch)
+    fast = [verify_zeroclass(basis, k, side) for k in range(profile.n + 1)
+            for side in ("low", "high")]
+    assert len(ranks) == profile.n + 1  # the high side only
+    monkeypatch.setattr(lefschetz, "support_violation", lambda basis, fid: fid)
+    assert [verify_zeroclass(basis, k, side) for k in range(profile.n + 1)
+            for side in ("low", "high")] == fast
+
+
+@pytest.mark.parametrize("values, passed, rank", [
+    ({"B": {"C": F(2)}}, True, 3),  # block [[1, 0], [2, 1]]: still invertible
+    ({"B": {"C": F(1)}, "C": {"B": F(1)}}, False, 2),  # block [[1, 1], [1, 1]]
+])
+def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch,
+                                                       values, passed, rank):
+    beta = dict(su3_basis.beta)
+    for fid, extra in values.items():
+        beta[fid] = CircleClass(su3_basis.graph, 2, {**beta[fid].values, **extra})
+    doctored = dataclasses.replace(su3_basis, beta=beta)
+    ranks = _counting_ranks(monkeypatch)
+    entry = verify_zeroclass(doctored, 1, "low")
+    assert len(ranks) == 1
+    assert entry == {"name": "zero-class(k=1,low)", "applicable": True, "pass": passed,
+                     "detail": "space dimension 3, independent vanishing conditions %d" % rank}
+
+
+def test_delta_certificates_build_each_shifted_class_once(monkeypatch):
+    profile, basis, _ = pipeline("sphere_product3")
+    expected = delta_certificates(basis, profile)
+    calls = []
+    build = lefschetz.equivariant_symplectic_class
+    monkeypatch.setattr(lefschetz, "equivariant_symplectic_class",
+                        lambda profile, shift=0: calls.append(shift) or build(profile, shift))
+    assert delta_certificates(basis, profile) == expected
+    assert calls == profile.level_constants()
+    assert len(expected) > 1  # more candidates than one, all sharing the classes
 
 
 def test_delta_certificate_zero_candidate(su3, su3_basis):
