@@ -6,7 +6,6 @@ identical input bytes and flags always serialize to identical report bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from fractions import Fraction
 
@@ -14,7 +13,7 @@ from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
                          localization_pairing_invertible)
 from .exact import format_rational
-from .model import (betti, check_hypothesis, restrict_to_circle,
+from .model import (betti, check_hypothesis, dumps_indented, restrict_to_circle,
                     self_indexing_normalizer)
 
 SCHEMA_VERSION = 1
@@ -24,9 +23,13 @@ def _rat(x):
     return None if x is None else format_rational(x)
 
 
-def _ascending(c, d):
-    """Coefficients of c * u^d in ascending powers of u, trailing zeros dropped."""
-    return [] if c == 0 else ["0"] * d + [format_rational(c)]
+def _ascending(cls, vids):
+    """{vertex id: coefficients of cls there in ascending powers of u}, over
+    vids: c * u^d is d "0"s then c, and a vertex cls does not store is [].
+    The stored values are nonzero Fractions, and str formats them as
+    format_rational does."""
+    zeros, values = ["0"] * (cls.degree // 2), cls.values
+    return {vid: zeros + [str(c)] if (c := values.get(vid)) else [] for vid in vids}
 
 
 def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
@@ -56,6 +59,12 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     certificates = lefschetz.delta_certificates(basis, profile) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
+    # the pairing in degree 2n - 2k is the transpose of the one in degree 2k
+    pairing_invertible = {}
+    for k in range(n // 2 + 1):
+        pairing_invertible[k] = pairing_invertible[n - k] = \
+            localization_pairing_invertible(basis, 2 * k)
+    vids = sorted(profile.mu)
 
     digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes else None
     report = {
@@ -101,14 +110,8 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             "classes": {
                 fid: {
                     "degree": profile.index[fid],
-                    "alpha": {
-                        vid: _ascending(basis.alpha[fid].at(vid), profile.index[fid] // 2)
-                        for vid in sorted(profile.mu)
-                    },
-                    "beta": {
-                        vid: _ascending(basis.beta[fid].at(vid), profile.index[fid] // 2)
-                        for vid in sorted(profile.mu)
-                    },
+                    "alpha": _ascending(basis.alpha[fid], vids),
+                    "beta": _ascending(basis.beta[fid], vids),
                 }
                 for fid in basis.order
             },
@@ -138,8 +141,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         },
         "localization": {
             "pairing_invertible": {
-                str(2 * k): localization_pairing_invertible(basis, 2 * k)
-                for k in range(n + 1)
+                str(2 * k): pairing_invertible[k] for k in range(n + 1)
             },
         },
     }
@@ -150,7 +152,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
 
 
 def report_to_json(report):
-    return json.dumps(report, indent=2) + "\n"
+    return dumps_indented(report)
 
 
 def report_to_text(report):

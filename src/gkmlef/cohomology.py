@@ -305,35 +305,25 @@ def _alpha_beta(profile, fid, values):
 
 
 def canonical_classes(graph, profile):
-    """Canonical class basis, one class per fixed point, by forward
-    substitution on the circle values of the flow-up classes (each the x^d
-    coefficient over the denominator): alpha_F is the sum of c_q tau_q over
-    the q of index <= index(F), which span the circle image of its degree,
-    with c_q = (target(q) - (earlier terms at q)) / tau_q(q) in basis_order
-    from F on; target(q) is the product of the negative weights at F if
-    q = F and 0 otherwise.  tau_q vanishes before q, so alpha_F vanishes
-    below F's moment value, and tau_q(q) at a generic xi is nonzero.  If the
-    flow-up classes are not certified, a DEBUG line names the reason and the
-    oracle canonical_classes_global is returned."""
+    """Canonical class basis, one class per fixed point: alpha_F is the
+    flow-up class tau_F read on the circle (each value the x^d coefficient
+    over the denominator).  tau_F vanishes before F; at F its circle value is
+    the product of F's projected down lines at (1, 0), the product of the
+    negative weights at F; and at any later q of index <= index(F) it is the
+    interpolant padded by a power of y, whose x^d coefficient is 0.  Those are
+    the defining conditions of alpha_F, so no substitution is needed;
+    kirwan_reduce's support_violation check certifies the support again.  If
+    the flow-up classes are not certified, a DEBUG line names the reason and
+    the oracle canonical_classes_global is returned."""
     try:
         classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
         _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
         return canonical_classes_global(graph, profile)
-    order, index = basis_order(profile), profile.index
-    tau = {p: {q: Fraction(f[0], den) for q, (f, den) in forms.items() if f[0]}
-           for p, forms in classes.items()}  # p -> {vertex id: nonzero circle value}
-    alpha, beta = {}, {}
-    for i, fid in enumerate(order):
-        target = profile.negative_weight_product(fid)
-        values = {}
-        for q in order[i:]:
-            if index[q] <= index[fid]:
-                c = ((target if q == fid else 0) - values.get(q, 0)) / tau[q][q]
-                if c:
-                    for v, x in tau[q].items():
-                        values[v] = values.get(v, 0) + c * x
-        alpha[fid], beta[fid] = _alpha_beta(profile, fid, values)
+    order, alpha, beta = basis_order(profile), {}, {}
+    for fid in order:
+        alpha[fid], beta[fid] = _alpha_beta(
+            profile, fid, {q: Fraction(f[0], den) for q, (f, den) in classes[fid].items()})
     return CanonicalBasis(profile, order, alpha, beta)
 
 

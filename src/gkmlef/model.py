@@ -222,7 +222,48 @@ def emit_gkm(graph):
             for e in graph.edges
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps_indented(doc)
+
+
+_string = json.encoder.encode_basestring_ascii
+_LEAVES = {str: _string, int: int.__repr__, bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null", float: json.dumps}
+
+
+def _indented(obj, newline):
+    """A dict, list or tuple as json.dumps(obj, indent=2) prints it at the
+    depth whose line breaks are `newline` (a newline and that depth's
+    indentation); leaves are looked up inline, saving a call each."""
+    inner, leaves = newline + "  ", _LEAVES.get
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            leaf = leaves(type(value))
+            items.append(_string(key) + ": "
+                         + (leaf(value) if leaf is not None else _indented(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        return ("[" + inner
+                + ("," + inner).join([leaf(x) if (leaf := leaves(type(x))) is not None
+                                      else _indented(x, inner) for x in obj])
+                + newline + "]")
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
+
+
+def dumps_indented(obj):
+    """json.dumps(obj, indent=2) + "\\n", byte for byte, for trees of dict
+    (str keys), list, tuple, str, int, float, bool and None, matched by exact
+    type; any other type raises TypeError.  The stdlib takes its pure-Python
+    encoder whenever indent is set; this one joins strings, with the C string
+    escaper for every str."""
+    leaf = _LEAVES.get(type(obj))
+    return (leaf(obj) if leaf is not None else _indented(obj, "\n")) + "\n"
 
 
 @dataclass(frozen=True)

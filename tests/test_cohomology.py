@@ -9,7 +9,7 @@ import logging
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmlef import (abbv_integrate, canonical_classes, canonical_classes_global,
+from gkmlef import (abbv_integrate, analysis, canonical_classes, canonical_classes_global,
                     catalog, cohomology, cup, cup_power,
                     equivariant_symplectic_class, exact, expand_in_basis,
                     kirwan_reduce, parse_gkm, restrict_to_circle)
@@ -261,6 +261,36 @@ def test_projected_classes_at_random_generic_circles(name, data):
     eta = cohomology.projection_eta(graph, xi)
     assert not _parallel_pair_at_a_vertex(graph, xi, eta), eta
     assert _matches_oracle(graph, restrict_to_circle(graph, xi))
+
+
+def _assert_alpha_is_the_flow_up_class(graph, profile):
+    """alpha_F is tau_F read on the circle, by _form_at: tau_F is the
+    negative weight product at F and 0 at every other vertex of index <=
+    index(F), so no other flow-up class enters alpha_F."""
+    tau = flow_up_classes(graph, profile)
+    basis = canonical_classes(graph, profile)
+    for f in basis.order:
+        values = _flow_up_values(graph, tau, f)
+        assert [basis.alpha[f].at(v.id) for v in graph.vertices] == values, f
+        for v, x in zip(graph.vertices, values):
+            if v.id == f:
+                assert x == profile.negative_weight_product(f)
+            elif profile.index[v.id] <= profile.index[f]:
+                assert x == 0, (f, v.id)
+
+
+@pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
+def test_canonical_classes_are_the_flow_up_classes(name, xi):
+    _assert_alpha_is_the_flow_up_class(*_flow_up_case(name, xi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3", "cp4", "hirzebruch1"]), st.data())
+def test_canonical_classes_are_the_flow_up_classes_at_random_generic_circles(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    _assert_alpha_is_the_flow_up_class(graph, restrict_to_circle(graph, xi))
 
 
 @pytest.mark.parametrize("name", ["cp5", "sphere_product4"])
@@ -739,3 +769,34 @@ def test_localization_pairing_matrix_is_the_localization_integral(name):
                     for f in low]
         assert [[(type(x), x) for x in row] for row in mat] == \
             [[(type(x), x) for x in row] for row in expected], k
+
+
+@pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3"])
+def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
+    basis = _catalog_basis(name)
+    n = basis.profile.n
+    for k in range(0, 2 * n + 1, 2):
+        low, high, mat = localization_pairing_matrix(basis, k)
+        low2, high2, mat2 = localization_pairing_matrix(basis, 2 * n - k)
+        assert (low2, high2) == (high, low)
+        assert mat2 == [list(col) for col in zip(*mat)], k
+        assert localization_pairing_invertible(basis, k) == \
+            localization_pairing_invertible(basis, 2 * n - k), k
+
+
+@pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])
+def test_analyze_pairs_each_degree_once(name, monkeypatch):
+    # degree 2n - 2k is read off degree 2k, so only k <= n // 2 are built
+    degrees = []
+
+    def counted(basis, k):
+        degrees.append(k)
+        return localization_pairing_invertible(basis, k)
+    monkeypatch.setattr(analysis, "localization_pairing_invertible", counted)
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    report, _ = analysis.analyze(graph, entry.default_xi)
+    n = graph.n
+    assert degrees == [2 * k for k in range(n // 2 + 1)]
+    assert list(report["localization"]["pairing_invertible"]) == \
+        [str(2 * k) for k in range(n + 1)]

@@ -4,14 +4,15 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gkmlef import (GkmValidationError, betti, catalog, check_hypothesis,
                     emit_gkm, model, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
+from gkmlef.analysis import analyze, report_to_json
 from gkmlef.cli import main
 from gkmlef.exact import parse_rational
-from gkmlef.model import CircleProfile, GkmGraph, Vertex, run_checks
+from gkmlef.model import CircleProfile, GkmGraph, Vertex, dumps_indented, run_checks
 
 F = Fraction
 
@@ -260,6 +261,52 @@ def test_affine_reparametrization_invariance(su3):
 def test_roundtrip(su3):
     entry, graph, _ = su3
     assert emit_gkm(parse_gkm(emit_gkm(graph))) == emit_gkm(graph) == entry.document
+
+
+# -- the indent-2 writer -----------------------------------------------------
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(2 ** 64, 2 ** 200), st.integers(-2 ** 200, -2 ** 64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees)
+def test_dumps_indented_is_the_stdlib_at_indent_2(tree):
+    assert dumps_indented(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], (), {"a": {}, "b": [[], {}, ()]}, [[[]]], float("nan"), float("-inf"),
+    -0.0, 1e300, 2 ** 64 + 1, -(2 ** 100), "\u00e9\x00\"\\", None, True,
+])
+def test_dumps_indented_edge_cases(tree):
+    assert dumps_indented(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 1}}, [F(1, 2)], {"a": F(3)}, {1, 2}])
+def test_dumps_indented_rejects_what_it_does_not_print(tree):
+    with pytest.raises(TypeError):
+        dumps_indented(tree)
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["cp6", "sphere_product5", "hirzebruch2"])
+def test_report_and_document_writers_are_the_stdlib(name):
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    assert emit_gkm(graph) == entry.document \
+        == json.dumps(json.loads(entry.document), indent=2) + "\n"
+    report, _ = analyze(graph, entry.default_xi, name=name,
+                        source_bytes=entry.document.encode())
+    assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_profile_caches_follow_dataclasses_replace(su3):
