@@ -49,14 +49,14 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     ring = kirwan_reduce(basis)
     hl = lefschetz.hard_lefschetz_check(ring)
 
-    lemmas = [lefschetz.verify_symp_expansion(profile, basis)]
+    shifted = lefschetz.shifted_classes(profile)
+    lemmas = [lefschetz.verify_symp_expansion(profile, basis, shifted)]
     for k in range(1, n + 1):
-        lemmas.append(lefschetz.verify_vanish(profile, k))
-    lemmas.append(lefschetz.verify_distinct(profile))
+        lemmas.append(lefschetz.verify_vanish(profile, k, shifted))
+    lemmas.append(lefschetz.verify_distinct(profile, shifted))
     for k in range(n + 1):
-        for side in ("low", "high"):
-            lemmas.append(lefschetz.verify_zeroclass(basis, k, side))
-    certificates = lefschetz.delta_certificates(basis, profile) \
+        lemmas.extend(lefschetz.verify_zeroclass(basis, k))
+    certificates = lefschetz.delta_certificates(basis, profile, shifted) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
     # the pairing in degree 2n - 2k is the transpose of the one in degree 2k

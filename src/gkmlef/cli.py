@@ -40,7 +40,7 @@ def _load_input(args):
     if args.example:
         if args.path:
             raise GkmValidationError("give either a path or --example, not both")
-        scale = parse_rational(args.scale) if getattr(args, "scale", None) else None
+        scale = parse_rational(args.scale) if args.scale else None
         entry = catalog.get(args.example, scale=scale)
         return entry.name, entry.document.encode(), entry.default_xi
     if not args.path:
@@ -110,13 +110,12 @@ def build_parser():
                     "the hard Lefschetz property.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_scale=True):
+    def common(p):
         p.add_argument("path", nargs="?", help="GKM document (JSON)")
         p.add_argument("--example", help="built-in example name, e.g. %s"
                        % ", ".join(catalog.names()))
         p.add_argument("--xi", help="circle selection, comma-separated integers")
-        if with_scale:
-            p.add_argument("--scale", help="scale for scalable examples (rational)")
+        p.add_argument("--scale", help="scale for scalable examples (rational)")
 
     p_an = sub.add_parser("analyze", help="run the full analysis")
     common(p_an)

@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .exact import (matrix_rank, monomial_exponents, monomial_residue,
-                    nullspace, solve_many, sparse_nullspace)
+                    solve_many, sparse_nullspace)
 
 _log = logging.getLogger("gkmlef")
 
@@ -141,10 +141,10 @@ def congruence_space(graph, d):
 
 
 def circle_annihilator(graph, d, xi):
-    """Rows z, one value per vertex in graph order, with z . y = 0 exactly
-    when y is the circle restriction of a degree-d class: the null space of
-    the congruence-space basis evaluated at t = xi, each basis vector scaled
-    to integers by the lcm of its denominators first."""
+    """Sparse rows z {vertex position in graph order: Fraction}, with z . y = 0
+    exactly when y is the circle restriction of a degree-d class: the null
+    space of the congruence-space basis evaluated at t = xi, each basis vector
+    scaled to integers by the lcm of its denominators first."""
     at_xi = [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
     rows = []
     for b in congruence_space(graph, d):
@@ -154,7 +154,7 @@ def circle_annihilator(graph, d, xi):
             i, j = divmod(c, len(at_xi))
             values[i] = values.get(i, 0) + x.numerator * (scale // x.denominator) * at_xi[j]
         rows.append({i: v for i, v in values.items() if v})
-    return nullspace(rows, len(graph.vertices))
+    return sparse_nullspace(rows, len(graph.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,23 @@ class CanonicalBasis:
     @property
     def graph(self):
         return self.profile.graph
+
+    @cached_property
+    def support_violation(self):
+        """The first (F, v) in basis order where beta_F breaks the support of a
+        canonical class: (F, F) if beta_F(F) is not 1, else a vertex v other
+        than F of index <= index(F) where beta_F is nonzero; None when every
+        class has canonical support.  O(nnz), once per basis."""
+        index = self.profile.index
+        for f in self.order:
+            beta = self.beta[f]
+            if beta.at(f) != 1:
+                return f, f
+            v = next((v for v, c in beta.values.items()
+                      if c and v != f and index[v] <= index[f]), None)
+            if v is not None:
+                return f, v
+        return None
 
 
 def basis_order(profile):
@@ -312,7 +329,7 @@ def canonical_classes(graph, profile):
     negative weights at F; and at any later q of index <= index(F) it is the
     interpolant padded by a power of y, whose x^d coefficient is 0.  Those are
     the defining conditions of alpha_F, so no substitution is needed;
-    kirwan_reduce's support_violation check certifies the support again.  If
+    kirwan_reduce certifies the support again (basis.support_violation).  If
     the flow-up classes are not certified, a DEBUG line names the reason and
     the oracle canonical_classes_global is returned."""
     try:
@@ -342,7 +359,7 @@ def canonical_classes_global(graph, profile):
     rows, rhs = [], []
     for b, fid in enumerate(fids):
         for row in annihilators[index[fid]]:
-            rows.append({b * nv + j: x for j, x in enumerate(row) if x})
+            rows.append({b * nv + j: x for j, x in row.items()})
             rhs.append(_ZERO)
         for j, vid in enumerate(vids):
             if mu[vid] < mu[fid] or index[vid] <= index[fid]:
@@ -403,17 +420,6 @@ def expand_in_basis(cls, basis):
 
 # ---------------------------------------------------------------------------
 # Kirwan reduction to the ordinary ring
-
-def support_violation(basis, fid):
-    """Where beta_F breaks the support of a canonical class: F if beta_F(F)
-    is not 1, else a vertex other than F of index <= index(F) where beta_F is
-    nonzero, else None.  O(nnz)."""
-    index, beta = basis.profile.index, basis.beta[fid]
-    if beta.at(fid) != 1:
-        return fid
-    return next((v for v, c in beta.values.items()
-                 if c and v != fid and index[v] <= index[fid]), None)
-
 
 @dataclass(frozen=True)
 class OrdinaryRing:
@@ -496,21 +502,20 @@ def kirwan_reduce(basis):
 
     X = beta_F w - w(F) u beta_F has the Kirwan image of beta_F w, u going to
     0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When every beta has canonical
-    support (support_violation), X vanishes at each vertex of index <=
+    support (basis.support_violation), X vanishes at each vertex of index <=
     index(F), so X minus the sum above vanishes at each vertex of index <= its
     degree, and such a class is 0.  The support is checked first; a violation
     raises ExpansionError.  omega is L of the unit, beta at the minimum.
     """
     profile = basis.profile
     labels, mu, index = basis.order, profile.mu, profile.index
-    lefschetz = {}
-    for f in labels:
-        bad = support_violation(basis, f)
-        if bad is not None:
-            raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
-                                 % (f, basis.beta[f].at(bad), bad))
-        lefschetz[f] = {h: x for h, c in basis.beta[f].values.items()
-                        if index[h] == index[f] + 2 and (x := (mu[f] - mu[h]) * c)}
+    if basis.support_violation is not None:
+        f, bad = basis.support_violation
+        raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
+                             % (f, basis.beta[f].at(bad), bad))
+    lefschetz = {f: {h: x for h, c in basis.beta[f].values.items()
+                     if index[h] == index[f] + 2 and (x := (mu[f] - mu[h]) * c)}
+                 for f in labels}
     degree = {l: index[l] for l in labels}
     return OrdinaryRing(labels, degree, lefschetz, lefschetz[labels[0]], 2 * profile.n,
                         basis)

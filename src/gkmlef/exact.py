@@ -184,11 +184,6 @@ def sparse_nullspace(mat, ncols):
     return _null_basis(*_rref(_sparse(mat), ncols), ncols)
 
 
-def nullspace(mat, ncols):
-    """Basis of the right nullspace of `mat` (ncols unknowns), as dense rows."""
-    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in sparse_nullspace(mat, ncols)]
-
-
 def solve_many(mat, rhss, ncols):
     """Solve mat * x = b exactly (ncols unknowns; rows dense or sparse) for
     every right-hand side b in rhss, one value per row each, with one

@@ -10,8 +10,7 @@ from math import prod
 
 from .exact import format_rational, matrix_rank
 from .cohomology import (abbv_integrate, cup, cup_power,
-                         equivariant_symplectic_class, expand_in_basis,
-                         support_violation)
+                         equivariant_symplectic_class, expand_in_basis)
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,23 @@ def _entry(name, applicable, passed, detail):
             "pass": passed if applicable else None, "detail": detail}
 
 
-def verify_symp_expansion(profile, basis):
-    """The minimum-normalized symplectic class expands with no u-term at the
-    minimum and equal coefficient -c_2 on every index-2 class."""
+def shifted_classes(profile):
+    """The symplectic class shifted by each level constant c_2j, j = 0..n,
+    restricting to (c_2j - mu(F)) * u at each fixed point F; None where c_2j
+    is undefined.  One analysis builds them once for the whole ledger."""
+    return [None if c is None else equivariant_symplectic_class(profile, shift=c)
+            for c in profile.level_constants()]
+
+
+def verify_symp_expansion(profile, basis, shifted):
+    """The minimum-normalized symplectic class shifted[0] expands with no
+    u-term at the minimum and equal coefficient -c_2 on every index-2 class."""
     name = "symplectic-expansion"
     c0 = profile.level_constant(0)
     c2 = profile.level_constant(1)
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
-    omega_t = equivariant_symplectic_class(profile, shift=c0)
-    coeffs = expand_in_basis(omega_t, basis)
+    coeffs = expand_in_basis(shifted[0], basis)
     a0 = coeffs[profile.min_vertex]  # the u-term at the minimum
     expected = -(c2 - c0) if c2 is not None else None
     a2 = {v: coeffs[v] for v in profile.level(1)}
@@ -122,22 +128,21 @@ def verify_symp_expansion(profile, basis):
     return _entry(name, True, ok, detail)
 
 
-def verify_vanish(profile, k):
+def verify_vanish(profile, k, shifted):
     """The symplectic class shifted by c_2k restricts to zero on the whole
     index-2k level."""
     name = "shifted-class-vanishing(k=%d)" % k
-    c = profile.level_constant(k)
-    if c is None:
+    cls = shifted[k]
+    if cls is None:
         return _entry(name, False, None,
                       "level %d empty or moment map not constant on it" % (2 * k))
-    cls = equivariant_symplectic_class(profile, shift=c)
     bad = [v for v in profile.level(k) if cls.at(v) != 0]
     return _entry(name, True, not bad,
                   "nonzero restrictions at %s" % bad if bad else
                   "vanishes on all %d vertices of index %d" % (len(profile.level(k)), 2 * k))
 
 
-def verify_distinct(profile):
+def verify_distinct(profile, shifted):
     """Distinctness of the level constants, cross-checked by localization:
     every (n-fold) product of distinctly shifted symplectic classes is a top
     class with the same nonzero integral."""
@@ -152,7 +157,6 @@ def verify_distinct(profile):
                       detail + "; equal constants cannot arise from a genuine "
                       "symplectic manifold")
     n = profile.n
-    shifted = [equivariant_symplectic_class(profile, shift=c) for c in cs]
     # the n + 1 products omitting one factor, from prefix and suffix products
     prefix = list(accumulate(shifted[:-1], cup))  # prefix[i]: factors 0 .. i
     suffix = list(accumulate(shifted[:0:-1], cup))  # suffix[i]: factors n - i .. n
@@ -164,44 +168,41 @@ def verify_distinct(profile):
     return _entry(name, True, distinct and witness_ok, detail)
 
 
-def verify_zeroclass(basis, k, side="low"):
+def verify_zeroclass(basis, k):
     """Only the zero class of degree 2k vanishes on all fixed points of index
-    <= 2k (side="low") or of index >= 2(n-k) (side="high").
+    <= 2k (low) or of index >= 2(n-k) (high); returns the low entry, then the
+    high one.
 
-    On the low side, with rows and columns grouped by index, the matrix is
-    block triangular with identity blocks on the diagonal when every column
-    class has canonical support (support_violation), so it has full rank;
-    only a class without it sends the matrix to matrix_rank."""
-    profile = basis.profile
-    n = profile.n
-    name = "zero-class(k=%d,%s)" % (k, side)
-    columns = [fid for fid in basis.order if profile.index[fid] <= 2 * k]
-    if side == "low":
-        constrained = [v for v in basis.order if profile.index[v] <= 2 * k]
-    elif side == "high":
-        constrained = [v for v in basis.order if profile.index[v] >= 2 * (n - k)]
-    else:
-        raise ValueError("side must be 'low' or 'high'")
-    # degree-2k space is spanned by u^(k-i) beta_F over index-2i points, i <= k;
-    # restrictions at a vertex are rational multiples of u^k
-    dim = len(columns)
-    if side == "low" and all(support_violation(basis, fid) is None for fid in columns):
-        rank = dim
-    else:
-        mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
-        rank = matrix_rank(mat) if mat else 0
-    ok = rank == dim
-    return _entry(name, True, ok,
-                  "space dimension %d, independent vanishing conditions %d" % (dim, rank))
+    The degree-2k space is spanned by u^(k-i) beta_F over the index-2i points,
+    i <= k, and each condition is a row [beta_F(v)]; the low side's rows are
+    the columns' own vertices.  With rows and columns grouped by index, its
+    matrix is block triangular with identity blocks on the diagonal when the
+    basis has canonical support (basis.support_violation is None), so it has
+    full rank; the high side, and the low side of a basis without it, take
+    matrix_rank."""
+    index, n = basis.profile.index, basis.profile.n
+    columns = [fid for fid in basis.order if index[fid] <= 2 * k]
+    high = [v for v in basis.order if index[v] >= 2 * (n - k)]
+    entries = []
+    for side, constrained in (("low", columns), ("high", high)):
+        if side == "low" and basis.support_violation is None:
+            rank = len(columns)
+        else:
+            mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
+            rank = matrix_rank(mat)
+        entries.append(_entry("zero-class(k=%d,%s)" % (k, side), True, rank == len(columns),
+                              "space dimension %d, independent vanishing conditions %d"
+                              % (len(columns), rank)))
+    return entries
 
 
-def delta_certificate(basis, profile, gamma, k, shifted=None):
+def delta_certificate(basis, profile, gamma, k, shifted):
     """Replay of the kernel-elimination product for a degree-2k candidate.
 
     delta = gamma * product of the symplectic classes shifted by c_2k ..
-    c_(2n-2k-2); verified to vanish at every index < 2n-2k and to factor as
-    gamma restriction times the telescoping scalar product above that index.
-    shifted[j], when given, is the class shifted by c_2j, for every level j.
+    c_(2n-2k-2), shifted[j] the class shifted by c_2j; verified to vanish at
+    every index < 2n-2k and to factor as gamma restriction times the
+    telescoping scalar product above that index.
     """
     n = profile.n
     name = "delta-certificate(k=%d)" % k
@@ -214,8 +215,6 @@ def delta_certificate(basis, profile, gamma, k, shifted=None):
     cs = profile.level_constants()
     if any(c is None for c in cs):
         return _entry(name, False, None, "level constants undefined")
-    if shifted is None:
-        shifted = [equivariant_symplectic_class(profile, shift=c) for c in cs]
     delta = gamma
     for j in range(k, n - k):
         delta = cup(delta, shifted[j])
@@ -231,15 +230,12 @@ def delta_certificate(basis, profile, gamma, k, shifted=None):
                   "delta nonzero: %s" % (2 * (n - k), low_ok, formula_ok, nonzero))
 
 
-def delta_certificates(basis, profile):
+def delta_certificates(basis, profile, shifted):
     """Certificates for a spanning set of candidates per eligible degree: the
-    canonical classes of each index 2k with 2k < n.  The shifted symplectic
-    classes are built once for all of them."""
+    canonical classes of each index 2k with 2k < n, all sharing the shifted
+    classes."""
     out = []
     n = profile.n
-    cs = profile.level_constants()
-    shifted = None if any(c is None for c in cs) else \
-        [equivariant_symplectic_class(profile, shift=c) for c in cs]
     for k in range(n + 1):
         if 2 * k >= n:
             break

@@ -18,7 +18,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                congruence_space, constant_class,
                                flow_up_classes, localization_pairing_invertible,
                                localization_pairing_matrix)
-from gkmlef.exact import mat_vec, matrix_rank, monomial_exponents, solve_many
+from gkmlef.exact import matrix_rank, monomial_exponents, solve_many
 from gkmlef.model import GkmGraph
 
 F = Fraction
@@ -179,6 +179,11 @@ def _flow_up_values(graph, tau, p):
             for v in graph.vertices]
 
 
+def _sparse_dots(rows, y):
+    """z . y for each sparse row z {position: value} of circle_annihilator."""
+    return [sum(x * y[i] for i, x in z.items()) for z in rows]
+
+
 def _projected(weight, xi, eta):
     return (sum(a * b for a, b in zip(weight, xi)), sum(a * b for a, b in zip(weight, eta)))
 
@@ -211,7 +216,7 @@ def test_flow_up_annihilators_cut_out_the_circle_image(name, xi):
     for d in range(graph.n + 1):
         rows = circle_annihilator(graph, d, profile.xi)
         values = [_flow_up_values(graph, tau, p) for p in tau if profile.index[p] <= 2 * d]
-        assert all(not any(mat_vec(rows, y)) for y in values), d
+        assert all(not any(_sparse_dots(rows, y)) for y in values), d
         assert matrix_rank(values) == len(values) == len(graph.vertices) - len(rows), d
     assert _matches_oracle(graph, profile)
 
@@ -327,10 +332,10 @@ def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, fn, counted, raising=False)
 
-    for fn in ("solve_many", "nullspace", "sparse_nullspace", "_rref",
+    for fn in ("solve_many", "sparse_nullspace", "_rref",
                "monomial_exponents", "monomial_residue"):
         counting(exact, fn)
-    for fn in ("solve_many", "nullspace", "sparse_nullspace", "residue_rows",
+    for fn in ("solve_many", "sparse_nullspace", "residue_rows",
                "monomial_exponents"):
         counting(cohomology, fn)
     canonical_classes(graph, profile)
@@ -551,7 +556,7 @@ def test_circle_annihilator_cuts_out_the_circle_image(su3, su3_basis):
         assert len(rows) == len(graph.vertices) - len(below), d
         for f in below:
             y = [su3_basis.beta[f].at(v.id) for v in graph.vertices]
-            assert not any(mat_vec(rows, y)), (d, f)
+            assert not any(_sparse_dots(rows, y)), (d, f)
 
 
 def test_triangularity(su3, su3_basis):
@@ -718,9 +723,9 @@ def _doctored(basis, fid, values):
     ("B", {"B": F(2)}, "B"),  # not 1 at its own vertex
 ])
 def test_kirwan_reduce_checks_the_canonical_support(su3_basis, fid, values, named):
-    assert cohomology.support_violation(su3_basis, fid) is None
+    assert su3_basis.support_violation is None
     doctored = _doctored(su3_basis, fid, values)
-    assert cohomology.support_violation(doctored, fid) == named
+    assert doctored.support_violation == (fid, named)
     with pytest.raises(ExpansionError, match="beta_%s .* at %s$" % (fid, named)):
         kirwan_reduce(doctored)
 

@@ -1,16 +1,20 @@
 import dataclasses
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
-from gkmlef import (abbv_integrate, canonical_classes, catalog, cup_power,
-                    equivariant_symplectic_class, hard_lefschetz_check,
-                    kirwan_reduce, lefschetz, parse_gkm, restrict_to_circle,
-                    semifree_monotone_analysis, verify_distinct,
-                    verify_symp_expansion, verify_vanish, verify_zeroclass)
-from gkmlef.cohomology import CircleClass
+from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
+                    cohomology, cup_power, equivariant_symplectic_class,
+                    hard_lefschetz_check, kirwan_reduce, lefschetz, parse_gkm,
+                    restrict_to_circle, semifree_monotone_analysis,
+                    verify_distinct, verify_symp_expansion, verify_vanish,
+                    verify_zeroclass)
+from gkmlef.cohomology import CanonicalBasis, CircleClass
+from gkmlef.exact import matrix_rank
 from gkmlef.lefschetz import (delta_certificate, delta_certificates,
-                              multiplication_matrix, rank_symmetry_holds)
+                              multiplication_matrix, rank_symmetry_holds,
+                              shifted_classes)
 
 F = Fraction
 
@@ -62,23 +66,23 @@ def test_rank_symmetry(su3, su3_basis, su3_ring):
 
 def test_lemma_symp_expansion_cp1(cp1, cp1_basis):
     _, _, profile = cp1
-    entry = verify_symp_expansion(profile, cp1_basis)
+    entry = verify_symp_expansion(profile, cp1_basis, shifted_classes(profile))
     assert entry["applicable"] and entry["pass"]
 
 
 def test_lemma_symp_expansion_su3(su3, su3_basis):
     _, _, profile = su3
-    entry = verify_symp_expansion(profile, su3_basis)
+    entry = verify_symp_expansion(profile, su3_basis, shifted_classes(profile))
     assert entry["applicable"] and entry["pass"]
     assert "-1" in entry["detail"]  # both index-2 coefficients are -c_2 = -1
 
 
 def test_lemma_vanish(su3, so5):
     _, _, p_su3 = su3
-    entry = verify_vanish(p_su3, 1)
+    entry = verify_vanish(p_su3, 1, shifted_classes(p_su3))
     assert entry["pass"]
     _, _, p_so5 = so5
-    assert verify_vanish(p_so5, 2)["pass"]
+    assert verify_vanish(p_so5, 2, shifted_classes(p_so5))["pass"]
 
 
 def test_shifted_class_nonzero_off_level(su3):
@@ -90,7 +94,7 @@ def test_shifted_class_nonzero_off_level(su3):
 
 def test_lemma_distinct(su3, so5):
     for _, _, profile in (su3, so5):
-        entry = verify_distinct(profile)
+        entry = verify_distinct(profile, shifted_classes(profile))
         assert entry["applicable"] and entry["pass"]
 
 
@@ -98,10 +102,11 @@ def test_lemma_distinct_cup_count(su3, monkeypatch):
     # the n + 1 products omitting one shifted class come from prefix and
     # suffix products: O(n) cups, not (n + 1) * n
     _, _, profile = su3
+    shifted = shifted_classes(profile)
     calls = []
     cup = lefschetz.cup
     monkeypatch.setattr(lefschetz, "cup", lambda a, b: calls.append(1) or cup(a, b))
-    entry = verify_distinct(profile)
+    entry = verify_distinct(profile, shifted)
     assert entry["pass"] and "top-product integral 6" in entry["detail"]
     assert len(calls) <= 3 * profile.n
 
@@ -114,19 +119,20 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
     mu = dict(profile.mu)
     mu["P"] = mu["S"]  # index-0 and index-2 constants now coincide
     fake = dataclasses.replace(profile, mu=mu)
-    entry = verify_distinct(fake)
+    entry = verify_distinct(fake, shifted_classes(fake))
     assert entry["applicable"] and entry["pass"] is False
     assert "cannot arise" in entry["detail"]
 
 
 def test_lemma_zeroclass(su3_basis, so5):
-    entry = verify_zeroclass(su3_basis, 1, "low")
-    assert entry["pass"]
+    entry, _ = verify_zeroclass(su3_basis, 1)
+    assert entry["name"] == "zero-class(k=1,low)" and entry["pass"]
     assert "dimension 3" in entry["detail"]
-    assert verify_zeroclass(su3_basis, 0, "low")["pass"]
+    assert verify_zeroclass(su3_basis, 0)[0]["pass"]
     _, graph, profile = so5
     basis = canonical_classes(graph, profile)
-    assert verify_zeroclass(basis, 2, "high")["pass"]
+    _, entry = verify_zeroclass(basis, 2)
+    assert entry["name"] == "zero-class(k=2,high)" and entry["pass"]
 
 
 @pytest.mark.parametrize("name", ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"])
@@ -147,17 +153,30 @@ def _counting_ranks(monkeypatch):
     return calls
 
 
+def _zeroclass_by_rank(basis, k):
+    """The low and the high zero-class entries from the exact rank of each
+    whole matrix [beta_F(v)], with no certificate."""
+    index, n = basis.profile.index, basis.profile.n
+    columns = [f for f in basis.order if index[f] <= 2 * k]
+    entries = []
+    for side, rows in (("low", columns),
+                       ("high", [v for v in basis.order if index[v] >= 2 * (n - k)])):
+        rank = matrix_rank([[basis.beta[f].at(v) for f in columns] for v in rows])
+        entries.append({"name": "zero-class(k=%d,%s)" % (k, side), "applicable": True,
+                        "pass": rank == len(columns),
+                        "detail": "space dimension %d, independent vanishing conditions %d"
+                                  % (len(columns), rank)})
+    return entries
+
+
 @pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"])
 def test_zeroclass_low_side_certified_by_support(name, monkeypatch):
     # every entry equals the one the rank of the whole matrix gives
     profile, basis, _ = pipeline(name)
+    expected = [_zeroclass_by_rank(basis, k) for k in range(profile.n + 1)]
     ranks = _counting_ranks(monkeypatch)
-    fast = [verify_zeroclass(basis, k, side) for k in range(profile.n + 1)
-            for side in ("low", "high")]
+    assert [verify_zeroclass(basis, k) for k in range(profile.n + 1)] == expected
     assert len(ranks) == profile.n + 1  # the high side only
-    monkeypatch.setattr(lefschetz, "support_violation", lambda basis, fid: fid)
-    assert [verify_zeroclass(basis, k, side) for k in range(profile.n + 1)
-            for side in ("low", "high")] == fast
 
 
 @pytest.mark.parametrize("values, passed, rank", [
@@ -170,29 +189,57 @@ def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch,
     for fid, extra in values.items():
         beta[fid] = CircleClass(su3_basis.graph, 2, {**beta[fid].values, **extra})
     doctored = dataclasses.replace(su3_basis, beta=beta)
+    assert doctored.support_violation == ("B", "C")
     ranks = _counting_ranks(monkeypatch)
-    entry = verify_zeroclass(doctored, 1, "low")
-    assert len(ranks) == 1
+    entry, _ = verify_zeroclass(doctored, 1)
+    assert len(ranks) == 2  # the low side falls back, and the high side
+    assert verify_zeroclass(doctored, 1) == _zeroclass_by_rank(doctored, 1)
     assert entry == {"name": "zero-class(k=1,low)", "applicable": True, "pass": passed,
                      "detail": "space dimension 3, independent vanishing conditions %d" % rank}
 
 
 def test_delta_certificates_build_each_shifted_class_once(monkeypatch):
     profile, basis, _ = pipeline("sphere_product3")
-    expected = delta_certificates(basis, profile)
+    expected = delta_certificates(basis, profile, shifted_classes(profile))
     calls = []
     build = lefschetz.equivariant_symplectic_class
     monkeypatch.setattr(lefschetz, "equivariant_symplectic_class",
                         lambda profile, shift=0: calls.append(shift) or build(profile, shift))
-    assert delta_certificates(basis, profile) == expected
+    shifted = shifted_classes(profile)
     assert calls == profile.level_constants()
+    assert delta_certificates(basis, profile, shifted) == expected
+    assert calls == profile.level_constants()  # the certificates build none
     assert len(expected) > 1  # more candidates than one, all sharing the classes
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("sphere_product3", 4), ("sphere_product8", 9),
+    ("hirzebruch1", 2),  # exit 2: c_2 is undefined, c_0 and c_4 are not
+])
+def test_analyze_builds_the_shifted_classes_and_the_support_certificate_once(
+        name, classes, monkeypatch):
+    shifts, certified = [], []
+    for module in (cohomology, lefschetz):
+        build = module.equivariant_symplectic_class
+        monkeypatch.setattr(module, "equivariant_symplectic_class",
+                            lambda profile, shift=0, build=build:
+                            shifts.append(shift) or build(profile, shift))
+    certificate = CanonicalBasis.support_violation.func
+    counted = cached_property(lambda basis: certified.append(basis) or certificate(basis))
+    counted.__set_name__(CanonicalBasis, "support_violation")
+    monkeypatch.setattr(CanonicalBasis, "support_violation", counted)
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    analysis.analyze(graph, entry.default_xi)
+    constants = restrict_to_circle(graph, entry.default_xi).level_constants()
+    assert shifts == [c for c in constants if c is not None] and len(shifts) == classes
+    assert len(certified) == 1
 
 
 def test_delta_certificate_zero_candidate(su3, su3_basis):
     _, graph, profile = su3
     zero = CircleClass(graph, 2, {v.id: F(0) for v in graph.vertices})
-    entry = delta_certificate(su3_basis, profile, zero, 1)
+    entry = delta_certificate(su3_basis, profile, zero, 1, shifted_classes(profile))
     assert entry["pass"]
     assert "delta nonzero: False" in entry["detail"]
 
@@ -202,14 +249,14 @@ def test_delta_certificate_su3_combination(su3, su3_basis):
     a, b = su3_basis.alpha["B"], su3_basis.alpha["C"]
     diff = CircleClass(graph, 2, {v.id: a.at(v.id) - b.at(v.id)
                                   for v in graph.vertices})
-    entry = delta_certificate(su3_basis, profile, diff, 1)
+    entry = delta_certificate(su3_basis, profile, diff, 1, shifted_classes(profile))
     assert entry["pass"]
     assert "delta nonzero: True" in entry["detail"]
 
 
 def test_delta_certificates_all_pass(su3, su3_basis):
     _, _, profile = su3
-    entries = delta_certificates(su3_basis, profile)
+    entries = delta_certificates(su3_basis, profile, shifted_classes(profile))
     assert entries and all(e["pass"] for e in entries)
 
 
