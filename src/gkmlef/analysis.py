@@ -49,21 +49,22 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     ring = kirwan_reduce(basis)
     hl = lefschetz.hard_lefschetz_check(ring)
 
+    # the pairing in degree 2n - 2k is the transpose of the one in degree 2k;
+    # the zero-class lemmas read the pairings as their high-side certificate
+    pairing_invertible = {}
+    for k in range(n // 2 + 1):
+        pairing_invertible[k] = pairing_invertible[n - k] = \
+            localization_pairing_invertible(basis, 2 * k)
     shifted = lefschetz.shifted_classes(profile)
     lemmas = [lefschetz.verify_symp_expansion(profile, basis, shifted)]
     for k in range(1, n + 1):
         lemmas.append(lefschetz.verify_vanish(profile, k, shifted))
     lemmas.append(lefschetz.verify_distinct(profile, shifted))
     for k in range(n + 1):
-        lemmas.extend(lefschetz.verify_zeroclass(basis, k))
+        lemmas.extend(lefschetz.verify_zeroclass(basis, k, pairing_invertible))
     certificates = lefschetz.delta_certificates(basis, profile, shifted) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
-    # the pairing in degree 2n - 2k is the transpose of the one in degree 2k
-    pairing_invertible = {}
-    for k in range(n // 2 + 1):
-        pairing_invertible[k] = pairing_invertible[n - k] = \
-            localization_pairing_invertible(basis, 2 * k)
     vids = sorted(profile.mu)
 
     digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes else None

@@ -525,7 +525,10 @@ def localization_pairing_matrix(basis, k):
     """Localization pairing between degree-k and degree-(2n-k) reduced basis
     classes; invertibility is Poincare duality at the fixed-point level.
     Each product has the top degree, so its integral is the sum of
-    beta_F(v) beta_G(v) / e(v) over the vertices where both are nonzero."""
+    beta_F(v) beta_G(v) / e(v) over the vertices where both are nonzero.
+    In the middle degree k = n the two bases are one and the pairing is
+    symmetric, so each unordered pair is summed once and mirrored: m(m+1)/2
+    sums for m classes instead of m^2, with the same Fraction entries."""
     profile = basis.profile
     low = [l for l in basis.order if profile.index[l] == k]
     high = [l for l in basis.order if profile.index[l] == 2 * profile.n - k]
@@ -536,7 +539,13 @@ def localization_pairing_matrix(basis, k):
         return sum((c * large[v] * inverse[v] for v, c in small.items() if v in large),
                    _ZERO)
 
-    return low, high, [[pairing(f, g) for g in high] for f in low]
+    if k != profile.n:
+        return low, high, [[pairing(f, g) for g in high] for f in low]
+    mat = [[_ZERO] * len(low) for _ in low]
+    for i, f in enumerate(low):
+        for j in range(i, len(low)):
+            mat[i][j] = mat[j][i] = pairing(f, low[j])
+    return low, high, mat
 
 
 def localization_pairing_invertible(basis, k):

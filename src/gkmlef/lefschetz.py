@@ -3,6 +3,7 @@ supporting lemmas, the delta-product kernel certificate, and the semifree
 monotone analysis."""
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -11,6 +12,8 @@ from math import prod
 from .exact import format_rational, matrix_rank
 from .cohomology import (abbv_integrate, cup, cup_power,
                          equivariant_symplectic_class, expand_in_basis)
+
+_log = logging.getLogger("gkmlef")
 
 
 @dataclass(frozen=True)
@@ -168,26 +171,47 @@ def verify_distinct(profile, shifted):
     return _entry(name, True, distinct and witness_ok, detail)
 
 
-def verify_zeroclass(basis, k):
+def verify_zeroclass(basis, k, pairing_invertible):
     """Only the zero class of degree 2k vanishes on all fixed points of index
     <= 2k (low) or of index >= 2(n-k) (high); returns the low entry, then the
-    high one.
+    high one.  pairing_invertible[j] says whether the localization pairing
+    between degrees 2j and 2n-2j is invertible, for j = 0..n.
 
     The degree-2k space is spanned by u^(k-i) beta_F over the index-2i points,
-    i <= k, and each condition is a row [beta_F(v)]; the low side's rows are
-    the columns' own vertices.  With rows and columns grouped by index, its
-    matrix is block triangular with identity blocks on the diagonal when the
-    basis has canonical support (basis.support_violation is None), so it has
-    full rank; the high side, and the low side of a basis without it, take
-    matrix_rank."""
+    i <= k, and each condition is a row [beta_F(v)].  Both sides are
+    certified to have full rank when the basis has canonical support
+    (basis.support_violation is None), the high side also needing
+    pairing_invertible[j] for every j <= k:
+
+    - low: the rows are the columns' own vertices; grouped by index, the
+      matrix is block triangular with identity blocks on the diagonal.
+    - high: let x of degree 2k vanish at every vertex of index >= 2(n-k),
+      and take any beta_G of index 2n-2k.  Canonical support makes beta_G
+      vanish at every other vertex of index <= 2n-2k, so x beta_G is 0 at
+      every vertex and integrates to 0.  The beta_F of index < 2k integrate
+      to 0 against beta_G by degree, so x's index-2k coefficients lie in the
+      kernel of the degree-2k pairing, which is 0.  Then x = u x', x'
+      vanishes where x does, and the argument repeats down to k = 0.
+
+    A side that is not certified logs one DEBUG line with the reason and
+    takes the exact matrix_rank."""
     index, n = basis.profile.index, basis.profile.n
     columns = [fid for fid in basis.order if index[fid] <= 2 * k]
     high = [v for v in basis.order if index[v] >= 2 * (n - k)]
+    if basis.support_violation is not None:
+        reason = "beta_%s breaks canonical support at %s" % basis.support_violation
+        reasons = {"low": reason, "high": reason}
+    else:
+        singular = next((j for j in range(k + 1) if not pairing_invertible[j]), None)
+        reasons = {"low": None, "high": None if singular is None else
+                   "the degree-%d localization pairing is singular" % (2 * singular)}
     entries = []
     for side, constrained in (("low", columns), ("high", high)):
-        if side == "low" and basis.support_violation is None:
+        if reasons[side] is None:
             rank = len(columns)
         else:
+            _log.debug("zero-class(k=%d,%s) not certified (%s); taking the exact rank",
+                       k, side, reasons[side])
             mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
             rank = matrix_rank(mat)
         entries.append(_entry("zero-class(k=%d,%s)" % (k, side), True, rank == len(columns),

@@ -89,8 +89,10 @@ def test_criterion_4_lemma_suite(capsys):
                    verify_distinct(profile, shifted)]
         for k in range(1, profile.n + 1):
             entries.append(verify_vanish(profile, k, shifted))
+        pairings = {k: localization_pairing_invertible(basis, 2 * k)
+                    for k in range(profile.n + 1)}
         for k in range(profile.n + 1):
-            entries.extend(verify_zeroclass(basis, k))
+            entries.extend(verify_zeroclass(basis, k, pairings))
         ok = ok and all(e["applicable"] and e["pass"] for e in entries)
     with capsys.disabled():
         _report("4 lemma suite on hypothesis catalog", ok)

@@ -8,10 +8,10 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmlef import (abbv_integrate, betti, canonical_classes,
+from gkmlef import (abbv_integrate, analysis, betti, canonical_classes,
                     canonical_classes_global, catalog, cup_power,
                     equivariant_symplectic_class, hard_lefschetz_check,
-                    kirwan_reduce, parse_gkm, restrict_to_circle)
+                    kirwan_reduce, lefschetz, parse_gkm, restrict_to_circle)
 from gkmlef.exact import format_rational, parse_rational
 
 TOP_INTEGRAL = {"su3": 6, "so5": 2, "cp3": 1, "hirzebruch1": 5}  # of omega^n
@@ -63,6 +63,30 @@ def test_invariants_at_random_generic_circles(name, data):
     assert list(betti_numbers) == entry.expected["betti"], xi
     assert ranks == _default_ranks(name), xi
     assert integral == TOP_INTEGRAL[name], xi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(TOP_INTEGRAL)), st.data())
+def test_zero_class_certificate_at_random_generic_circles(zeroclass_by_rank, name, data):
+    # Poincare duality: every localization pairing is invertible, so both
+    # zero-class sides are certified and equal the exact rank
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    report, _ = analysis.analyze(graph, xi)
+    n = graph.n
+    pairings = {k: report["localization"]["pairing_invertible"][str(2 * k)]
+                for k in range(n + 1)}
+    assert all(pairings.values()), xi
+    written = [e for e in report["lemmas"] if e["name"].startswith("zero-class")]
+    basis = canonical_classes(graph, restrict_to_circle(graph, xi))
+    assert written == [e for k in range(n + 1) for e in zeroclass_by_rank(basis, k)], xi
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lefschetz, "matrix_rank", lambda mat: calls.append(mat))
+        replayed = [e for k in range(n + 1)
+                    for e in lefschetz.verify_zeroclass(basis, k, pairings)]
+    assert replayed == written and calls == [], xi
 
 
 # A unimodular change of lattice basis: weights and positions map by SHEAR and

@@ -764,7 +764,8 @@ def test_localization_pairing_invertible(su3_basis, cp1_basis):
             assert localization_pairing_invertible(basis, 2 * k)
 
 
-@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"])
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3",
+                                  "sphere_product4"])
 def test_localization_pairing_matrix_is_the_localization_integral(name):
     basis = _catalog_basis(name)
     profile = basis.profile
@@ -776,7 +777,8 @@ def test_localization_pairing_matrix_is_the_localization_integral(name):
             [[(type(x), x) for x in row] for row in expected], k
 
 
-@pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3"])
+@pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3",
+                                  "sphere_product4"])
 def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
     basis = _catalog_basis(name)
     n = basis.profile.n
@@ -785,8 +787,36 @@ def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
         low2, high2, mat2 = localization_pairing_matrix(basis, 2 * n - k)
         assert (low2, high2) == (high, low)
         assert mat2 == [list(col) for col in zip(*mat)], k
+        if k == n:  # the middle degree: one basis, a symmetric matrix of Fractions
+            assert low == high and mat == [list(col) for col in zip(*mat)]
+            assert all(type(x) is F for row in mat for x in row)
         assert localization_pairing_invertible(basis, k) == \
             localization_pairing_invertible(basis, 2 * n - k), k
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name, sums", [
+    ("sphere_product2", {0: 1, 2: 3, 4: 1}),  # middle degree: 2 classes, 3 pairs
+    ("sphere_product4", {0: 1, 2: 16, 4: 21, 6: 16, 8: 1}),  # middle: 6 classes
+])
+def test_localization_pairing_sums_each_middle_pair_once(name, sums):
+    # each pair sum reads two beta classes; the middle degree pairs each
+    # unordered pair once, every other degree each ordered pair
+    basis = _catalog_basis(name)
+    counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
+    for k, expected in sums.items():
+        counted.beta.reads = 0
+        assert localization_pairing_matrix(counted, k) == localization_pairing_matrix(basis, k)
+        assert counted.beta.reads == 2 * expected, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])

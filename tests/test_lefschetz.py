@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 from fractions import Fraction
 from functools import cached_property
 
@@ -10,8 +11,8 @@ from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
                     restrict_to_circle, semifree_monotone_analysis,
                     verify_distinct, verify_symp_expansion, verify_vanish,
                     verify_zeroclass)
-from gkmlef.cohomology import CanonicalBasis, CircleClass
-from gkmlef.exact import matrix_rank
+from gkmlef.cohomology import (CanonicalBasis, CircleClass,
+                               localization_pairing_invertible)
 from gkmlef.lefschetz import (delta_certificate, delta_certificates,
                               multiplication_matrix, rank_symmetry_holds,
                               shifted_classes)
@@ -125,13 +126,13 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
 
 
 def test_lemma_zeroclass(su3_basis, so5):
-    entry, _ = verify_zeroclass(su3_basis, 1)
+    entry, _ = verify_zeroclass(su3_basis, 1, _pairings(su3_basis))
     assert entry["name"] == "zero-class(k=1,low)" and entry["pass"]
     assert "dimension 3" in entry["detail"]
-    assert verify_zeroclass(su3_basis, 0)[0]["pass"]
+    assert verify_zeroclass(su3_basis, 0, _pairings(su3_basis))[0]["pass"]
     _, graph, profile = so5
     basis = canonical_classes(graph, profile)
-    _, entry = verify_zeroclass(basis, 2)
+    _, entry = verify_zeroclass(basis, 2, _pairings(basis))
     assert entry["name"] == "zero-class(k=2,high)" and entry["pass"]
 
 
@@ -153,47 +154,73 @@ def _counting_ranks(monkeypatch):
     return calls
 
 
-def _zeroclass_by_rank(basis, k):
-    """The low and the high zero-class entries from the exact rank of each
-    whole matrix [beta_F(v)], with no certificate."""
-    index, n = basis.profile.index, basis.profile.n
-    columns = [f for f in basis.order if index[f] <= 2 * k]
-    entries = []
-    for side, rows in (("low", columns),
-                       ("high", [v for v in basis.order if index[v] >= 2 * (n - k)])):
-        rank = matrix_rank([[basis.beta[f].at(v) for f in columns] for v in rows])
-        entries.append({"name": "zero-class(k=%d,%s)" % (k, side), "applicable": True,
-                        "pass": rank == len(columns),
-                        "detail": "space dimension %d, independent vanishing conditions %d"
-                                  % (len(columns), rank)})
-    return entries
+def _pairings(basis):
+    """{k: the degree-2k localization pairing is invertible}, k = 0..n."""
+    return {k: localization_pairing_invertible(basis, 2 * k)
+            for k in range(basis.profile.n + 1)}
 
 
-@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"])
-def test_zeroclass_low_side_certified_by_support(name, monkeypatch):
-    # every entry equals the one the rank of the whole matrix gives
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "cp4", "hirzebruch1",
+                                  "sphere_product3", "sphere_product4"])
+def test_zeroclass_low_side_certified_by_support(name, monkeypatch, caplog,
+                                                 zeroclass_by_rank):
+    # every entry equals the one the rank of the whole matrix gives; support
+    # certifies the low side, support and the pairings the high side
     profile, basis, _ = pipeline(name)
-    expected = [_zeroclass_by_rank(basis, k) for k in range(profile.n + 1)]
+    expected = [zeroclass_by_rank(basis, k) for k in range(profile.n + 1)]
+    pairings = _pairings(basis)
     ranks = _counting_ranks(monkeypatch)
-    assert [verify_zeroclass(basis, k) for k in range(profile.n + 1)] == expected
-    assert len(ranks) == profile.n + 1  # the high side only
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    assert [verify_zeroclass(basis, k, pairings) for k in range(profile.n + 1)] == expected
+    assert len(ranks) == 0 and caplog.records == []
+
+
+@pytest.mark.parametrize("name", ["cp3", "sphere_product3"])
+def test_zeroclass_high_side_falls_back_from_a_singular_pairing(name, monkeypatch, caplog,
+                                                               zeroclass_by_rank):
+    # a singular degree-2j pairing uncertifies the high sides of k >= j only
+    profile, basis, _ = pipeline(name)
+    n = profile.n
+    expected = [zeroclass_by_rank(basis, k) for k in range(n + 1)]
+    invertible = _pairings(basis)
+    assert all(invertible.values())
+    ranks = _counting_ranks(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    for j in range(n + 1):
+        pairings = dict(invertible)
+        pairings[j] = False
+        for k in range(n + 1):
+            ranks.clear()
+            caplog.clear()
+            assert verify_zeroclass(basis, k, pairings) == expected[k]
+            assert len(ranks) == (k >= j), (j, k)
+            assert [r.getMessage() for r in caplog.records] == (
+                ["zero-class(k=%d,high) not certified (the degree-%d localization "
+                 "pairing is singular); taking the exact rank" % (k, 2 * j)] if k >= j else [])
 
 
 @pytest.mark.parametrize("values, passed, rank", [
     ({"B": {"C": F(2)}}, True, 3),  # block [[1, 0], [2, 1]]: still invertible
     ({"B": {"C": F(1)}, "C": {"B": F(1)}}, False, 2),  # block [[1, 1], [1, 1]]
 ])
-def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch,
+def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch, caplog,
+                                                       zeroclass_by_rank,
                                                        values, passed, rank):
     beta = dict(su3_basis.beta)
     for fid, extra in values.items():
         beta[fid] = CircleClass(su3_basis.graph, 2, {**beta[fid].values, **extra})
     doctored = dataclasses.replace(su3_basis, beta=beta)
     assert doctored.support_violation == ("B", "C")
+    pairings = _pairings(su3_basis)
+    assert all(pairings.values())
     ranks = _counting_ranks(monkeypatch)
-    entry, _ = verify_zeroclass(doctored, 1)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    entry, _ = verify_zeroclass(doctored, 1, pairings)
     assert len(ranks) == 2  # the low side falls back, and the high side
-    assert verify_zeroclass(doctored, 1) == _zeroclass_by_rank(doctored, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "zero-class(k=1,%s) not certified (beta_B breaks canonical support at C); "
+        "taking the exact rank" % side for side in ("low", "high")]
+    assert verify_zeroclass(doctored, 1, pairings) == zeroclass_by_rank(doctored, 1)
     assert entry == {"name": "zero-class(k=1,low)", "applicable": True, "pass": passed,
                      "detail": "space dimension 3, independent vanishing conditions %d" % rank}
 
