@@ -22,8 +22,6 @@ print("hard Lefschetz anyway:", hard_lefschetz_check(ring).holds)
 
 for name in ("su3", "so5", "hirzebruch1"):
     entry = catalog.get(name)
-    graph = parse_gkm(entry.document)
-    profile = restrict_to_circle(graph, entry.default_xi)
     out = here / ("%s.svg" % name)
-    out.write_text(render_svg(graph, xi=entry.default_xi, profile=profile))
+    out.write_text(render_svg(parse_gkm(entry.document), xi=entry.default_xi))
     print("wrote", out)

@@ -49,12 +49,8 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     ring = kirwan_reduce(basis)
     hl = lefschetz.hard_lefschetz_check(ring)
 
-    # the pairing in degree 2n - 2k is the transpose of the one in degree 2k;
     # the zero-class lemmas read the pairings as their high-side certificate
-    pairing_invertible = {}
-    for k in range(n // 2 + 1):
-        pairing_invertible[k] = pairing_invertible[n - k] = \
-            localization_pairing_invertible(basis, 2 * k)
+    pairing_invertible = localization_pairing_invertible(basis)
     shifted = lefschetz.shifted_classes(profile)
     lemmas = [lefschetz.verify_symp_expansion(profile, basis, shifted)]
     for k in range(1, n + 1):
@@ -73,7 +69,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         "input": {
             "name": name,
             "digest": digest,
-            "xi": list(xi),
+            "xi": list(profile.xi),
             "shift_min": bool(shift_min),
         },
         "profile": {
@@ -142,7 +138,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         },
         "localization": {
             "pairing_invertible": {
-                str(2 * k): pairing_invertible[k] for k in range(n + 1)
+                str(2 * k): ok for k, ok in enumerate(pairing_invertible)
             },
         },
     }

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import catalog
 from .analysis import analyze, report_to_json, report_to_text
 from .exact import parse_rational
-from .model import GkmValidationError, parse_gkm, restrict_to_circle, run_checks
+from .model import GkmValidationError, parse_gkm, run_checks
 from .render import render_svg
 
 
@@ -74,8 +74,7 @@ def cmd_render(args):
     if args.projection:
         rows = args.projection.split(";")
         projection = [[parse_rational(x) for x in row.split(",")] for row in rows]
-    profile = restrict_to_circle(graph, xi) if xi is not None else None
-    svg = render_svg(graph, xi=xi, profile=profile, projection=projection)
+    svg = render_svg(graph, xi=xi, projection=projection)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(svg)

@@ -526,32 +526,36 @@ def localization_pairing_matrix(basis, k):
     classes; invertibility is Poincare duality at the fixed-point level.
     Each product has the top degree, so its integral is the sum of
     beta_F(v) beta_G(v) / e(v) over the vertices where both are nonzero.
-    In the middle degree k = n the two bases are one and the pairing is
-    symmetric, so each unordered pair is summed once and mirrored: m(m+1)/2
-    sums for m classes instead of m^2, with the same Fraction entries."""
-    profile = basis.profile
-    low = [l for l in basis.order if profile.index[l] == k]
-    high = [l for l in basis.order if profile.index[l] == 2 * profile.n - k]
-    inverse = {v: 1 / profile.full_weight_product(v) for v in profile.mu}
-
-    def pairing(f, g):
-        small, large = sorted((basis.beta[f].values, basis.beta[g].values), key=len)
-        return sum((c * large[v] * inverse[v] for v, c in small.items() if v in large),
-                   _ZERO)
-
-    if k != profile.n:
-        return low, high, [[pairing(f, g) for g in high] for f in low]
-    mat = [[_ZERO] * len(low) for _ in low]
-    for i, f in enumerate(low):
-        for j in range(i, len(low)):
-            mat[i][j] = mat[j][i] = pairing(f, low[j])
+    The high classes' values are indexed by vertex, then each low class's
+    support is walked once, adding beta_F(v) / e(v) times every beta_G(v)
+    there into its row; each class's beta is read once."""
+    profile, top = basis.profile, 2 * basis.profile.n
+    values = {l: basis.beta[l].values for l in basis.order
+              if profile.index[l] in (k, top - k)}
+    low = [l for l in values if profile.index[l] == k]
+    high = [l for l in values if profile.index[l] == top - k]
+    at_vertex = {}  # vertex -> [(column, beta_G(v))]
+    for j, g in enumerate(high):
+        for v, c in values[g].items():
+            at_vertex.setdefault(v, []).append((j, c))
+    mat = []
+    for f in low:
+        row = [_ZERO] * len(high)
+        for v, c in values[f].items():
+            if v in at_vertex:
+                x = c / profile.full_weight_product(v)
+                for j, y in at_vertex[v]:
+                    row[j] += x * y
+        mat.append(row)
     return low, high, mat
 
 
-def localization_pairing_invertible(basis, k):
-    low, high, mat = localization_pairing_matrix(basis, k)
-    if len(low) != len(high):
-        return False
-    if not low:
-        return True
-    return matrix_rank(mat) == len(low)
+def localization_pairing_invertible(basis):
+    """Whether the degree-2k localization pairing is invertible, for k = 0..n.
+    Degrees 2k <= n are ranked; degree 2n - 2k is the transpose of degree 2k."""
+    n = basis.profile.n
+    ranked = []
+    for k in range(n // 2 + 1):
+        low, high, mat = localization_pairing_matrix(basis, 2 * k)
+        ranked.append(len(low) == len(high) and matrix_rank(mat) == len(low))
+    return tuple(ranked[min(k, n - k)] for k in range(n + 1))

@@ -175,7 +175,8 @@ def verify_zeroclass(basis, k, pairing_invertible):
     """Only the zero class of degree 2k vanishes on all fixed points of index
     <= 2k (low) or of index >= 2(n-k) (high); returns the low entry, then the
     high one.  pairing_invertible[j] says whether the localization pairing
-    between degrees 2j and 2n-2j is invertible, for j = 0..n.
+    between degrees 2j and 2n-2j is invertible, for j = 0..n, as in the
+    tuple cohomology.localization_pairing_invertible(basis) returns.
 
     The degree-2k space is spanned by u^(k-i) beta_F over the index-2i points,
     i <= k, and each condition is a row [beta_F(v)].  Both sides are

@@ -344,7 +344,10 @@ class CircleProfile:
 
 def restrict_to_circle(graph, xi):
     """Derive the circle profile for a generic integer vector xi."""
-    xi = tuple(int(a) for a in xi)
+    xi = tuple(xi)
+    for a in xi:
+        if not _is_int(a):  # a float is refused, not truncated
+            raise GkmValidationError("xi entry %r is not an integer" % (a,))
     if len(xi) != graph.rank:
         raise GkmValidationError("xi length %d != rank %d" % (len(xi), graph.rank))
     for e in graph.edges:
@@ -397,28 +400,19 @@ def check_hypothesis(profile):
 
 
 def self_indexing_normalizer(profile):
-    """Affine map a*mu + b (a > 0) sending each level constant to its index.
+    """Affine map a*mu + b (a > 0) sending each level constant to its index:
+    the line through (c_0, 0) and (c_2n, 2n).
 
-    Returns (a, b) or None; raises if the constancy hypothesis fails.
+    Returns (a, b), or None unless c_2n > c_0 and every defined level
+    constant lies on that line; raises if the constancy hypothesis fails.
     """
     if not profile.constant_on_levels:
         raise GkmValidationError("moment map is not constant on index levels")
-    pairs = [(profile.level_constant(k), Fraction(2 * k))
-             for k in range(profile.n + 1) if profile.level_constant(k) is not None]
-    distinct = []
-    for cval, target in pairs:
-        if not any(cval == c0 for c0, _ in distinct):
-            distinct.append((cval, target))
-    if len(distinct) < 2:
-        # single level value: any a > 0 with a*c + b = index works; pick a = 1
-        cval, target = pairs[0]
-        return (Fraction(1), target - cval)
-    (c0, t0), (c1, t1) = distinct[0], distinct[1]
-    a = (t1 - t0) / (c1 - c0)
-    b = t0 - a * c0
-    if a <= 0:
+    c = profile.level_constants()
+    if not c[-1] > c[0]:
         return None
-    for cval, target in pairs:
-        if a * cval + b != target:
-            return None
+    a = 2 * profile.n / (c[-1] - c[0])
+    b = -a * c[0]
+    if any(x is not None and a * x + b != 2 * k for k, x in enumerate(c)):
+        return None
     return (a, b)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import format_rational, mat_vec
-from .model import GkmValidationError
+from .model import GkmValidationError, restrict_to_circle
 
 _SCALE = 60
 _MARGIN = 50
@@ -17,13 +17,15 @@ def _fmt(x):
     return "%.2f" % (float(x),)
 
 
-def render_svg(graph, xi=None, profile=None, projection=None):
-    """Render the moment image to an SVG 1.1 document string.
+def render_svg(graph, xi=None, projection=None):
+    """Render the moment image to an SVG 1.1 document string; with a circle
+    xi, each vertex is labelled with its moment value under it.
 
     `projection` is two rational row vectors mapping positions into the
     plane; it defaults to the identity on rank-2 inputs and is required on
     any other rank.
     """
+    profile = restrict_to_circle(graph, xi) if xi is not None else None
     if projection is None:
         if graph.rank != 2:
             raise GkmValidationError(

@@ -89,8 +89,7 @@ def test_criterion_4_lemma_suite(capsys):
                    verify_distinct(profile, shifted)]
         for k in range(1, profile.n + 1):
             entries.append(verify_vanish(profile, k, shifted))
-        pairings = {k: localization_pairing_invertible(basis, 2 * k)
-                    for k in range(profile.n + 1)}
+        pairings = localization_pairing_invertible(basis)
         for k in range(profile.n + 1):
             entries.extend(verify_zeroclass(basis, k, pairings))
         ok = ok and all(e["applicable"] and e["pass"] for e in entries)
@@ -120,8 +119,7 @@ def test_criterion_6_localization_consistency(capsys):
         for f in basis.order:
             if profile.index[f] < 2 * profile.n:
                 ok = ok and abbv_integrate(basis.alpha[f], profile) == 0
-        for k in range(profile.n + 1):
-            ok = ok and localization_pairing_invertible(basis, 2 * k)
+        ok = ok and all(localization_pairing_invertible(basis))
     # symplectic area of the two-point sphere with mu = (0, 1) is exactly 1
     _, graph, profile = _pipeline("cp1")
     area = abbv_integrate(equivariant_symplectic_class(profile), profile)

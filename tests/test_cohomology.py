@@ -759,15 +759,14 @@ def test_su3_structure_constants_against_pairings(su3, su3_basis, su3_ring):
 
 def test_localization_pairing_invertible(su3_basis, cp1_basis):
     for basis in (su3_basis, cp1_basis):
-        n = basis.profile.n
-        for k in range(n + 1):
-            assert localization_pairing_invertible(basis, 2 * k)
+        assert localization_pairing_invertible(basis) == (True,) * (basis.profile.n + 1)
+    # beta_C replaced by beta_B: the degree-2 pairing has two equal rows, and
+    # degree 4, its transpose, is singular with it
+    doctored = dataclasses.replace(su3_basis, beta={**su3_basis.beta, "C": su3_basis.beta["B"]})
+    assert localization_pairing_invertible(doctored) == (True, False, False, True)
 
 
-@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3",
-                                  "sphere_product4"])
-def test_localization_pairing_matrix_is_the_localization_integral(name):
-    basis = _catalog_basis(name)
+def _assert_pairings_are_integrals(basis):
     profile = basis.profile
     for k in range(0, 2 * profile.n + 1, 2):
         low, high, mat = localization_pairing_matrix(basis, k)
@@ -777,11 +776,27 @@ def test_localization_pairing_matrix_is_the_localization_integral(name):
             [[(type(x), x) for x in row] for row in expected], k
 
 
+@pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3",
+                                  "sphere_product4"])
+def test_localization_pairing_matrix_is_the_localization_integral(name):
+    _assert_pairings_are_integrals(_catalog_basis(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3"]), st.data())
+def test_localization_pairing_matrix_is_the_localization_integral_at_random_circles(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    _assert_pairings_are_integrals(canonical_classes(graph, restrict_to_circle(graph, xi)))
+
+
 @pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3",
                                   "sphere_product4"])
 def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
     basis = _catalog_basis(name)
     n = basis.profile.n
+    invertible = localization_pairing_invertible(basis)
     for k in range(0, 2 * n + 1, 2):
         low, high, mat = localization_pairing_matrix(basis, k)
         low2, high2, mat2 = localization_pairing_matrix(basis, 2 * n - k)
@@ -790,48 +805,53 @@ def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
         if k == n:  # the middle degree: one basis, a symmetric matrix of Fractions
             assert low == high and mat == [list(col) for col in zip(*mat)]
             assert all(type(x) is F for row in mat for x in row)
-        assert localization_pairing_invertible(basis, k) == \
-            localization_pairing_invertible(basis, 2 * n - k), k
+        assert invertible[k // 2] == (len(low) == len(high) == matrix_rank(mat)), k
 
 
 class _CountingDict(dict):
     def __init__(self, *args):
         super().__init__(*args)
-        self.reads = 0
+        self.reads = {}
 
     def __getitem__(self, key):
-        self.reads += 1
+        self.reads[key] = self.reads.get(key, 0) + 1
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("name, sums", [
-    ("sphere_product2", {0: 1, 2: 3, 4: 1}),  # middle degree: 2 classes, 3 pairs
-    ("sphere_product4", {0: 1, 2: 16, 4: 21, 6: 16, 8: 1}),  # middle: 6 classes
-])
-def test_localization_pairing_sums_each_middle_pair_once(name, sums):
-    # each pair sum reads two beta classes; the middle degree pairs each
-    # unordered pair once, every other degree each ordered pair
+@pytest.mark.parametrize("name", ["sphere_product2", "sphere_product4", "su3"])
+def test_localization_pairing_reads_each_beta_once(name):
+    # one pass per degree: each class of degree k or 2n - k is read once,
+    # the middle degree's classes included, and no other class is read
     basis = _catalog_basis(name)
+    profile = basis.profile
     counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
-    for k, expected in sums.items():
-        counted.beta.reads = 0
+    for k in range(0, 2 * profile.n + 1, 2):
+        counted.beta.reads = {}
         assert localization_pairing_matrix(counted, k) == localization_pairing_matrix(basis, k)
-        assert counted.beta.reads == 2 * expected, k
+        assert counted.beta.reads == {f: 1 for f in basis.order
+                                      if profile.index[f] in (k, 2 * profile.n - k)}, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])
 def test_analyze_pairs_each_degree_once(name, monkeypatch):
-    # degree 2n - 2k is read off degree 2k, so only k <= n // 2 are built
-    degrees = []
+    # one call per analysis, and it builds the degrees 2k <= n only:
+    # degree 2n - 2k is read off degree 2k
+    calls, degrees = [], []
 
-    def counted(basis, k):
+    def counted_invertible(basis):
+        calls.append(basis)
+        return localization_pairing_invertible(basis)
+
+    def counted_matrix(basis, k):
         degrees.append(k)
-        return localization_pairing_invertible(basis, k)
-    monkeypatch.setattr(analysis, "localization_pairing_invertible", counted)
+        return localization_pairing_matrix(basis, k)
+    monkeypatch.setattr(analysis, "localization_pairing_invertible", counted_invertible)
+    monkeypatch.setattr(cohomology, "localization_pairing_matrix", counted_matrix)
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
     report, _ = analysis.analyze(graph, entry.default_xi)
     n = graph.n
+    assert len(calls) == 1
     assert degrees == [2 * k for k in range(n // 2 + 1)]
     assert list(report["localization"]["pairing_invertible"]) == \
         [str(2 * k) for k in range(n + 1)]

@@ -126,13 +126,13 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
 
 
 def test_lemma_zeroclass(su3_basis, so5):
-    entry, _ = verify_zeroclass(su3_basis, 1, _pairings(su3_basis))
+    entry, _ = verify_zeroclass(su3_basis, 1, localization_pairing_invertible(su3_basis))
     assert entry["name"] == "zero-class(k=1,low)" and entry["pass"]
     assert "dimension 3" in entry["detail"]
-    assert verify_zeroclass(su3_basis, 0, _pairings(su3_basis))[0]["pass"]
+    assert verify_zeroclass(su3_basis, 0, localization_pairing_invertible(su3_basis))[0]["pass"]
     _, graph, profile = so5
     basis = canonical_classes(graph, profile)
-    _, entry = verify_zeroclass(basis, 2, _pairings(basis))
+    _, entry = verify_zeroclass(basis, 2, localization_pairing_invertible(basis))
     assert entry["name"] == "zero-class(k=2,high)" and entry["pass"]
 
 
@@ -154,12 +154,6 @@ def _counting_ranks(monkeypatch):
     return calls
 
 
-def _pairings(basis):
-    """{k: the degree-2k localization pairing is invertible}, k = 0..n."""
-    return {k: localization_pairing_invertible(basis, 2 * k)
-            for k in range(basis.profile.n + 1)}
-
-
 @pytest.mark.parametrize("name", ["su3", "so5", "cp3", "cp4", "hirzebruch1",
                                   "sphere_product3", "sphere_product4"])
 def test_zeroclass_low_side_certified_by_support(name, monkeypatch, caplog,
@@ -168,7 +162,7 @@ def test_zeroclass_low_side_certified_by_support(name, monkeypatch, caplog,
     # certifies the low side, support and the pairings the high side
     profile, basis, _ = pipeline(name)
     expected = [zeroclass_by_rank(basis, k) for k in range(profile.n + 1)]
-    pairings = _pairings(basis)
+    pairings = localization_pairing_invertible(basis)
     ranks = _counting_ranks(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     assert [verify_zeroclass(basis, k, pairings) for k in range(profile.n + 1)] == expected
@@ -182,12 +176,12 @@ def test_zeroclass_high_side_falls_back_from_a_singular_pairing(name, monkeypatc
     profile, basis, _ = pipeline(name)
     n = profile.n
     expected = [zeroclass_by_rank(basis, k) for k in range(n + 1)]
-    invertible = _pairings(basis)
-    assert all(invertible.values())
+    invertible = localization_pairing_invertible(basis)
+    assert all(invertible)
     ranks = _counting_ranks(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     for j in range(n + 1):
-        pairings = dict(invertible)
+        pairings = list(invertible)
         pairings[j] = False
         for k in range(n + 1):
             ranks.clear()
@@ -211,8 +205,8 @@ def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch, c
         beta[fid] = CircleClass(su3_basis.graph, 2, {**beta[fid].values, **extra})
     doctored = dataclasses.replace(su3_basis, beta=beta)
     assert doctored.support_violation == ("B", "C")
-    pairings = _pairings(su3_basis)
-    assert all(pairings.values())
+    pairings = localization_pairing_invertible(su3_basis)
+    assert all(pairings)
     ranks = _counting_ranks(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     entry, _ = verify_zeroclass(doctored, 1, pairings)

@@ -177,6 +177,16 @@ def test_nongeneric_xi_names_edge(su3):
         restrict_to_circle(graph, (1, 1))
 
 
+@pytest.mark.parametrize("xi, bad", [((-1.7, 1.2), "-1.7"), ((-1, True), "True"),
+                                     (("-1", "1"), "'-1'")])
+def test_non_integer_xi_names_the_entry(su3, xi, bad):
+    _, graph, _ = su3
+    with pytest.raises(GkmValidationError, match="xi entry %s is not an integer" % bad):
+        restrict_to_circle(graph, xi)
+    with pytest.raises(GkmValidationError, match="xi entry %s is not an integer" % bad):
+        analyze(graph, xi)
+
+
 def test_check_hypothesis(su3, so5):
     for _, _, profile in (su3, so5):
         result = check_hypothesis(profile)
@@ -205,6 +215,19 @@ def test_normalizer_identity_case(cp1):
     profile = restrict_to_circle(graph, (2, 4, 6))
     assert profile.level_constants() == [F(0), F(2), F(4), F(6)]
     assert self_indexing_normalizer(profile) == (F(1), F(0))
+
+
+def test_normalizer_needs_the_maximum_above_the_minimum(cp1):
+    # hand-built documents parse_gkm rejects: both positions at 0 (equal level
+    # constants), and the positions swapped (c_2 < c_0); no a > 0 normalizes
+    entry, graph, _ = cp1
+    first, second = graph.vertices
+    for positions in (((F(0),), (F(0),)), (second.position, first.position)):
+        vertices = tuple(Vertex(v.id, p) for v, p in zip(graph.vertices, positions))
+        profile = restrict_to_circle(dataclasses.replace(graph, vertices=vertices),
+                                     entry.default_xi)
+        assert profile.constant_on_levels
+        assert self_indexing_normalizer(profile) is None
 
 
 def test_betti_cp1(cp1):
