@@ -51,14 +51,13 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
 
     # the zero-class lemmas read the pairings as their high-side certificate
     pairing_invertible = localization_pairing_invertible(basis)
-    shifted = lefschetz.shifted_classes(profile)
-    lemmas = [lefschetz.verify_symp_expansion(profile, basis, shifted)]
+    lemmas = [lefschetz.verify_symp_expansion(profile, basis)]
     for k in range(1, n + 1):
-        lemmas.append(lefschetz.verify_vanish(profile, k, shifted))
-    lemmas.append(lefschetz.verify_distinct(profile, shifted))
+        lemmas.append(lefschetz.verify_vanish(profile, k))
+    lemmas.append(lefschetz.verify_distinct(profile))
     for k in range(n + 1):
         lemmas.extend(lefschetz.verify_zeroclass(basis, k, pairing_invertible))
-    certificates = lefschetz.delta_certificates(basis, profile, shifted) \
+    certificates = lefschetz.delta_certificates(basis, profile) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
     vids = sorted(profile.mu)

@@ -140,15 +140,19 @@ def build_parser():
     return parser
 
 
+_SIGNED_OPTIONS = ("--xi", "--scale", "--projection")
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # fold "--xi -1,1" into "--xi=-1,1" so leading minus signs survive argparse;
-    # a following option is not a value
-    while "--xi" in argv:
-        i = argv.index("--xi")
-        if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
-            break
-        argv[i:i + 2] = ["--xi=" + argv[i + 1]]
+    # fold "--xi -1,1" into "--xi=-1,1", and likewise every option whose value
+    # may start with a minus sign, so that sign survives argparse; a following
+    # option is not a value
+    i = 0
+    while i + 1 < len(argv):
+        if argv[i] in _SIGNED_OPTIONS and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        i += 1
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -16,8 +16,8 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import (matrix_rank, monomial_exponents, monomial_residue,
-                    solve_many, sparse_nullspace)
+from .exact import (integer_multiple, matrix_rank, monomial_exponents,
+                    monomial_residue, solve_many, sparse_nullspace)
 
 _log = logging.getLogger("gkmlef")
 
@@ -148,11 +148,10 @@ def circle_annihilator(graph, d, xi):
     at_xi = [prod(x ** e for x, e in zip(xi, m)) for m in monomial_exponents(graph.rank, d)]
     rows = []
     for b in congruence_space(graph, d):
-        scale = lcm(*(x.denominator for x in b.values()))
         values = {}
-        for c, x in b.items():
+        for c, x in integer_multiple(b).items():
             i, j = divmod(c, len(at_xi))
-            values[i] = values.get(i, 0) + x.numerator * (scale // x.denominator) * at_xi[j]
+            values[i] = values.get(i, 0) + x * at_xi[j]
         rows.append({i: v for i, v in values.items() if v})
     return sparse_nullspace(rows, len(graph.vertices))
 
@@ -480,7 +479,7 @@ class OrdinaryRing:
             out = {}
             for l, c in x.items():
                 for h, y in self.lefschetz[l].items():
-                    out[h] = out.get(h, _ZERO) + c * y
+                    out[h] = out.get(h, 0) + c * y
             x = {h: c for h, c in out.items() if c}
         return x
 
@@ -550,12 +549,45 @@ def localization_pairing_matrix(basis, k):
     return low, high, mat
 
 
+def localization_pairing_integers(basis, k):
+    """The localization pairing between degree-k and degree-(2n-k) reduced
+    basis classes in integers: (low, high, mat) with mat[F][G] = E s_F s_G
+    times the entry of localization_pairing_matrix, the Fraction oracle.
+    s_F is the lcm of the denominators of beta_F and E the lcm of the Euler
+    classes e(v), so mat[F][G] is the sum of a_F(v) a_G(v) (E / e(v)) over
+    the vertices, a_F = s_F beta_F, walked as in the oracle.  Every scale is
+    nonzero, so the rank is the oracle's."""
+    profile, top = basis.profile, 2 * basis.profile.n
+    euler = {v: profile.full_weight_product(v) for v in profile.index}
+    scale = lcm(*euler.values())
+    cofactor = {v: scale // e for v, e in euler.items()}
+    values = {l: integer_multiple(basis.beta[l].values) for l in basis.order
+              if profile.index[l] in (k, top - k)}
+    low = [l for l in values if profile.index[l] == k]
+    high = [l for l in values if profile.index[l] == top - k]
+    at_vertex = {}  # vertex -> [(column, a_G(v))]
+    for j, g in enumerate(high):
+        for v, c in values[g].items():
+            at_vertex.setdefault(v, []).append((j, c))
+    mat = []
+    for f in low:
+        row = [0] * len(high)
+        for v, c in values[f].items():
+            if v in at_vertex:
+                x = c * cofactor[v]
+                for j, y in at_vertex[v]:
+                    row[j] += x * y
+        mat.append(row)
+    return low, high, mat
+
+
 def localization_pairing_invertible(basis):
     """Whether the degree-2k localization pairing is invertible, for k = 0..n.
-    Degrees 2k <= n are ranked; degree 2n - 2k is the transpose of degree 2k."""
+    Degrees 2k <= n are ranked in integers; degree 2n - 2k is the transpose
+    of degree 2k."""
     n = basis.profile.n
     ranked = []
     for k in range(n // 2 + 1):
-        low, high, mat = localization_pairing_matrix(basis, 2 * k)
+        low, high, mat = localization_pairing_integers(basis, 2 * k)
         ranked.append(len(low) == len(high) and matrix_rank(mat) == len(low))
     return tuple(ranked[min(k, n - k)] for k in range(n + 1))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")  # no zero denominator
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?$")  # no zero denominator
 
 
 def parse_rational(s):
@@ -19,16 +19,28 @@ def parse_rational(s):
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     s = str(s).strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIONAL_RE.match(s)
+    if not m:
         raise ValueError("not a rational literal: %r" % (s,))
-    return Fraction(s)
+    num, den = m.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def format_rational(q):
-    q = Fraction(q)
+    """The "p" or "p/q" form of q: an int or a Fraction as it is, anything
+    else through Fraction(q)."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def integer_multiple(values):
+    """{key: int}: the dict of ints and Fractions `values` times the lcm of
+    their denominators."""
+    scale = lcm(*(x.denominator for x in values.values()))
+    return {key: x.numerator * (scale // x.denominator) for key, x in values.items()}
 
 
 def monomial_exponents(rank, degree):

@@ -4,10 +4,11 @@ monotone analysis."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import lcm
+from operator import mul
 
 from .exact import format_rational, matrix_rank
 from .cohomology import (abbv_integrate, cup, cup_power,
@@ -49,26 +50,33 @@ def multiplication_matrix(ring, k, power):
     target = ring.basis_in_degree(k + 2 * power)
     mat = []
     for s in source:
-        prod = ring.lefschetz_power({s: Fraction(1)}, power)
-        mat.append([prod.get(t, Fraction(0)) for t in target])
+        prod = ring.lefschetz_power({s: 1}, power)
+        mat.append([prod.get(t, 0) for t in target])
     return source, target, mat
 
 
 def hard_lefschetz_check(ring):
     """Exact rank of omega^(n-k): H^k -> H^(2n-k) for k = 0..n.
 
-    Odd degrees are empty in this setting (isolated fixed points force even
-    Morse indices) and are reported as vacuously true.
+    The matrices are those of D L, D the lcm of the denominators of the
+    Lefschetz operator L: integers, and D^(n-k) times the matrix of
+    omega^(n-k), of the same rank.  Odd degrees are empty in this setting
+    (isolated fixed points force even Morse indices) and are reported as
+    vacuously true.
     """
     if not ring.omega and ring.n > 0:
         raise ValueError("ring has no distinguished symplectic class")
     n = ring.n
+    scale = lcm(*(x.denominator for row in ring.lefschetz.values() for x in row.values()))
+    integral = replace(ring, lefschetz={
+        f: {h: x.numerator * (scale // x.denominator) for h, x in row.items()}
+        for f, row in ring.lefschetz.items()})
     entries = []
     for k in range(n + 1):
         if k % 2 == 1:
             entries.append(HLDegree(k, 0, 0, 0, vacuous=True))
             continue
-        source, target, mat = multiplication_matrix(ring, k, n - k)
+        source, target, mat = multiplication_matrix(integral, k, n - k)
         rank = matrix_rank(mat) if source and target else 0
         entries.append(HLDegree(k, len(source), len(target), rank, vacuous=False))
     return HLReport(ring.dimension, tuple(entries))
@@ -103,23 +111,16 @@ def _entry(name, applicable, passed, detail):
             "pass": passed if applicable else None, "detail": detail}
 
 
-def shifted_classes(profile):
-    """The symplectic class shifted by each level constant c_2j, j = 0..n,
-    restricting to (c_2j - mu(F)) * u at each fixed point F; None where c_2j
-    is undefined.  One analysis builds them once for the whole ledger."""
-    return [None if c is None else equivariant_symplectic_class(profile, shift=c)
-            for c in profile.level_constants()]
-
-
-def verify_symp_expansion(profile, basis, shifted):
-    """The minimum-normalized symplectic class shifted[0] expands with no
-    u-term at the minimum and equal coefficient -c_2 on every index-2 class."""
+def verify_symp_expansion(profile, basis):
+    """The symplectic class shifted by c_0, the minimum-normalized one,
+    expands with no u-term at the minimum and equal coefficient -c_2 on every
+    index-2 class."""
     name = "symplectic-expansion"
     c0 = profile.level_constant(0)
     c2 = profile.level_constant(1)
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
-    coeffs = expand_in_basis(shifted[0], basis)
+    coeffs = expand_in_basis(equivariant_symplectic_class(profile, shift=c0), basis)
     a0 = coeffs[profile.min_vertex]  # the u-term at the minimum
     expected = -(c2 - c0) if c2 is not None else None
     a2 = {v: coeffs[v] for v in profile.level(1)}
@@ -131,24 +132,53 @@ def verify_symp_expansion(profile, basis, shifted):
     return _entry(name, True, ok, detail)
 
 
-def verify_vanish(profile, k, shifted):
-    """The symplectic class shifted by c_2k restricts to zero on the whole
-    index-2k level."""
+def verify_vanish(profile, k):
+    """The symplectic class shifted by c_2k, restricting to (c_2k - mu(v)) u
+    at v, vanishes on the whole index-2k level: mu(v) = c_2k there."""
     name = "shifted-class-vanishing(k=%d)" % k
-    cls = shifted[k]
-    if cls is None:
+    c = profile.level_constant(k)
+    if c is None:
         return _entry(name, False, None,
                       "level %d empty or moment map not constant on it" % (2 * k))
-    bad = [v for v in profile.level(k) if cls.at(v) != 0]
+    bad = [v for v in profile.level(k) if profile.mu[v] != c]
     return _entry(name, True, not bad,
                   "nonzero restrictions at %s" % bad if bad else
                   "vanishes on all %d vertices of index %d" % (len(profile.level(k)), 2 * k))
 
 
-def verify_distinct(profile, shifted):
+def top_product_integrals(profile, consts):
+    """The localization integrals of the n + 1 products of n symplectic
+    classes shifted by all but one of consts[0..n], the i-th omitting
+    consts[i]; the class shifted by c restricts to (c - mu(v)) u at v.
+
+    The i-th integral is the sum over the vertices v of the product of the
+    c_j - mu(v), j != i, over the Euler class e(v).  With mu and consts
+    scaled to integers M and C by their common denominator D, and E the lcm
+    of the e(v), the sum of the products of the C_j - M(v) times E / e(v) is
+    an integer, D^n E times the integral.  The products omitting one factor
+    come from prefix and suffix products at each vertex; one Fraction is made
+    per integral."""
+    n = profile.n
+    scale = lcm(*(x.denominator for x in (*profile.mu.values(), *consts)))
+    shifts = [c.numerator * (scale // c.denominator) for c in consts]
+    euler = {v: profile.full_weight_product(v) for v in profile.mu}
+    top = lcm(*euler.values())
+    sums = [0] * (n + 1)
+    for v, x in profile.mu.items():
+        m = x.numerator * (scale // x.denominator)
+        factors = [c - m for c in shifts]
+        prefix = list(accumulate(factors, mul, initial=1))  # prefix[i]: factors before i
+        suffix = list(accumulate(reversed(factors), mul, initial=1))  # suffix[i]: the last i
+        cofactor = top // euler[v]
+        for i in range(n + 1):
+            sums[i] += prefix[i] * suffix[n - i] * cofactor
+    return [Fraction(x, scale ** n * top) for x in sums]
+
+
+def verify_distinct(profile):
     """Distinctness of the level constants, cross-checked by localization:
     every (n-fold) product of distinctly shifted symplectic classes is a top
-    class with the same nonzero integral."""
+    class with the same nonzero integral (top_product_integrals)."""
     name = "distinct-level-constants"
     cs = profile.level_constants()
     if any(c is None for c in cs):
@@ -159,13 +189,7 @@ def verify_distinct(profile, shifted):
         return _entry(name, True, False,
                       detail + "; equal constants cannot arise from a genuine "
                       "symplectic manifold")
-    n = profile.n
-    # the n + 1 products omitting one factor, from prefix and suffix products
-    prefix = list(accumulate(shifted[:-1], cup))  # prefix[i]: factors 0 .. i
-    suffix = list(accumulate(shifted[:0:-1], cup))  # suffix[i]: factors n - i .. n
-    tops = ([suffix[-1]] + [cup(prefix[i - 1], suffix[n - i - 1]) for i in range(1, n)]
-            + [prefix[-1]])
-    integrals = [abbv_integrate(top, profile) for top in tops]
+    integrals = top_product_integrals(profile, cs)
     witness_ok = len(set(integrals)) == 1 and integrals[0] != 0
     detail += "; top-product integral %s" % format_rational(integrals[0])
     return _entry(name, True, distinct and witness_ok, detail)
@@ -221,13 +245,16 @@ def verify_zeroclass(basis, k, pairing_invertible):
     return entries
 
 
-def delta_certificate(basis, profile, gamma, k, shifted):
+def delta_certificate(basis, profile, gamma, k):
     """Replay of the kernel-elimination product for a degree-2k candidate.
 
     delta = gamma * product of the symplectic classes shifted by c_2k ..
-    c_(2n-2k-2), shifted[j] the class shifted by c_2j; verified to vanish at
-    every index < 2n-2k and to factor as gamma restriction times the
-    telescoping scalar product above that index.
+    c_(2n-2k-2), the class shifted by c_2j restricting to (c_2j - mu(v)) u at
+    v; verified to vanish at every index < 2n-2k and to factor as gamma
+    restriction times the telescoping scalar product above that index.  cup
+    multiplies vertex by vertex, so the factorization holds by construction
+    and no class is built: delta(v) is nonzero exactly when gamma(v) is and
+    mu(v), the constant of v's level, is none of c_2k .. c_(2n-2k-2).
     """
     n = profile.n
     name = "delta-certificate(k=%d)" % k
@@ -240,25 +267,18 @@ def delta_certificate(basis, profile, gamma, k, shifted):
     cs = profile.level_constants()
     if any(c is None for c in cs):
         return _entry(name, False, None, "level constants undefined")
-    delta = gamma
-    for j in range(k, n - k):
-        delta = cup(delta, shifted[j])
-    low_ok = all(delta.at(v) == 0 for v in basis.order
-                 if profile.index[v] < 2 * (n - k))
-    formula_ok = all(
-        delta.at(v) == gamma.at(v) * prod((cs[j] - profile.mu[v] for j in range(k, n - k)),
-                                          start=Fraction(1))
-        for v in basis.order if profile.index[v] >= 2 * (n - k))
-    nonzero = not delta.is_zero
-    return _entry(name, True, low_ok and formula_ok,
-                  "vanishes below index %d: %s; restriction product formula: %s; "
-                  "delta nonzero: %s" % (2 * (n - k), low_ok, formula_ok, nonzero))
+    killed = set(cs[k:n - k])
+    survives = [c not in killed for c in cs]  # by the level index / 2
+    support = [v for v, c in gamma.values.items() if c and survives[profile.index[v] // 2]]
+    low_ok = all(profile.index[v] >= 2 * (n - k) for v in support)
+    return _entry(name, True, low_ok,
+                  "vanishes below index %d: %s; restriction product formula: True; "
+                  "delta nonzero: %s" % (2 * (n - k), low_ok, bool(support)))
 
 
-def delta_certificates(basis, profile, shifted):
+def delta_certificates(basis, profile):
     """Certificates for a spanning set of candidates per eligible degree: the
-    canonical classes of each index 2k with 2k < n, all sharing the shifted
-    classes."""
+    canonical classes of each index 2k with 2k < n."""
     out = []
     n = profile.n
     for k in range(n + 1):
@@ -266,7 +286,7 @@ def delta_certificates(basis, profile, shifted):
             break
         for fid in basis.order:
             if profile.index[fid] == 2 * k:
-                entry = delta_certificate(basis, profile, basis.alpha[fid], k, shifted)
+                entry = delta_certificate(basis, profile, basis.alpha[fid], k)
                 entry = dict(entry, candidate=fid)
                 out.append(entry)
     return out

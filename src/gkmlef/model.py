@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .exact import format_rational, parse_rational
 
@@ -121,6 +121,7 @@ def _checks_and_positions(doc):
     if ok_vertices:
         add("vertex-positions", True)
     add("vertex-ids-unique", len(set(ids)) == len(ids))
+    scaled, _ = _integer_positions(positions)
 
     degree = {vid: 0 for vid in ids}
     adjacency = {vid: [] for vid in ids}
@@ -148,12 +149,14 @@ def _checks_and_positions(doc):
             add("edge-weight-nonzero", False, label)
             continue
         add("edge-weight-primitive", gcd(*weight) == 1, label)
-        if v in positions and w in positions:
-            diff = tuple(pw - pv for pv, pw in zip(positions[v], positions[w]))
-            pivot = next((k for k, a in enumerate(weight) if a != 0))
-            lam = diff[pivot] / weight[pivot]
-            parallel_ok = (lam > 0 and
-                           all(d == lam * a for d, a in zip(diff, weight)))
+        if v in scaled and w in scaled:
+            # diff = lam * weight with lam > 0, in integers: with pivot p,
+            # lam = diff_p / weight_p, so diff_p weight_p > 0 and
+            # diff_i weight_p = diff_p weight_i for every i
+            diff = [pw - pv for pv, pw in zip(scaled[v], scaled[w])]
+            p = next(k for k, a in enumerate(weight) if a != 0)
+            dp, wp = diff[p], weight[p]
+            parallel_ok = dp * wp > 0 and all(d * wp == dp * a for d, a in zip(diff, weight))
             add("edge-parallel-to-positions", parallel_ok,
                 label + ": position difference must be a positive multiple of the weight")
         degree[v] += 1
@@ -187,6 +190,14 @@ def _checks_and_positions(doc):
                     stack.append(nb)
         add("graph-connected", len(seen) == len(ids))
     return checks, positions
+
+
+def _integer_positions(positions):
+    """{vertex id: position times D}, D the lcm of every coordinate's
+    denominator: integer tuples, the same up to one positive scale."""
+    scale = lcm(*(x.denominator for pos in positions.values() for x in pos))
+    return {vid: tuple(x.numerator * (scale // x.denominator) for x in pos)
+            for vid, pos in positions.items()}, scale
 
 
 def parse_gkm(text):
@@ -292,9 +303,8 @@ class CircleProfile:
 
     @cached_property
     def _weight_products(self):
-        """{vertex id: (product of the negative weights, product of all)}."""
-        return {v: (prod((w for w in ws if w < 0), start=Fraction(1)),
-                    prod(ws, start=Fraction(1))) for v, ws in self.weights.items()}
+        """{vertex id: (product of the negative weights, product of all)}, ints."""
+        return {v: (prod(w for w in ws if w < 0), prod(ws)) for v, ws in self.weights.items()}
 
     def level(self, k):
         """Vertex ids of Morse index 2k, sorted by id."""
@@ -350,20 +360,21 @@ def restrict_to_circle(graph, xi):
             raise GkmValidationError("xi entry %r is not an integer" % (a,))
     if len(xi) != graph.rank:
         raise GkmValidationError("xi length %d != rank %d" % (len(xi), graph.rank))
+    outward = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
-        if sum(a * b for a, b in zip(e.weight, xi)) == 0:
+        w = sum(a * b for a, b in zip(e.weight, xi))
+        if w == 0:
             raise GkmValidationError(
                 "xi %r is not generic: edge %s-%s with weight %r pairs to zero"
                 % (xi, e.v, e.w, e.weight))
-    weights = {}
-    index = {}
-    mu = {}
-    for v in graph.vertices:
-        ws = sorted(sum(a * b for a, b in zip(w, xi))
-                    for _, w in graph.outward_weights(v.id))
-        weights[v.id] = tuple(ws)
-        index[v.id] = 2 * sum(1 for w in ws if w < 0)
-        mu[v.id] = sum((p * a for p, a in zip(v.position, xi)), Fraction(0))
+        outward[e.v].append(w)
+        outward[e.w].append(-w)
+    weights = {vid: tuple(sorted(ws)) for vid, ws in outward.items()}
+    index = {vid: 2 * sum(1 for w in ws if w < 0) for vid, ws in weights.items()}
+    # mu(v) = <position, xi>, one Fraction each from the integer positions
+    scaled, scale = _integer_positions({v.id: v.position for v in graph.vertices})
+    mu = {vid: Fraction(sum(p * a for p, a in zip(pos, xi)), scale)
+          for vid, pos in scaled.items()}
 
     n = graph.n
     counts = [sum(1 for ix in index.values() if ix == 2 * k) for k in range(n + 1)]

@@ -16,9 +16,9 @@ from gkmlef import (abbv_integrate, betti, canonical_classes,
                     semifree_monotone_analysis)
 from gkmlef.cli import main
 from gkmlef.cohomology import constant_class, localization_pairing_invertible
-from gkmlef.lefschetz import (delta_certificates, shifted_classes,
-                              verify_distinct, verify_symp_expansion,
-                              verify_vanish, verify_zeroclass)
+from gkmlef.lefschetz import (delta_certificates, verify_distinct,
+                              verify_symp_expansion, verify_vanish,
+                              verify_zeroclass)
 
 F = Fraction
 
@@ -84,11 +84,9 @@ def test_criterion_4_lemma_suite(capsys):
     for name in HYPOTHESIS_CATALOG:
         _, graph, profile = _pipeline(name)
         basis = canonical_classes(graph, profile)
-        shifted = shifted_classes(profile)
-        entries = [verify_symp_expansion(profile, basis, shifted),
-                   verify_distinct(profile, shifted)]
+        entries = [verify_symp_expansion(profile, basis), verify_distinct(profile)]
         for k in range(1, profile.n + 1):
-            entries.append(verify_vanish(profile, k, shifted))
+            entries.append(verify_vanish(profile, k))
         pairings = localization_pairing_invertible(basis)
         for k in range(profile.n + 1):
             entries.extend(verify_zeroclass(basis, k, pairings))

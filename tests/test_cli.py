@@ -165,3 +165,22 @@ def test_render_rank3_needs_projection(capsys):
     code, _, err = run(capsys, "render", "--example", "su3", "--projection", "1,0")
     assert code == 1
     assert "projection" in err
+
+
+def test_render_projection_with_a_leading_minus(capsys):
+    # "--projection -1,..." is the value, as in the "=" form
+    code, out, err = run(capsys, "render", "--example", "cp3", "--projection", "-1,0,0;0,1,0")
+    assert (code, err) == (0, "")
+    assert out.count("<circle") == 4
+    assert run(capsys, "render", "--example", "cp3", "--projection=-1,0,0;0,1,0") == (0, out, "")
+
+
+def test_analyze_scale_with_a_leading_minus(capsys):
+    # the value reaches the catalog, which refuses it by name, as in the "=" form
+    code, out, err = run(capsys, "analyze", "--example", "so5", "--scale", "-1/2")
+    assert (code, out, err) == (1, "", "error: scale must be positive\n")
+    assert run(capsys, "analyze", "--example", "so5", "--scale=-1/2") == (code, out, err)
+    # a positive scale and a negative xi fold side by side
+    code, out, _ = run(capsys, "analyze", "--example", "so5", "--scale", "1/2",
+                       "--xi", "-1,3", "--format", "text")
+    assert code == 0 and "index 2: P  (mu = -1/2)" in out

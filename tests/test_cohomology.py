@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 import logging
 
@@ -17,6 +17,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
                                flow_up_classes, localization_pairing_invertible,
+                               localization_pairing_integers,
                                localization_pairing_matrix)
 from gkmlef.exact import matrix_rank, monomial_exponents, solve_many
 from gkmlef.model import GkmGraph
@@ -791,6 +792,30 @@ def test_localization_pairing_matrix_is_the_localization_integral_at_random_circ
     _assert_pairings_are_integrals(canonical_classes(graph, restrict_to_circle(graph, xi)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"]), st.data())
+def test_localization_pairing_integers_are_the_scaled_oracle_at_random_circles(name, data):
+    # entry by entry E s_F s_G times the Fraction oracle: E the lcm of the
+    # Euler classes, s_F the lcm of the denominators of beta_F
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    xi = data.draw(st.one_of(st.just(entry.default_xi),
+                             st.tuples(*[st.integers(-4, 4)] * graph.rank)), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    basis = canonical_classes(graph, restrict_to_circle(graph, xi))
+    profile = basis.profile
+    euler = lcm(*(profile.full_weight_product(v) for v in profile.index))
+    scale = {f: lcm(*(c.denominator for c in basis.beta[f].values.values()))
+             for f in basis.order}
+    for k in range(0, 2 * profile.n + 1, 2):
+        low, high, mat = localization_pairing_integers(basis, k)
+        low2, high2, oracle = localization_pairing_matrix(basis, k)
+        assert (low, high) == (low2, high2)
+        assert all(type(x) is int for row in mat for x in row)
+        assert mat == [[euler * scale[f] * scale[g] * x for g, x in zip(high, row)]
+                       for f, row in zip(low, oracle)], k
+
+
 @pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3",
                                   "sphere_product4"])
 def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
@@ -820,32 +845,40 @@ class _CountingDict(dict):
 
 @pytest.mark.parametrize("name", ["sphere_product2", "sphere_product4", "su3"])
 def test_localization_pairing_reads_each_beta_once(name):
-    # one pass per degree: each class of degree k or 2n - k is read once,
-    # the middle degree's classes included, and no other class is read
+    # one pass per degree, in the oracle and in integers: each class of
+    # degree k or 2n - k is read once, the middle degree's classes included,
+    # and no other class is read
     basis = _catalog_basis(name)
     profile = basis.profile
     counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
     for k in range(0, 2 * profile.n + 1, 2):
-        counted.beta.reads = {}
-        assert localization_pairing_matrix(counted, k) == localization_pairing_matrix(basis, k)
-        assert counted.beta.reads == {f: 1 for f in basis.order
-                                      if profile.index[f] in (k, 2 * profile.n - k)}, k
+        for pairing in (localization_pairing_matrix, localization_pairing_integers):
+            counted.beta.reads = {}
+            assert pairing(counted, k) == pairing(basis, k)
+            assert counted.beta.reads == {f: 1 for f in basis.order
+                                          if profile.index[f] in (k, 2 * profile.n - k)}, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])
 def test_analyze_pairs_each_degree_once(name, monkeypatch):
-    # one call per analysis, and it builds the degrees 2k <= n only:
-    # degree 2n - 2k is read off degree 2k
-    calls, degrees = [], []
+    # one call per analysis, and it ranks the integer pairings of the degrees
+    # 2k <= n only, each once: degree 2n - 2k is read off degree 2k, and no
+    # Fraction pairing matrix is built
+    calls, degrees, fractions = [], [], []
 
     def counted_invertible(basis):
         calls.append(basis)
         return localization_pairing_invertible(basis)
 
-    def counted_matrix(basis, k):
+    def counted_integers(basis, k):
         degrees.append(k)
+        return localization_pairing_integers(basis, k)
+
+    def counted_matrix(basis, k):
+        fractions.append(k)
         return localization_pairing_matrix(basis, k)
     monkeypatch.setattr(analysis, "localization_pairing_invertible", counted_invertible)
+    monkeypatch.setattr(cohomology, "localization_pairing_integers", counted_integers)
     monkeypatch.setattr(cohomology, "localization_pairing_matrix", counted_matrix)
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
@@ -853,5 +886,6 @@ def test_analyze_pairs_each_degree_once(name, monkeypatch):
     n = graph.n
     assert len(calls) == 1
     assert degrees == [2 * k for k in range(n // 2 + 1)]
+    assert fractions == []
     assert list(report["localization"]["pairing_invertible"]) == \
         [str(2 * k) for k in range(n + 1)]

@@ -22,6 +22,25 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+@given(st.fractions(), st.integers(1, 3))
+def test_parse_rational_is_fraction_of_the_literal(q, pad):
+    # numerator and denominator as ints, zero-padded denominators included
+    literal = "%d/%s" % (q.numerator * pad, str(q.denominator * pad).zfill(4))
+    assert parse_rational(" %s " % literal) == Fraction(literal) == q
+    assert parse_rational(str(q.numerator)) == F(q.numerator)
+
+
+def test_format_rational_takes_ints_fractions_and_what_fraction_takes():
+    assert [format_rational(x) for x in (7, -3, F(6, -8), "6/8", 0.5, True)] == \
+        ["7", "-3", "-3/4", "3/4", "1/2", "1"]
+
+
+def test_integer_multiple_scales_by_the_lcm_of_the_denominators():
+    assert exact.integer_multiple({"a": F(1, 2), "b": F(-2, 3), "c": 4, "d": F(0)}) == \
+        {"a": 3, "b": -4, "c": 24, "d": 0}
+    assert exact.integer_multiple({}) == {}
+
+
 def _residue(poly, weight):
     """Residue of a polynomial {exponent: coefficient} modulo weight . t."""
     out = {}

@@ -2,20 +2,23 @@ import dataclasses
 import logging
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
-                    cohomology, cup_power, equivariant_symplectic_class,
+                    cohomology, cup, cup_power, equivariant_symplectic_class,
                     hard_lefschetz_check, kirwan_reduce, lefschetz, parse_gkm,
                     restrict_to_circle, semifree_monotone_analysis,
                     verify_distinct, verify_symp_expansion, verify_vanish,
                     verify_zeroclass)
 from gkmlef.cohomology import (CanonicalBasis, CircleClass,
                                localization_pairing_invertible)
+from gkmlef.exact import matrix_rank
 from gkmlef.lefschetz import (delta_certificate, delta_certificates,
                               multiplication_matrix, rank_symmetry_holds,
-                              shifted_classes)
+                              top_product_integrals)
 
 F = Fraction
 
@@ -67,23 +70,23 @@ def test_rank_symmetry(su3, su3_basis, su3_ring):
 
 def test_lemma_symp_expansion_cp1(cp1, cp1_basis):
     _, _, profile = cp1
-    entry = verify_symp_expansion(profile, cp1_basis, shifted_classes(profile))
+    entry = verify_symp_expansion(profile, cp1_basis)
     assert entry["applicable"] and entry["pass"]
 
 
 def test_lemma_symp_expansion_su3(su3, su3_basis):
     _, _, profile = su3
-    entry = verify_symp_expansion(profile, su3_basis, shifted_classes(profile))
+    entry = verify_symp_expansion(profile, su3_basis)
     assert entry["applicable"] and entry["pass"]
     assert "-1" in entry["detail"]  # both index-2 coefficients are -c_2 = -1
 
 
 def test_lemma_vanish(su3, so5):
     _, _, p_su3 = su3
-    entry = verify_vanish(p_su3, 1, shifted_classes(p_su3))
+    entry = verify_vanish(p_su3, 1)
     assert entry["pass"]
     _, _, p_so5 = so5
-    assert verify_vanish(p_so5, 2, shifted_classes(p_so5))["pass"]
+    assert verify_vanish(p_so5, 2)["pass"]
 
 
 def test_shifted_class_nonzero_off_level(su3):
@@ -95,21 +98,23 @@ def test_shifted_class_nonzero_off_level(su3):
 
 def test_lemma_distinct(su3, so5):
     for _, _, profile in (su3, so5):
-        entry = verify_distinct(profile, shifted_classes(profile))
+        entry = verify_distinct(profile)
         assert entry["applicable"] and entry["pass"]
 
 
 def test_lemma_distinct_cup_count(su3, monkeypatch):
-    # the n + 1 products omitting one shifted class come from prefix and
-    # suffix products: O(n) cups, not (n + 1) * n
+    # the n + 1 products omitting one shifted class are integer products at
+    # each vertex, from prefix and suffix products: no cup, no class built
     _, _, profile = su3
-    shifted = shifted_classes(profile)
     calls = []
     cup = lefschetz.cup
     monkeypatch.setattr(lefschetz, "cup", lambda a, b: calls.append(1) or cup(a, b))
-    entry = verify_distinct(profile, shifted)
+    build = lefschetz.equivariant_symplectic_class
+    monkeypatch.setattr(lefschetz, "equivariant_symplectic_class",
+                        lambda *args, **kwargs: calls.append(2) or build(*args, **kwargs))
+    entry = verify_distinct(profile)
     assert entry["pass"] and "top-product integral 6" in entry["detail"]
-    assert len(calls) <= 3 * profile.n
+    assert calls == []
 
 
 def test_lemma_distinct_flags_synthetic_equality(so5):
@@ -120,7 +125,7 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
     mu = dict(profile.mu)
     mu["P"] = mu["S"]  # index-0 and index-2 constants now coincide
     fake = dataclasses.replace(profile, mu=mu)
-    entry = verify_distinct(fake, shifted_classes(fake))
+    entry = verify_distinct(fake)
     assert entry["applicable"] and entry["pass"] is False
     assert "cannot arise" in entry["detail"]
 
@@ -219,26 +224,52 @@ def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch, c
                      "detail": "space dimension 3, independent vanishing conditions %d" % rank}
 
 
+def _delta_by_cup(basis, profile, gamma, k):
+    """delta_certificate's entry by the cup route: delta = gamma times the
+    symplectic classes shifted by c_2k .. c_(2n-2k-2), each restriction
+    checked against the vanishing and the product formula."""
+    n, name = profile.n, "delta-certificate(k=%d)" % k
+    cs = profile.level_constants()
+    if any(c is None for c in cs):
+        return {"name": name, "applicable": False, "pass": None,
+                "detail": "level constants undefined"}
+    delta = gamma
+    for j in range(k, n - k):
+        delta = cup(delta, equivariant_symplectic_class(profile, shift=cs[j]))
+    low_ok = all(delta.at(v) == 0 for v in basis.order if profile.index[v] < 2 * (n - k))
+    formula_ok = all(delta.at(v) == gamma.at(v) * prod(cs[j] - profile.mu[v]
+                                                       for j in range(k, n - k))
+                     for v in basis.order if profile.index[v] >= 2 * (n - k))
+    return {"name": name, "applicable": True, "pass": low_ok and formula_ok,
+            "detail": "vanishes below index %d: %s; restriction product formula: %s; "
+                      "delta nonzero: %s" % (2 * (n - k), low_ok, formula_ok,
+                                             not delta.is_zero)}
+
+
 def test_delta_certificates_build_each_shifted_class_once(monkeypatch):
+    # the verdicts are read off each candidate's support: no shifted class
+    # is built and nothing is multiplied, and the entries are the cup route's
     profile, basis, _ = pipeline("sphere_product3")
-    expected = delta_certificates(basis, profile, shifted_classes(profile))
-    calls = []
-    build = lefschetz.equivariant_symplectic_class
-    monkeypatch.setattr(lefschetz, "equivariant_symplectic_class",
-                        lambda profile, shift=0: calls.append(shift) or build(profile, shift))
-    shifted = shifted_classes(profile)
-    assert calls == profile.level_constants()
-    assert delta_certificates(basis, profile, shifted) == expected
-    assert calls == profile.level_constants()  # the certificates build none
-    assert len(expected) > 1  # more candidates than one, all sharing the classes
+    expected = [dict(_delta_by_cup(basis, profile, basis.alpha[fid], k), candidate=fid)
+                for k in range(profile.n + 1) if 2 * k < profile.n
+                for fid in basis.order if profile.index[fid] == 2 * k]
+    built = []
+    init = CircleClass.__init__
+    monkeypatch.setattr(CircleClass, "__init__",
+                        lambda cls, *args: built.append(args) or init(cls, *args))
+    assert delta_certificates(basis, profile) == expected
+    assert built == []
+    assert len(expected) > 1  # more candidates than one
 
 
 @pytest.mark.parametrize("name, classes", [
-    ("sphere_product3", 4), ("sphere_product8", 9),
-    ("hirzebruch1", 2),  # exit 2: c_2 is undefined, c_0 and c_4 are not
+    ("sphere_product3", 1), ("sphere_product8", 1),
+    ("hirzebruch1", 0),  # exit 2: c_2 is undefined, so the expansion lemma is n/a
 ])
 def test_analyze_builds_the_shifted_classes_and_the_support_certificate_once(
         name, classes, monkeypatch):
+    # one symplectic class is built per analysis, the one the expansion lemma
+    # expands (shifted by c_0), and the support certificate is computed once
     shifts, certified = [], []
     for module in (cohomology, lefschetz):
         build = module.equivariant_symplectic_class
@@ -253,14 +284,14 @@ def test_analyze_builds_the_shifted_classes_and_the_support_certificate_once(
     graph = parse_gkm(entry.document)
     analysis.analyze(graph, entry.default_xi)
     constants = restrict_to_circle(graph, entry.default_xi).level_constants()
-    assert shifts == [c for c in constants if c is not None] and len(shifts) == classes
+    assert shifts == constants[:classes] and len(shifts) == classes
     assert len(certified) == 1
 
 
 def test_delta_certificate_zero_candidate(su3, su3_basis):
     _, graph, profile = su3
     zero = CircleClass(graph, 2, {v.id: F(0) for v in graph.vertices})
-    entry = delta_certificate(su3_basis, profile, zero, 1, shifted_classes(profile))
+    entry = delta_certificate(su3_basis, profile, zero, 1)
     assert entry["pass"]
     assert "delta nonzero: False" in entry["detail"]
 
@@ -270,14 +301,14 @@ def test_delta_certificate_su3_combination(su3, su3_basis):
     a, b = su3_basis.alpha["B"], su3_basis.alpha["C"]
     diff = CircleClass(graph, 2, {v.id: a.at(v.id) - b.at(v.id)
                                   for v in graph.vertices})
-    entry = delta_certificate(su3_basis, profile, diff, 1, shifted_classes(profile))
+    entry = delta_certificate(su3_basis, profile, diff, 1)
     assert entry["pass"]
     assert "delta nonzero: True" in entry["detail"]
 
 
 def test_delta_certificates_all_pass(su3, su3_basis):
     _, _, profile = su3
-    entries = delta_certificates(su3_basis, profile, shifted_classes(profile))
+    entries = delta_certificates(su3_basis, profile)
     assert entries and all(e["pass"] for e in entries)
 
 
@@ -312,3 +343,81 @@ def test_theorem_as_property():
         _, basis, ring = pipeline(name)
         if basis.profile.constant_on_levels:
             assert hard_lefschetz_check(ring).holds, name
+
+
+# -- the integer routes against their Fraction oracles ------------------------
+
+def _drawn_pipeline(data):
+    """Profile and canonical basis of a catalog input at its default circle
+    or at a drawn generic circle."""
+    name = data.draw(st.sampled_from(["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"]),
+                     label="name")
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    xi = data.draw(st.one_of(st.just(entry.default_xi),
+                             st.tuples(*[st.integers(-4, 4)] * graph.rank)), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    profile = restrict_to_circle(graph, xi)
+    return profile, canonical_classes(graph, profile)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hl_ranks_equal_the_fraction_matrix_ranks_at_random_circles(data):
+    _, basis = _drawn_pipeline(data)
+    ring = kirwan_reduce(basis)
+    for d in hard_lefschetz_check(ring).degrees:
+        if not d.vacuous:
+            source, target, mat = multiplication_matrix(ring, d.degree, ring.n - d.degree)
+            assert (d.source_dim, d.target_dim) == (len(source), len(target))
+            assert d.rank == (matrix_rank(mat) if source and target else 0), d
+
+
+def test_hl_rank_of_a_doctored_operator_equals_the_fraction_rank(su3_ring):
+    # proportional rows only with their denominators: rank 1, not 2
+    lefschetz = {**su3_ring.lefschetz, "B": {"D": F(1, 2), "E": F(1, 3)},
+                 "C": {"D": F(3), "E": F(2)}}
+    doctored = dataclasses.replace(su3_ring, lefschetz=lefschetz)
+    _, _, mat = multiplication_matrix(doctored, 2, 1)
+    assert matrix_rank(mat) == hard_lefschetz_check(doctored).degrees[2].rank == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_top_product_integrals_equal_the_cup_route_at_random_circles(data):
+    # at the level constants where they are defined, or at drawn shifts
+    profile, _ = _drawn_pipeline(data)
+    n, cs = profile.n, profile.level_constants()
+    drawn = st.lists(st.fractions(-5, 5, max_denominator=6), min_size=n + 1, max_size=n + 1)
+    consts = data.draw(drawn if None in cs else st.one_of(st.just(cs), drawn), label="consts")
+    classes = [equivariant_symplectic_class(profile, shift=c) for c in consts]
+    expected = []
+    for i in range(n + 1):
+        top = cup_power(classes[0], 0)
+        for cls in classes[:i] + classes[i + 1:]:
+            top = cup(top, cls)
+        expected.append(abbv_integrate(top, profile))
+    got = top_product_integrals(profile, consts)
+    assert [(type(x), x) for x in got] == [(type(x), x) for x in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_delta_certificates_equal_the_cup_route_at_random_circles(data):
+    # every canonical candidate, a drawn integer combination of them, and
+    # drawn values (not a class) at the vertices of index >= 2k, per degree
+    profile, basis = _drawn_pipeline(data)
+    for k in range(profile.n + 1):
+        candidates = [f for f in basis.order if profile.index[f] == 2 * k]
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(candidates),
+                                    max_size=len(candidates)), label="coefficients")
+        mixed = CircleClass(basis.graph, 2 * k, {
+            v: sum(c * basis.alpha[f].at(v) for c, f in zip(coeffs, candidates))
+            for v in basis.order})
+        upper = [v for v in basis.order if profile.index[v] >= 2 * k]
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=len(upper),
+                                    max_size=len(upper)), label="values")
+        drawn = CircleClass(basis.graph, 2 * k, {v: F(x) for v, x in zip(upper, values)})
+        for gamma in [basis.alpha[f] for f in candidates] + [mixed, drawn]:
+            assert delta_certificate(basis, profile, gamma, k) == \
+                _delta_by_cup(basis, profile, gamma, k)

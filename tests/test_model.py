@@ -55,6 +55,78 @@ def test_parse_rejects_nonparallel_edge(su3):
         parse_gkm(json.dumps(doc))
 
 
+def _parallel_by_fractions(doc):
+    """The edge-parallel-to-positions verdicts by the Fraction route, edge by
+    edge: lam = diff_p / weight_p at the first nonzero weight entry p, then
+    lam > 0 and diff = lam * weight."""
+    position = {v["id"]: [F(x) for x in v["position"]] for v in doc["vertices"]}
+    out = []
+    for e in doc["edges"]:
+        diff = [b - a for a, b in zip(position[e["v"]], position[e["w"]])]
+        p = next(i for i, a in enumerate(e["weight"]) if a)
+        lam = diff[p] / e["weight"][p]
+        out.append(lam > 0 and all(d == lam * a for d, a in zip(diff, e["weight"])))
+    return out
+
+
+def _parallel_checks(doc):
+    return [ok for name, ok, _ in run_checks(doc) if name == "edge-parallel-to-positions"]
+
+
+def _so5_mixed_denominators():
+    # so5 at scale 5/6, moved by (1/4, -2/7): denominators 12, 28 and 84
+    doc = json.loads(catalog.get("so5", scale=F(5, 6)).document)
+    for v in doc["vertices"]:
+        v["position"] = [str(F(x) + t) for x, t in zip(v["position"], (F(1, 4), F(-2, 7)))]
+    return doc
+
+
+def _negative_multiple(doc):
+    doc["edges"][2]["weight"] = [-a for a in doc["edges"][2]["weight"]]
+
+
+def _not_parallel(doc):
+    doc["edges"][0]["weight"] = [1, 2]
+
+
+def _zero_difference(doc):
+    doc["vertices"][1]["position"] = doc["vertices"][0]["position"]
+
+
+def _moved_off_the_line(doc):
+    x, y = doc["vertices"][3]["position"]
+    doc["vertices"][3]["position"] = [str(F(x) + F(1, 35)), y]
+
+
+@pytest.mark.parametrize("doctor", [None, _negative_multiple, _not_parallel,
+                                    _zero_difference, _moved_off_the_line])
+def test_integer_edge_check_equals_the_fraction_route(doctor):
+    doc = _so5_mixed_denominators()
+    if doctor is not None:
+        doctor(doc)
+    expected = _parallel_by_fractions(doc)
+    assert _parallel_checks(doc) == expected
+    assert all(expected) == (doctor is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.lists(st.fractions(-3, 3, max_denominator=7), min_size=r, max_size=r),
+    st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any),
+    st.fractions(-2, 2, max_denominator=5),
+    st.one_of(st.just([0] * r),
+              st.lists(st.fractions(-1, 1, max_denominator=4), min_size=r, max_size=r)))))
+def test_integer_edge_check_equals_the_fraction_route_on_drawn_edges(drawn):
+    # position b = a + lam * weight + noise: any sign of lam, zero included
+    a, weight, lam, noise = drawn
+    b = [x + lam * w + z for x, w, z in zip(a, weight, noise)]
+    doc = {"rank": len(a), "dimension": 2,
+           "vertices": [{"id": "a", "position": [str(x) for x in a]},
+                        {"id": "b", "position": [str(x) for x in b]}],
+           "edges": [{"v": "a", "w": "b", "weight": weight}]}
+    assert _parallel_checks(doc) == _parallel_by_fractions(doc)
+
+
 def test_parse_rejects_duplicate_id(su3):
     entry, _, _ = su3
     doc = json.loads(entry.document)
