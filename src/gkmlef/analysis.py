@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from fractions import Fraction
 
 from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
@@ -40,7 +39,11 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     hyp = check_hypothesis(profile)
     n = profile.n
 
-    min_shift = profile.min_value() if shift_min else Fraction(0)
+    min_shift = profile.min_value() if shift_min else 0
+    mu, constants = profile.mu, profile.level_constants()
+    if shift_min:
+        mu = {v: x - min_shift for v, x in mu.items()}
+        constants = [None if c is None else c - min_shift for c in constants]
     normalizer = None
     if hyp["constant_on_levels"]:
         normalizer = self_indexing_normalizer(profile)
@@ -78,7 +81,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
                 {
                     "id": v.id,
                     "position": [format_rational(x) for x in v.position],
-                    "mu": _rat(profile.mu[v.id] - min_shift),
+                    "mu": _rat(mu[v.id]),
                     "index": profile.index[v.id],
                     "circle_weights": list(profile.weights[v.id]),
                 }
@@ -86,10 +89,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             ],
             "levels": {str(2 * k): list(profile.level(k)) for k in range(n + 1)},
             "betti": betti(profile),
-            "level_constants": [
-                _rat(c - min_shift if c is not None else None)
-                for c in profile.level_constants()
-            ],
+            "level_constants": [_rat(c) for c in constants],
             "min_shift": _rat(min_shift),
             "warnings": list(profile.warnings),
         },

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -28,19 +29,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
 def _parse_xi(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
+    # int() would also take "1_0", "+1", " 1" and non-ASCII digits
+    parts = text.split(",")
+    if not all(_INTEGER_RE.fullmatch(p) for p in parts):
         raise GkmValidationError("bad --xi %r: expected comma-separated integers" % text)
+    return tuple(int(p) for p in parts)
 
 
 def _load_input(args):
     """Resolve --example or a path to (name, document_bytes, default_xi)."""
-    if args.example:
+    # an option given with an empty value is malformed, not absent
+    if args.example is not None:
         if args.path:
             raise GkmValidationError("give either a path or --example, not both")
-        scale = parse_rational(args.scale) if args.scale else None
+        scale = parse_rational(args.scale) if args.scale is not None else None
         entry = catalog.get(args.example, scale=scale)
         return entry.name, entry.document.encode(), entry.default_xi
     if not args.path:
@@ -52,7 +58,7 @@ def _load_input(args):
 def cmd_analyze(args):
     name, data, default_xi = _load_input(args)
     graph = parse_gkm(data.decode("utf-8"))
-    xi = _parse_xi(args.xi) if args.xi else default_xi
+    xi = _parse_xi(args.xi) if args.xi is not None else default_xi
     if xi is None:
         raise GkmValidationError("no --xi given and the input has no default circle")
     report, code = analyze(graph, xi, name=name, source_bytes=data,
@@ -69,9 +75,9 @@ def cmd_analyze(args):
 def cmd_render(args):
     name, data, default_xi = _load_input(args)
     graph = parse_gkm(data.decode("utf-8"))
-    xi = _parse_xi(args.xi) if args.xi else default_xi
+    xi = _parse_xi(args.xi) if args.xi is not None else default_xi
     projection = None
-    if args.projection:
+    if args.projection is not None:
         rows = args.projection.split(";")
         projection = [[parse_rational(x) for x in row.split(",")] for row in rows]
     svg = render_svg(graph, xi=xi, projection=projection)

@@ -46,10 +46,6 @@ class CircleClass:
     def at(self, vid):
         return self.values.get(vid, _ZERO)
 
-    @property
-    def is_zero(self):
-        return not any(self.values.values())
-
     def __eq__(self, other):
         return (isinstance(other, CircleClass) and self.degree == other.degree
                 and all(self.at(v.id) == other.at(v.id) for v in self.graph.vertices))
@@ -454,25 +450,6 @@ class OrdinaryRing:
                                  else _at_u0(cup(beta[f], beta[g]), self.basis))
         return table
 
-    def multiply(self, x, y):
-        out = {}
-        for lx, cx in x.items():
-            if cx == 0:
-                continue
-            for ly, cy in y.items():
-                if cy == 0:
-                    continue
-                key = (lx, ly) if (lx, ly) in self.table else (ly, lx)
-                for lz, cz in self.table[key].items():
-                    out[lz] = out.get(lz, Fraction(0)) + cx * cy * cz
-        return {l: c for l, c in out.items() if c != 0}
-
-    def omega_power(self, m):
-        out = {self.labels[0]: Fraction(1)}  # unit = class of the minimum
-        for _ in range(m):
-            out = self.multiply(out, self.omega)
-        return out
-
     def lefschetz_power(self, x, m):
         """x times omega^m, by m applications of the Lefschetz operator."""
         for _ in range(m):
@@ -520,43 +497,17 @@ def kirwan_reduce(basis):
                         basis)
 
 
-def localization_pairing_matrix(basis, k):
-    """Localization pairing between degree-k and degree-(2n-k) reduced basis
-    classes; invertibility is Poincare duality at the fixed-point level.
-    Each product has the top degree, so its integral is the sum of
-    beta_F(v) beta_G(v) / e(v) over the vertices where both are nonzero.
-    The high classes' values are indexed by vertex, then each low class's
-    support is walked once, adding beta_F(v) / e(v) times every beta_G(v)
-    there into its row; each class's beta is read once."""
-    profile, top = basis.profile, 2 * basis.profile.n
-    values = {l: basis.beta[l].values for l in basis.order
-              if profile.index[l] in (k, top - k)}
-    low = [l for l in values if profile.index[l] == k]
-    high = [l for l in values if profile.index[l] == top - k]
-    at_vertex = {}  # vertex -> [(column, beta_G(v))]
-    for j, g in enumerate(high):
-        for v, c in values[g].items():
-            at_vertex.setdefault(v, []).append((j, c))
-    mat = []
-    for f in low:
-        row = [_ZERO] * len(high)
-        for v, c in values[f].items():
-            if v in at_vertex:
-                x = c / profile.full_weight_product(v)
-                for j, y in at_vertex[v]:
-                    row[j] += x * y
-        mat.append(row)
-    return low, high, mat
-
-
 def localization_pairing_integers(basis, k):
-    """The localization pairing between degree-k and degree-(2n-k) reduced
-    basis classes in integers: (low, high, mat) with mat[F][G] = E s_F s_G
-    times the entry of localization_pairing_matrix, the Fraction oracle.
-    s_F is the lcm of the denominators of beta_F and E the lcm of the Euler
-    classes e(v), so mat[F][G] is the sum of a_F(v) a_G(v) (E / e(v)) over
-    the vertices, a_F = s_F beta_F, walked as in the oracle.  Every scale is
-    nonzero, so the rank is the oracle's."""
+    """Localization pairing between degree-k and degree-(2n-k) reduced basis
+    classes, in integers; invertibility is Poincare duality at the
+    fixed-point level.  Returns (low, high, mat) with mat[F][G] = E s_F s_G
+    times the integral of beta_F beta_G: s_F the lcm of the denominators of
+    beta_F, E the lcm of the Euler classes e(v).  Each product has the top
+    degree, so its integral is the sum of beta_F(v) beta_G(v) / e(v), and
+    mat[F][G] the sum of a_F(v) a_G(v) (E / e(v)), a_F = s_F beta_F.  The
+    high classes' values are indexed by vertex, then each low class's
+    support is walked once; each class's beta is read once.  Every scale is
+    nonzero, so the rank is the pairing's."""
     profile, top = basis.profile, 2 * basis.profile.n
     euler = {v: profile.full_weight_product(v) for v in profile.index}
     scale = lcm(*euler.values())

@@ -11,8 +11,7 @@ from math import lcm
 from operator import mul
 
 from .exact import format_rational, matrix_rank
-from .cohomology import (abbv_integrate, cup, cup_power,
-                         equivariant_symplectic_class, expand_in_basis)
+from .cohomology import equivariant_symplectic_class, expand_in_basis
 
 _log = logging.getLogger("gkmlef")
 
@@ -80,27 +79,6 @@ def hard_lefschetz_check(ring):
         rank = matrix_rank(mat) if source and target else 0
         entries.append(HLDegree(k, len(source), len(target), rank, vacuous=False))
     return HLReport(ring.dimension, tuple(entries))
-
-
-def rank_symmetry_holds(ring, basis, k):
-    """The multiplication-matrix rank agrees with the rank of the localization
-    pairing <x, omega^(n-k) y> in the same degree."""
-    profile = basis.profile
-    n = profile.n
-    source = [l for l in basis.order if profile.index[l] == k]
-    _, _, mat = multiplication_matrix(ring, k, n - k)
-    mrank = matrix_rank(mat) if mat else 0
-    omega_t = equivariant_symplectic_class(profile, shift=profile.min_value())
-    wpow = cup_power(omega_t, n - k)
-    pairing = []
-    for x in source:
-        row = []
-        for y in source:
-            c = cup(cup(basis.beta[x], wpow), basis.beta[y])
-            row.append(abbv_integrate(c, profile))
-        pairing.append(row)
-    prank = matrix_rank(pairing) if pairing else 0
-    return mrank == prank
 
 
 # ---------------------------------------------------------------------------

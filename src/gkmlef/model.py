@@ -41,16 +41,6 @@ class GkmGraph:
     def n(self):
         return self.dimension // 2
 
-    def outward_weights(self, vid):
-        """Tangent weights at `vid`, one per incident edge, oriented outward."""
-        out = []
-        for e in self.edges:
-            if e.v == vid:
-                out.append((e.w, e.weight))
-            elif e.w == vid:
-                out.append((e.v, tuple(-a for a in e.weight)))
-        return out
-
 
 def _parallel(a, b):
     """True if primitive integer vectors a, b span the same line."""
@@ -310,9 +300,6 @@ class CircleProfile:
         """Vertex ids of Morse index 2k, sorted by id."""
         return self._levels.get(2 * k, ((), ()))[0]
 
-    def levels(self):
-        return [self.level(k) for k in range(self.n + 1)]
-
     def level_values(self, k):
         """Sorted distinct moment values on the index-2k level."""
         return self._levels.get(2 * k, ((), ()))[1]
@@ -334,11 +321,6 @@ class CircleProfile:
     @property
     def min_vertex(self):
         (v,) = self.level(0)
-        return v
-
-    @property
-    def max_vertex(self):
-        (v,) = self.level(self.n)
         return v
 
     def min_value(self):

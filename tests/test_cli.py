@@ -184,3 +184,28 @@ def test_analyze_scale_with_a_leading_minus(capsys):
     code, out, _ = run(capsys, "analyze", "--example", "so5", "--scale", "1/2",
                        "--xi", "-1,3", "--format", "text")
     assert code == 0 and "index 2: P  (mu = -1/2)" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--example", "su3", "--xi="), "bad --xi ''"),
+    (("analyze", "--example", "su3", "--xi", ""), "bad --xi ''"),
+    (("render", "--example", "su3", "--xi="), "bad --xi ''"),
+    (("analyze", "--example", "su3", "--scale="), "not a rational literal: ''"),
+    (("analyze", "--example", "so5", "--scale="), "not a rational literal: ''"),
+    (("render", "--example", "cp3", "--projection="), "not a rational literal: ''"),
+    (("analyze", "--example="), "unknown catalog example ''"),
+])
+def test_an_empty_option_value_is_an_error(capsys, argv, message):
+    # an empty value is malformed, not absent: no default takes its place
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("xi", ["-1_0,1_1", "+1,1", "1, 1", " -1,1", "-1,１", "-1,1,", "-1,1.0"])
+def test_xi_entries_are_plain_decimal_integers(capsys, xi):
+    # int() would read "-1_0" as -10, "+1" and " 1" as 1, and a fullwidth digit
+    code, out, err = run(capsys, "analyze", "--example", "su3", "--xi", xi)
+    assert (code, out) == (1, "")
+    assert err == "error: bad --xi %r: expected comma-separated integers\n" % xi
+    assert run(capsys, "analyze", "--example", "su3", "--xi=" + xi) == (code, out, err)

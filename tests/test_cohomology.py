@@ -17,8 +17,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
                                flow_up_classes, localization_pairing_invertible,
-                               localization_pairing_integers,
-                               localization_pairing_matrix)
+                               localization_pairing_integers)
 from gkmlef.exact import matrix_rank, monomial_exponents, solve_many
 from gkmlef.model import GkmGraph
 
@@ -659,13 +658,14 @@ def test_explicit_zero_entries_change_no_cup_or_expansion(name, data):
 # -- Kirwan reduction -------------------------------------------------------
 
 def test_ring_unit(su3_ring):
-    top = "F"
-    assert su3_ring.multiply({"A": F(1)}, {top: F(1)}) == {top: F(1)}
+    # beta at the minimum, "A", is the unit
+    for l in su3_ring.labels:
+        assert su3_ring.table[("A", l)] == {l: F(1)}, l
 
 
 def test_cp1_square_truncates(cp1_basis):
     ring = kirwan_reduce(cp1_basis)
-    assert ring.multiply({"p1": F(1)}, {"p1": F(1)}) == {}
+    assert ring.table[("p1", "p1")] == {}
 
 
 def test_su3_structure_constants_frozen(su3_ring):
@@ -768,13 +768,21 @@ def test_localization_pairing_invertible(su3_basis, cp1_basis):
 
 
 def _assert_pairings_are_integrals(basis):
+    """The integer pairing is, entry by entry, E s_F s_G times the
+    localization integral of beta_F beta_G: E the lcm of the Euler classes,
+    s_F the lcm of the denominators of beta_F."""
     profile = basis.profile
+    euler = lcm(*(profile.full_weight_product(v) for v in profile.index))
+    scale = {f: lcm(*(c.denominator for c in basis.beta[f].values.values()))
+             for f in basis.order}
     for k in range(0, 2 * profile.n + 1, 2):
-        low, high, mat = localization_pairing_matrix(basis, k)
-        expected = [[abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile) for g in high]
-                    for f in low]
-        assert [[(type(x), x) for x in row] for row in mat] == \
-            [[(type(x), x) for x in row] for row in expected], k
+        low, high, mat = localization_pairing_integers(basis, k)
+        assert low == [f for f in basis.order if profile.index[f] == k]
+        assert high == [g for g in basis.order if profile.index[g] == 2 * profile.n - k]
+        assert all(type(x) is int for row in mat for x in row)
+        assert mat == [[euler * scale[f] * scale[g]
+                        * abbv_integrate(cup(basis.beta[f], basis.beta[g]), profile)
+                        for g in high] for f in low], k
 
 
 @pytest.mark.parametrize("name", ["su3", "so5", "cp3", "hirzebruch1", "sphere_product3",
@@ -783,37 +791,16 @@ def test_localization_pairing_matrix_is_the_localization_integral(name):
     _assert_pairings_are_integrals(_catalog_basis(name))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["su3", "so5", "cp3"]), st.data())
-def test_localization_pairing_matrix_is_the_localization_integral_at_random_circles(name, data):
-    graph = parse_gkm(catalog.get(name).document)
-    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
-    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
-    _assert_pairings_are_integrals(canonical_classes(graph, restrict_to_circle(graph, xi)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"]), st.data())
 def test_localization_pairing_integers_are_the_scaled_oracle_at_random_circles(name, data):
-    # entry by entry E s_F s_G times the Fraction oracle: E the lcm of the
-    # Euler classes, s_F the lcm of the denominators of beta_F
+    # the oracle is the localization integral of the cup product
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
     xi = data.draw(st.one_of(st.just(entry.default_xi),
                              st.tuples(*[st.integers(-4, 4)] * graph.rank)), label="xi")
     assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
-    basis = canonical_classes(graph, restrict_to_circle(graph, xi))
-    profile = basis.profile
-    euler = lcm(*(profile.full_weight_product(v) for v in profile.index))
-    scale = {f: lcm(*(c.denominator for c in basis.beta[f].values.values()))
-             for f in basis.order}
-    for k in range(0, 2 * profile.n + 1, 2):
-        low, high, mat = localization_pairing_integers(basis, k)
-        low2, high2, oracle = localization_pairing_matrix(basis, k)
-        assert (low, high) == (low2, high2)
-        assert all(type(x) is int for row in mat for x in row)
-        assert mat == [[euler * scale[f] * scale[g] * x for g, x in zip(high, row)]
-                       for f, row in zip(low, oracle)], k
+    _assert_pairings_are_integrals(canonical_classes(graph, restrict_to_circle(graph, xi)))
 
 
 @pytest.mark.parametrize("name", ["su3", "cp4", "hirzebruch1", "sphere_product3",
@@ -823,13 +810,12 @@ def test_localization_pairing_in_complementary_degrees_is_the_transpose(name):
     n = basis.profile.n
     invertible = localization_pairing_invertible(basis)
     for k in range(0, 2 * n + 1, 2):
-        low, high, mat = localization_pairing_matrix(basis, k)
-        low2, high2, mat2 = localization_pairing_matrix(basis, 2 * n - k)
+        low, high, mat = localization_pairing_integers(basis, k)
+        low2, high2, mat2 = localization_pairing_integers(basis, 2 * n - k)
         assert (low2, high2) == (high, low)
         assert mat2 == [list(col) for col in zip(*mat)], k
-        if k == n:  # the middle degree: one basis, a symmetric matrix of Fractions
+        if k == n:  # the middle degree: one basis, a symmetric matrix
             assert low == high and mat == [list(col) for col in zip(*mat)]
-            assert all(type(x) is F for row in mat for x in row)
         assert invertible[k // 2] == (len(low) == len(high) == matrix_rank(mat)), k
 
 
@@ -845,26 +831,23 @@ class _CountingDict(dict):
 
 @pytest.mark.parametrize("name", ["sphere_product2", "sphere_product4", "su3"])
 def test_localization_pairing_reads_each_beta_once(name):
-    # one pass per degree, in the oracle and in integers: each class of
-    # degree k or 2n - k is read once, the middle degree's classes included,
-    # and no other class is read
+    # one pass per degree: each class of degree k or 2n - k is read once,
+    # the middle degree's classes included, and no other class is read
     basis = _catalog_basis(name)
     profile = basis.profile
     counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
     for k in range(0, 2 * profile.n + 1, 2):
-        for pairing in (localization_pairing_matrix, localization_pairing_integers):
-            counted.beta.reads = {}
-            assert pairing(counted, k) == pairing(basis, k)
-            assert counted.beta.reads == {f: 1 for f in basis.order
-                                          if profile.index[f] in (k, 2 * profile.n - k)}, k
+        counted.beta.reads = {}
+        assert localization_pairing_integers(counted, k) == localization_pairing_integers(basis, k)
+        assert counted.beta.reads == {f: 1 for f in basis.order
+                                      if profile.index[f] in (k, 2 * profile.n - k)}, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])
 def test_analyze_pairs_each_degree_once(name, monkeypatch):
     # one call per analysis, and it ranks the integer pairings of the degrees
-    # 2k <= n only, each once: degree 2n - 2k is read off degree 2k, and no
-    # Fraction pairing matrix is built
-    calls, degrees, fractions = [], [], []
+    # 2k <= n only, each once: degree 2n - 2k is read off degree 2k
+    calls, degrees = [], []
 
     def counted_invertible(basis):
         calls.append(basis)
@@ -873,19 +856,13 @@ def test_analyze_pairs_each_degree_once(name, monkeypatch):
     def counted_integers(basis, k):
         degrees.append(k)
         return localization_pairing_integers(basis, k)
-
-    def counted_matrix(basis, k):
-        fractions.append(k)
-        return localization_pairing_matrix(basis, k)
     monkeypatch.setattr(analysis, "localization_pairing_invertible", counted_invertible)
     monkeypatch.setattr(cohomology, "localization_pairing_integers", counted_integers)
-    monkeypatch.setattr(cohomology, "localization_pairing_matrix", counted_matrix)
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
     report, _ = analysis.analyze(graph, entry.default_xi)
     n = graph.n
     assert len(calls) == 1
     assert degrees == [2 * k for k in range(n // 2 + 1)]
-    assert fractions == []
     assert list(report["localization"]["pairing_invertible"]) == \
         [str(2 * k) for k in range(n + 1)]

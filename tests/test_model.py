@@ -307,14 +307,6 @@ def test_betti_cp1(cp1):
     assert betti(profile) == [1, 0, 1]
 
 
-def test_edge_outward_weights_negate(su3):
-    _, graph, _ = su3
-    for e in graph.edges:
-        at_v = dict(graph.outward_weights(e.v))[e.w]
-        at_w = dict(graph.outward_weights(e.w))[e.v]
-        assert at_w == tuple(-a for a in at_v)
-
-
 def test_mu_increases_along_positive_edges(su3):
     _, graph, profile = su3
     for e in graph.edges:
@@ -347,7 +339,7 @@ def test_affine_reparametrization_invariance(su3):
     profile2 = restrict_to_circle(graph2, entry.default_xi)
     shift = sum(s * x for s, x in zip(t, entry.default_xi))
     assert profile2.index == profile.index
-    assert profile2.levels() == profile.levels()
+    assert all(profile2.level(k) == profile.level(k) for k in range(profile.n + 1))
     assert betti(profile2) == betti(profile)
     for k in range(profile.n + 1):
         assert profile2.level_constant(k) == a * profile.level_constant(k) + shift
@@ -410,7 +402,7 @@ def test_profile_caches_follow_dataclasses_replace(su3):
     _, _, profile = su3
     assert profile.level(1) == tuple(sorted(v for v, ix in profile.index.items() if ix == 2))
     assert profile.level(1) is profile.level(1)
-    top = profile.max_vertex
+    (top,) = profile.level(profile.n)
     moved = dataclasses.replace(profile, index={**profile.index, top: 2},
                                 weights={**profile.weights, top: (-2, 3, 5)})
     assert top in moved.level(1) and moved.level(profile.n) == ()
