@@ -791,6 +791,15 @@ def test_localization_pairing_matrix_is_the_localization_integral(name):
     _assert_pairings_are_integrals(_catalog_basis(name))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3"]), st.data())
+def test_localization_pairing_matrix_is_the_localization_integral_at_random_circles(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    _assert_pairings_are_integrals(canonical_classes(graph, restrict_to_circle(graph, xi)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["su3", "so5", "cp3", "hirzebruch1", "sphere_product3"]), st.data())
 def test_localization_pairing_integers_are_the_scaled_oracle_at_random_circles(name, data):
