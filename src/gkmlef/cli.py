@@ -51,6 +51,8 @@ def _load_input(args):
         return entry.name, entry.document.encode(), entry.default_xi
     if not args.path:
         raise GkmValidationError("no input: give a document path or --example NAME")
+    if args.scale is not None:
+        raise GkmValidationError("--scale applies only to --example")
     with open(args.path, "rb") as fh:
         return args.path, fh.read(), None
 

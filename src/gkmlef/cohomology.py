@@ -200,25 +200,42 @@ def _dot(a, b):
 def projection_eta(graph, xi):
     """eta = (1, m, ..., m^(r-1)) for the least m >= 1 that keeps the
     projections w -> (w . xi, w . eta) of the weights at each vertex pairwise
-    non-parallel.  Those of a and b are parallel when eta is orthogonal to
-    n = (a . xi) b - (b . xi) a, nonzero unless a, b are (FlowUpError); n . eta
-    is a polynomial in m of degree < r, so each pair rules out < r values."""
+    non-parallel.  For each m, two projections at a vertex are parallel
+    exactly when their directions (reduced by the gcd, sign fixed) are equal,
+    and a zero projection is parallel to every other: O(E) per m.  Those of
+    a and b are parallel when eta is orthogonal to n = (a . xi) b - (b . xi) a,
+    a polynomial in m of degree < r, so each pair rules out < r values; n = 0
+    (a, b parallel) raises FlowUpError at the first vertex where it collides."""
     incident = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
         incident[e.v].append(e.weight)
         incident[e.w].append(e.weight)
-    normals = set()
-    for v, weights in incident.items():
-        for a, b in combinations(weights, 2):
-            ax, bx = _dot(a, xi), _dot(b, xi)
-            normal = tuple(ax * y - bx * x for x, y in zip(a, b))
-            if not any(normal):
-                raise FlowUpError("parallel weights %r and %r at %s" % (a, b, v))
-            normals.add(normal)
+    at_xi = {e.weight: _dot(e.weight, xi) for e in graph.edges}
     m = 1
-    while not all(_dot(n, (m ** i for i in range(graph.rank))) for n in normals):
+    while True:
+        eta = tuple(m ** i for i in range(graph.rank))
+        direction = {w: _direction(x, _dot(w, eta)) for w, x in at_xi.items()}
+        for v, weights in incident.items():
+            seen = {direction[w] for w in weights}
+            if len(seen) < len(weights) or (None in seen and len(weights) > 1):
+                for a, b in combinations(weights, 2):
+                    ax, bx = at_xi[a], at_xi[b]
+                    if not any(ax * y - bx * x for x, y in zip(a, b)):
+                        raise FlowUpError("parallel weights %r and %r at %s" % (a, b, v))
+                break
+        else:
+            return eta
         m += 1
-    return tuple(m ** i for i in range(graph.rank))
+
+
+def _direction(x, y):
+    """(x, y) over the gcd with a positive leading entry; None for (0, 0)."""
+    g = gcd(x, y)
+    if not g:
+        return None
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return x // g, y // g
 
 
 def _linear_product(lines):
@@ -242,19 +259,24 @@ def flow_up_classes(graph, profile):
     tau_p, one per vertex p, has degree d = index(p) / 2, vanishes before p
     in basis_order and restricts at p to the product of the projected
     weights of p's edges to earlier vertices.  Returns {p: {q: (coefficients,
-    denominator)}}: each nonzero tau_p(q) as a binary form in (x, y), integer
-    coefficients x^d first (as _linear_product) over a positive denominator,
-    reduced by their gcd.  Its circle value is the x^d coefficient over the
-    denominator.
+    denominator)}}, p and each p's q in basis order: each nonzero tau_p(q) as
+    a binary form in (x, y), integer coefficients x^d first (as
+    _linear_product) over a positive denominator, reduced by their gcd.  Its
+    circle value is the x^d coefficient over the denominator.
 
     tau_p(q) = tau_p(w) mod a x + b y says that the two forms agree at the
     point (-b, a), so tau_p(q) is the Lagrange interpolant through the first
-    min(k, d + 1) of q's k down-edge points, padded by a power of y.  Raises
-    FlowUpError unless every vertex has index / 2 down edges and every class
-    passes an exact check of every projected edge congruence.  On the GKM
-    graph of a Hamiltonian T-manifold the GKM theorem holds for the subtorus
-    too (its weights at each vertex are pairwise independent), so these
-    classes span the circle image in each degree, as over the torus.
+    n = min(k, d + 1) of q's k down-edge points, padded by y^(d + 1 - n).  Its
+    basis is built once per q and n and shared by every degree and class.
+    Every edge is a down edge of its later end q, so the sweep certifies
+    every projected edge congruence where it builds tau_p(q): at all k
+    points, the n it interpolates included, for each p before q that is
+    nonzero at a down neighbour of q (tau_p(q) = 0 included), and tau_q(q)
+    at its own down points.  Raises FlowUpError unless every vertex has
+    index / 2 down edges and every check passes.  On the GKM graph of a
+    Hamiltonian T-manifold the GKM theorem holds for the subtorus too (its
+    weights at each vertex are pairwise independent), so these classes span
+    the circle image in each degree, as over the torus.
     """
     order, xi = basis_order(profile), profile.xi
     eta = projection_eta(graph, xi)
@@ -271,44 +293,67 @@ def flow_up_classes(graph, profile):
         if len(down[q]) != degree[q]:
             raise FlowUpError("vertex %s has %d edges to earlier vertices and index %d"
                               % (q, len(down[q]), profile.index[q]))
-    tau, by_degree = {}, {}  # by_degree: the vertices before q, by degree
+    tau, holders = {}, {}  # holders[v]: the p with tau_p(v) != 0
     for q in order:
+        near = [w for w, _ in down[q]]
         lines = [line for _, line in down[q]]
-        tau[q] = {q: (_linear_product(lines), 1)}
+        points = [(-b, a) for a, b in lines]
+        k = len(lines)
+        top = _linear_product(lines)
+        for w, point in zip(near, points):
+            if _dot(top, _powers(point, k)):
+                raise _congruence_error(w, q, q)
+        tau[q], holders[q] = {q: (top, 1)}, [q]
+        by_degree = {}  # degree -> {p before q: the j with tau_p(w_j) != 0}
+        for j, w in enumerate(near):
+            for p in holders[w]:
+                by_degree.setdefault(degree[p], {}).setdefault(p, []).append(j)
+        bases = {}  # n -> (columns of the basis, each basis form at its own point)
         for d, ps in by_degree.items():
-            n = min(len(lines), d + 1)
-            powers = [_powers((-b, a), d) for a, b in lines[:n]]
-            basis = [[0] * (d + 1 - n) + _linear_product(lines[:j] + lines[j + 1:n])
-                     for j in range(n)]
-            scales = [_dot(f, pw) for f, pw in zip(basis, powers)]
-            for p in ps:
-                terms = [(value, tau[p][w][1] * s, f)
-                         for (w, _), pw, f, s in zip(down[q], powers, basis, scales)
-                         if w in tau[p] and (value := _dot(tau[p][w][0], pw))]
+            n = min(k, d + 1)
+            if n not in bases:
+                basis = [_linear_product(lines[:j] + lines[j + 1:n]) for j in range(n)]
+                bases[n] = (list(zip(*basis)),
+                            [_dot(f, _powers(point, n - 1)) for f, point in zip(basis, points)])
+            columns, own = bases[n]
+            pad = d + 1 - n
+            powers = [_powers(point, d) for point in points]
+            tails = [pw[pad:] for pw in powers]
+            scales = [s * y ** pad for s, (_, y) in zip(own, points)]
+            for p, hits in ps.items():
+                values, dens = [0] * k, [1] * k
+                for j in hits:
+                    f, dens[j] = tau[p][near[j]]
+                    values[j] = sum(map(mul, f, powers[j]))
+                terms = [(j, dens[j] * scales[j]) for j in range(n) if values[j]]
                 if terms:
-                    den = lcm(*(abs(s) for _, s, _ in terms))
-                    terms = [(value * (den // s), f) for value, s, f in terms]
-                    coeffs = [sum(c * f[i] for c, f in terms) for i in range(d + 1)]
-                    g = gcd(den, *coeffs)
-                    tau[p][q] = ([c // g for c in coeffs], den // g)
-        by_degree.setdefault(degree[q], []).append(q)
-    for e in graph.edges:
-        point = (-_dot(e.weight, eta), _dot(e.weight, xi))
-        powers = {d: _powers(point, d) for d in by_degree}
-        for p, values in tau.items():
-            if e.v in values or e.w in values:
-                (f, fden), (g, gden) = values.get(e.v, ((), 1)), values.get(e.w, ((), 1))
-                pw = powers[degree[p]]
-                if _dot(f, pw) * gden != _dot(g, pw) * fden:
-                    raise FlowUpError("edge %s-%s fails its congruence in the class of %s"
-                                      % (e.v, e.w, p))
+                    den = lcm(*(abs(s) for _, s in terms))
+                    cs = [0] * n
+                    for j, s in terms:
+                        cs[j] = values[j] * (den // s)
+                    tail = [sum(map(mul, cs, col)) for col in columns]
+                    g = gcd(den, *tail)
+                    tail, den = [c // g for c in tail], den // g
+                    tau[p][q] = ([0] * pad + tail, den)
+                    holders[q].append(p)
+                    at = [sum(map(mul, tail, t)) for t in tails]
+                else:  # tau_p(q) = 0, so tau_p must vanish at every down point
+                    at, den = [0] * k, 1
+                # the n interpolated points hold by construction; checked all the same
+                for w, x, wden, value in zip(near, at, dens, values):
+                    if x * wden != value * den:
+                        raise _congruence_error(w, q, p)
     return tau
+
+
+def _congruence_error(w, q, p):
+    return FlowUpError("edge %s-%s fails its congruence in the class of %s" % (w, q, p))
 
 
 def _alpha_beta(profile, fid, values):
     """alpha_F from its circle values {vertex id: Fraction}, zeros dropped,
     and its normalization beta_F = alpha_F / (product of the negative weights
-    at F)."""
+    at F).  The oracle's; canonical_classes builds both from integers."""
     wprod = profile.negative_weight_product(fid)
     graph, degree = profile.graph, profile.index[fid]
     values = {v: c for v, c in values.items() if c}
@@ -318,25 +363,32 @@ def _alpha_beta(profile, fid, values):
 
 def canonical_classes(graph, profile):
     """Canonical class basis, one class per fixed point: alpha_F is the
-    flow-up class tau_F read on the circle (each value the x^d coefficient
-    over the denominator).  tau_F vanishes before F; at F its circle value is
-    the product of F's projected down lines at (1, 0), the product of the
-    negative weights at F; and at any later q of index <= index(F) it is the
-    interpolant padded by a power of y, whose x^d coefficient is 0.  Those are
-    the defining conditions of alpha_F, so no substitution is needed;
-    kirwan_reduce certifies the support again (basis.support_violation).  If
-    the flow-up classes are not certified, a DEBUG line names the reason and
-    the oracle canonical_classes_global is returned."""
+    flow-up class tau_F read on the circle, each value the x^d coefficient c
+    over the denominator den, and beta_F(q) = c / (den * the product of the
+    negative weights at F), one Fraction each.  tau_F vanishes before F; at F
+    its circle value is the product of F's projected down lines at (1, 0),
+    the product of the negative weights at F; and at any later q of index <=
+    index(F) it is the interpolant padded by a power of y, whose x^d
+    coefficient is 0.  Those are the defining conditions of alpha_F, so no
+    substitution is needed; kirwan_reduce certifies the support again
+    (basis.support_violation).  The basis order is the order of the flow-up
+    classes, sorted once.  If the flow-up classes are not certified, a DEBUG
+    line names the reason and the oracle canonical_classes_global is
+    returned."""
     try:
         classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
         _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
         return canonical_classes_global(graph, profile)
-    order, alpha, beta = basis_order(profile), {}, {}
-    for fid in order:
-        alpha[fid], beta[fid] = _alpha_beta(
-            profile, fid, {q: Fraction(f[0], den) for q, (f, den) in classes[fid].items()})
-    return CanonicalBasis(profile, order, alpha, beta)
+    alpha, beta = {}, {}
+    for fid, forms in classes.items():
+        wprod, degree = profile.negative_weight_product(fid), profile.index[fid]
+        values = [(q, f[0], den) for q, (f, den) in forms.items() if f[0]]
+        alpha[fid] = CircleClass(profile.graph, degree,
+                                 {q: Fraction(c, den) for q, c, den in values})
+        beta[fid] = CircleClass(profile.graph, degree,
+                                {q: Fraction(c, den * wprod) for q, c, den in values})
+    return CanonicalBasis(profile, tuple(classes), alpha, beta)
 
 
 def canonical_classes_global(graph, profile):

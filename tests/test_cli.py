@@ -209,3 +209,13 @@ def test_xi_entries_are_plain_decimal_integers(capsys, xi):
     assert (code, out) == (1, "")
     assert err == "error: bad --xi %r: expected comma-separated integers\n" % xi
     assert run(capsys, "analyze", "--example", "su3", "--xi=" + xi) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "render", "validate"])
+def test_scale_with_a_document_path_is_an_error(capsys, tmp_path, command):
+    # --scale rescales a catalog example; a document is read as written
+    path = tmp_path / "su3.json"
+    path.write_text(catalog.get("su3").document)
+    assert run(capsys, command, str(path), "--xi", "-1,1")[0] == 0
+    code, out, err = run(capsys, command, str(path), "--xi", "-1,1", "--scale", "7")
+    assert (code, out, err) == (1, "", "error: --scale applies only to --example\n")

@@ -19,7 +19,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                flow_up_classes, localization_pairing_invertible,
                                localization_pairing_integers)
 from gkmlef.exact import matrix_rank, monomial_exponents, solve_many
-from gkmlef.model import GkmGraph
+from gkmlef.model import Edge, GkmGraph, Vertex
 
 F = Fraction
 
@@ -268,6 +268,46 @@ def test_projected_classes_at_random_generic_circles(name, data):
     assert _matches_oracle(graph, restrict_to_circle(graph, xi))
 
 
+def _least_m_by_normals(graph, xi):
+    """projection_eta's definition: the least m >= 1 whose eta = (1, m, ...,
+    m^(r-1)) has a nonzero dot with every normal (a . xi) b - (b . xi) a of
+    two weights a, b at one vertex."""
+    normals = []
+    for v in graph.vertices:
+        weights = [e.weight for e in graph.edges if v.id in (e.v, e.w)]
+        for a, b in combinations(weights, 2):
+            ax, bx = (sum(p * q for p, q in zip(w, xi)) for w in (a, b))
+            normals.append([ax * y - bx * x for x, y in zip(a, b)])
+    m = 1
+    while not all(sum(c * m ** i for i, c in enumerate(n)) for n in normals):
+        m += 1
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["su3", "so5", "cp3", "cp4", "sphere_product3"]), st.data())
+def test_projection_eta_is_the_least_m_off_every_normal(name, data):
+    graph = parse_gkm(catalog.get(name).document)
+    xi = data.draw(st.tuples(*[st.integers(-6, 6)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    m = _least_m_by_normals(graph, xi)
+    assert cohomology.projection_eta(graph, xi) == tuple(m ** i for i in range(graph.rank))
+
+
+def test_projection_eta_rejects_parallel_weights():
+    # parse_gkm refuses parallel weights at a vertex, so the graph is built
+    # directly: at B the weights (1, 1) and (-2, -2) have a zero normal, and
+    # no eta separates their projections
+    vertices = tuple(Vertex(v, (F(x), F(y))) for v, (x, y) in
+                     {"A": (0, 0), "B": (1, 1), "C": (3, 3), "D": (2, 0)}.items())
+    edges = (Edge("A", "D", (1, 0)), Edge("A", "B", (1, 1)), Edge("B", "C", (-2, -2)),
+             Edge("B", "D", (1, -1)))
+    graph = GkmGraph(2, 4, vertices, edges)
+    with pytest.raises(cohomology.FlowUpError,
+                       match=r"^parallel weights \(1, 1\) and \(-2, -2\) at B$"):
+        cohomology.projection_eta(graph, (1, 2))
+
+
 def _assert_alpha_is_the_flow_up_class(graph, profile):
     """alpha_F is tau_F read on the circle, by _form_at: tau_F is the
     negative weight product at F and 0 at every other vertex of index <=
@@ -418,6 +458,58 @@ def test_flow_up_certificate_needs_one_down_edge_per_negative_weight(su3):
     wrong = {**profile.index, top: profile.index[top] - 2}
     with pytest.raises(cohomology.FlowUpError, match="edges to earlier vertices"):
         flow_up_classes(graph, dataclasses.replace(profile, index=wrong))
+
+
+@pytest.mark.parametrize("name, edge, weight", [
+    ("cp3", 3, (1, 2, -1)), ("so5", 1, (2, 1)), ("sphere_product3", 6, (2, -2, 1)),
+])
+def test_a_changed_weight_fails_past_the_interpolated_points(name, edge, weight):
+    # one edge weight changed: the changed graph has no flow-up classes, and
+    # the sweep sees it only at down points past each interpolated prefix
+    graph, profile = _flow_up_case(name, None)
+    edges = list(graph.edges)
+    edges[edge] = dataclasses.replace(edges[edge], weight=weight)
+    changed = GkmGraph(graph.rank, graph.dimension, graph.vertices, tuple(edges))
+    with pytest.raises(cohomology.FlowUpError, match="fails its congruence in the class of"):
+        flow_up_classes(changed, restrict_to_circle(changed, profile.xi))
+
+
+def test_a_class_that_interpolates_to_zero_must_vanish_at_every_down_point():
+    # tau_B vanishes before B and at C and D (whose down neighbours are Y1
+    # and Y2), so it interpolates to 0 at Q through Q's first two down points
+    # C and D; at the third, B, it is the nonzero tau_B(B).  Every other
+    # class passes every check, so only the zero-class check refuses the graph
+    mu = {"A": 0, "Y1": 1, "Y2": 2, "B": 3, "C": 4, "D": 5, "Q": 6}
+    vertices = tuple(Vertex(v, (F(x), F(0))) for v, x in mu.items())
+    edges = (Edge("A", "B", (3, 2)), Edge("A", "Y1", (3, -2)), Edge("A", "Y2", (2, -3)),
+             Edge("Y1", "C", (1, -2)), Edge("Y2", "C", (2, -1)), Edge("Y1", "D", (1, 0)),
+             Edge("Y2", "D", (1, -1)), Edge("C", "Q", (1, -1)), Edge("D", "Q", (1, -2)),
+             Edge("B", "Q", (1, 1)))
+    graph = GkmGraph(2, 6, vertices, edges)
+    with pytest.raises(cohomology.FlowUpError,
+                       match="^edge B-Q fails its congruence in the class of B$"):
+        flow_up_classes(graph, restrict_to_circle(graph, (1, 0)))
+
+
+@pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
+def test_flow_up_builds_each_interpolation_basis_once(name, xi, monkeypatch):
+    # one top product per vertex, then one basis product per (q, prefix
+    # length n) and basis term, shared by every degree with that n
+    graph, profile = _flow_up_case(name, xi)
+    calls = []
+
+    def counting(lines):
+        calls.append(len(lines))
+        return _LINEAR_PRODUCT(lines)
+
+    monkeypatch.setattr(cohomology, "_linear_product", counting)
+    flow_up_classes(graph, profile)
+    order = cohomology.basis_order(profile)
+    bound = len(order)
+    for i, q in enumerate(order):
+        k = profile.index[q] // 2
+        bound += sum({min(k, profile.index[p] // 2 + 1) for p in order[:i]})
+    assert len(calls) <= bound
 
 
 # -- cup product ------------------------------------------------------------
