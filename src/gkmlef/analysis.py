@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from fractions import Fraction
 
 from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
@@ -39,11 +40,14 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     hyp = check_hypothesis(profile)
     n = profile.n
 
-    min_shift = profile.min_value() if shift_min else 0
-    mu, constants = profile.mu, profile.level_constants()
-    if shift_min:
-        mu = {v: x - min_shift for v, x in mu.items()}
-        constants = [None if c is None else c - min_shift for c in constants]
+    mu, constants, min_shift = profile.mu, hyp["c"], 0
+    if shift_min:  # shifted in the ints D mu, one Fraction per reported value
+        scale, scaled = profile.mu_scale, profile.scaled_mu
+        low = min(scaled.values())
+        min_shift = Fraction(low, scale)
+        mu = {v: Fraction(m - low, scale) for v, m in scaled.items()}
+        constants = [None if c is None else Fraction(c - low, scale)
+                     for c in profile.scaled_level_constants()]
     normalizer = None
     if hyp["constant_on_levels"]:
         normalizer = self_indexing_normalizer(profile)

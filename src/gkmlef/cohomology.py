@@ -16,8 +16,8 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import (integer_multiple, matrix_rank, monomial_exponents,
-                    monomial_residue, solve_many, sparse_nullspace)
+from .exact import (integer_form, matrix_rank, monomial_exponents, monomial_residue,
+                    solve_many, sparse_nullspace)
 
 _log = logging.getLogger("gkmlef")
 
@@ -145,7 +145,7 @@ def circle_annihilator(graph, d, xi):
     rows = []
     for b in congruence_space(graph, d):
         values = {}
-        for c, x in integer_multiple(b).items():
+        for c, x in integer_form(b)[0].items():
             i, j = divmod(c, len(at_xi))
             values[i] = values.get(i, 0) + x * at_xi[j]
         rows.append({i: v for i, v in values.items() if v})
@@ -167,17 +167,25 @@ class CanonicalBasis:
         return self.profile.graph
 
     @cached_property
+    def integer_beta(self):
+        """{F: (a_F, s_F)}: s_F the lcm of the denominators of beta_F and
+        a_F = s_F beta_F, {vertex id: int} over the vertices beta_F stores.
+        Built once per basis; kirwan_reduce, support_violation and the
+        localization pairings read it."""
+        return {f: integer_form(cls.values) for f, cls in self.beta.items()}
+
+    @cached_property
     def support_violation(self):
         """The first (F, v) in basis order where beta_F breaks the support of a
-        canonical class: (F, F) if beta_F(F) is not 1, else a vertex v other
-        than F of index <= index(F) where beta_F is nonzero; None when every
-        class has canonical support.  O(nnz), once per basis."""
-        index = self.profile.index
+        canonical class: (F, F) if beta_F(F) is not 1 (a_F(F) != s_F), else a
+        vertex v other than F of index <= index(F) where beta_F is nonzero;
+        None when every class has canonical support.  O(nnz), once per basis."""
+        index, integer_beta = self.profile.index, self.integer_beta
         for f in self.order:
-            beta = self.beta[f]
-            if beta.at(f) != 1:
+            values, scale = integer_beta[f]
+            if values.get(f) != scale:
                 return f, f
-            v = next((v for v, c in beta.values.items()
+            v = next((v for v, c in values.items()
                       if c and v != f and index[v] <= index[f]), None)
             if v is not None:
                 return f, v
@@ -185,8 +193,11 @@ class CanonicalBasis:
 
 
 def basis_order(profile):
+    """Vertex ids ascending by (moment value, index, id), the moment value
+    compared as D mu, an int."""
+    scaled, index = profile.scaled_mu, profile.index
     return tuple(sorted((v.id for v in profile.graph.vertices),
-                        key=lambda vid: (profile.mu[vid], profile.index[vid], vid)))
+                        key=lambda vid: (scaled[vid], index[vid], vid)))
 
 
 class FlowUpError(ValueError):
@@ -401,7 +412,7 @@ def canonical_classes_global(graph, profile):
     vids = [v.id for v in graph.vertices]
     nv = len(vids)
     fids = basis_order(profile)
-    mu, index = profile.mu, profile.index
+    scaled, index = profile.scaled_mu, profile.index
     annihilators = {k: circle_annihilator(graph, k // 2, profile.xi) for k in set(index.values())}
     rows, rhs = [], []
     for b, fid in enumerate(fids):
@@ -409,7 +420,7 @@ def canonical_classes_global(graph, profile):
             rows.append({b * nv + j: x for j, x in row.items()})
             rhs.append(_ZERO)
         for j, vid in enumerate(vids):
-            if mu[vid] < mu[fid] or index[vid] <= index[fid]:
+            if scaled[vid] < scaled[fid] or index[vid] <= index[fid]:
                 rows.append({b * nv + j: Fraction(1)})
                 rhs.append(profile.negative_weight_product(fid) if vid == fid else _ZERO)
     (point,), null_basis = solve_many(rows, [rhs], nv * len(fids))
@@ -434,11 +445,16 @@ def equivariant_symplectic_class(profile, shift=0):
 
     It is the circle restriction of minus the position pairing plus shift
     times a linear form pairing to 1 with xi, so the GKM congruences hold by
-    the edge invariant.
+    the edge invariant.  With S = shift * T and T the lcm of D and the
+    shift's denominator, the value at v is (S - M(v) T / D) / T, one Fraction
+    per vertex.
     """
-    shift = Fraction(shift)
+    shift, d = Fraction(shift), profile.mu_scale
+    scale = lcm(d, shift.denominator)
+    s, factor = shift.numerator * (scale // shift.denominator), scale // d
     return CircleClass(profile.graph, 2,
-                       {v: c for v, mu in profile.mu.items() if (c := -mu + shift)})
+                       {v: Fraction(c, scale) for v, m in profile.scaled_mu.items()
+                        if (c := s - m * factor)})
 
 
 def expand_in_basis(cls, basis):
@@ -452,7 +468,7 @@ def expand_in_basis(cls, basis):
     coeffs = {}
     for fid in basis.order:
         r = coeffs[fid] = residual.get(fid, _ZERO)
-        if r == 0:
+        if not r:
             continue
         if profile.index[fid] > cls.degree:
             raise ExpansionError(
@@ -526,7 +542,9 @@ def kirwan_reduce(basis):
     image of multiplication by w = equivariant_symplectic_class(profile,
     min value), read off the canonical basis by the equivariant Chevalley
     formula: L(beta_F) = sum of (mu(F) - mu(H)) beta_F(H) beta_H over the H
-    of index(F) + 2.
+    of index(F) + 2.  In the integers M = D mu and a_F = s_F beta_F
+    (basis.integer_beta), each entry is one Fraction,
+    (M(F) - M(H)) a_F(H) / (D s_F).
 
     X = beta_F w - w(F) u beta_F has the Kirwan image of beta_F w, u going to
     0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When every beta has canonical
@@ -536,14 +554,17 @@ def kirwan_reduce(basis):
     raises ExpansionError.  omega is L of the unit, beta at the minimum.
     """
     profile = basis.profile
-    labels, mu, index = basis.order, profile.mu, profile.index
+    labels, scaled, index, d = basis.order, profile.scaled_mu, profile.index, profile.mu_scale
     if basis.support_violation is not None:
         f, bad = basis.support_violation
         raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
                              % (f, basis.beta[f].at(bad), bad))
-    lefschetz = {f: {h: x for h, c in basis.beta[f].values.items()
-                     if index[h] == index[f] + 2 and (x := (mu[f] - mu[h]) * c)}
-                 for f in labels}
+    lefschetz = {}
+    for f in labels:
+        values, s = basis.integer_beta[f]
+        m, target, den = scaled[f], index[f] + 2, d * s
+        lefschetz[f] = {h: Fraction(x, den) for h, c in values.items()
+                        if index[h] == target and (x := (m - scaled[h]) * c)}
     degree = {l: index[l] for l in labels}
     return OrdinaryRing(labels, degree, lefschetz, lefschetz[labels[0]], 2 * profile.n,
                         basis)
@@ -558,13 +579,13 @@ def localization_pairing_integers(basis, k):
     degree, so its integral is the sum of beta_F(v) beta_G(v) / e(v), and
     mat[F][G] the sum of a_F(v) a_G(v) (E / e(v)), a_F = s_F beta_F.  The
     high classes' values are indexed by vertex, then each low class's
-    support is walked once; each class's beta is read once.  Every scale is
+    support is walked once; a_F is basis.integer_beta's.  Every scale is
     nonzero, so the rank is the pairing's."""
     profile, top = basis.profile, 2 * basis.profile.n
     euler = {v: profile.full_weight_product(v) for v in profile.index}
     scale = lcm(*euler.values())
     cofactor = {v: scale // e for v, e in euler.items()}
-    values = {l: integer_multiple(basis.beta[l].values) for l in basis.order
+    values = {l: basis.integer_beta[l][0] for l in basis.order
               if profile.index[l] in (k, top - k)}
     low = [l for l in values if profile.index[l] == k]
     high = [l for l in values if profile.index[l] == top - k]

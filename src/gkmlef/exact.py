@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?$")  # no zero denominator
+# ASCII digits only (\d takes any Unicode digit, and int() reads them); no
+# zero denominator
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(0*[1-9][0-9]*))?$")
 
 
 def parse_rational(s):
@@ -36,11 +38,11 @@ def format_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def integer_multiple(values):
-    """{key: int}: the dict of ints and Fractions `values` times the lcm of
-    their denominators."""
+def integer_form(values):
+    """({key: int}, D): the dict of ints and Fractions `values` times D, the
+    lcm of their denominators (1 for no values)."""
     scale = lcm(*(x.denominator for x in values.values()))
-    return {key: x.numerator * (scale // x.denominator) for key, x in values.items()}
+    return {key: x.numerator * (scale // x.denominator) for key, x in values.items()}, scale
 
 
 def monomial_exponents(rank, degree):

@@ -92,17 +92,17 @@ def _entry(name, applicable, passed, detail):
 def verify_symp_expansion(profile, basis):
     """The symplectic class shifted by c_0, the minimum-normalized one,
     expands with no u-term at the minimum and equal coefficient -c_2 on every
-    index-2 class."""
-    name = "symplectic-expansion"
-    c0 = profile.level_constant(0)
-    c2 = profile.level_constant(1)
+    index-2 class.  The shifted class restricts to (C_0 - M(v)) / D u at v, in
+    the integers M = D mu and C_0 = D c_0: one Fraction per vertex."""
+    name, d = "symplectic-expansion", profile.mu_scale
+    c0, c2 = profile.scaled_level_constant(0), profile.scaled_level_constant(1)
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
-    coeffs = expand_in_basis(equivariant_symplectic_class(profile, shift=c0), basis)
+    coeffs = expand_in_basis(equivariant_symplectic_class(profile, shift=Fraction(c0, d)), basis)
     a0 = coeffs[profile.min_vertex]  # the u-term at the minimum
-    expected = -(c2 - c0) if c2 is not None else None
+    expected = Fraction(c0 - c2, d) if c2 is not None else None
     a2 = {v: coeffs[v] for v in profile.level(1)}
-    ok = a0 == 0 and all(a == expected for a in a2.values())
+    ok = not a0 and all(a == expected for a in a2.values())
     detail = ("a0 = %s; index-2 coefficients %s, expected %s each"
               % (format_rational(a0),
                  {v: format_rational(a) for v, a in sorted(a2.items())},
@@ -114,11 +114,11 @@ def verify_vanish(profile, k):
     """The symplectic class shifted by c_2k, restricting to (c_2k - mu(v)) u
     at v, vanishes on the whole index-2k level: mu(v) = c_2k there."""
     name = "shifted-class-vanishing(k=%d)" % k
-    c = profile.level_constant(k)
+    c, scaled = profile.scaled_level_constant(k), profile.scaled_mu
     if c is None:
         return _entry(name, False, None,
                       "level %d empty or moment map not constant on it" % (2 * k))
-    bad = [v for v in profile.level(k) if profile.mu[v] != c]
+    bad = [v for v in profile.level(k) if scaled[v] != c]
     return _entry(name, True, not bad,
                   "nonzero restrictions at %s" % bad if bad else
                   "vanishes on all %d vertices of index %d" % (len(profile.level(k)), 2 * k))
@@ -130,46 +130,53 @@ def top_product_integrals(profile, consts):
     consts[i]; the class shifted by c restricts to (c - mu(v)) u at v.
 
     The i-th integral is the sum over the vertices v of the product of the
-    c_j - mu(v), j != i, over the Euler class e(v).  With mu and consts
-    scaled to integers M and C by their common denominator D, and E the lcm
-    of the e(v), the sum of the products of the C_j - M(v) times E / e(v) is
-    an integer, D^n E times the integral.  The products omitting one factor
-    come from prefix and suffix products at each vertex; one Fraction is made
-    per integral."""
-    n = profile.n
-    scale = lcm(*(x.denominator for x in (*profile.mu.values(), *consts)))
-    shifts = [c.numerator * (scale // c.denominator) for c in consts]
+    c_j - mu(v), j != i, over the Euler class e(v); see _scaled_top_products."""
+    scale = lcm(profile.mu_scale, *(c.denominator for c in consts))
+    sums, den = _scaled_top_products(
+        profile, [c.numerator * (scale // c.denominator) for c in consts], scale)
+    return [Fraction(x, den) for x in sums]
+
+
+def _scaled_top_products(profile, shifts, scale):
+    """The integrals of top_product_integrals(profile, consts) as (integer
+    sums, common denominator), from shifts = scale * consts, ints, scale a
+    multiple of profile.mu_scale.  With mu scaled to the same ints M and E the
+    lcm of the e(v), the sum of the products of the C_j - M(v) times E / e(v)
+    is an integer, scale^n E times the integral.  The products omitting one
+    factor come from prefix and suffix products at each vertex."""
+    n, factor = profile.n, scale // profile.mu_scale
     euler = {v: profile.full_weight_product(v) for v in profile.mu}
     top = lcm(*euler.values())
     sums = [0] * (n + 1)
-    for v, x in profile.mu.items():
-        m = x.numerator * (scale // x.denominator)
+    for v, x in profile.scaled_mu.items():
+        m = x * factor
         factors = [c - m for c in shifts]
         prefix = list(accumulate(factors, mul, initial=1))  # prefix[i]: factors before i
         suffix = list(accumulate(reversed(factors), mul, initial=1))  # suffix[i]: the last i
         cofactor = top // euler[v]
         for i in range(n + 1):
             sums[i] += prefix[i] * suffix[n - i] * cofactor
-    return [Fraction(x, scale ** n * top) for x in sums]
+    return sums, scale ** n * top
 
 
 def verify_distinct(profile):
     """Distinctness of the level constants, cross-checked by localization:
     every (n-fold) product of distinctly shifted symplectic classes is a top
-    class with the same nonzero integral (top_product_integrals)."""
+    class with the same nonzero integral (top_product_integrals), decided on
+    the integer level constants C = D c."""
     name = "distinct-level-constants"
-    cs = profile.level_constants()
+    cs = profile.scaled_level_constants()
     if any(c is None for c in cs):
         return _entry(name, False, None, "some level is empty or non-constant")
     distinct = len(set(cs)) == len(cs)
-    detail = "c = (%s)" % ", ".join(format_rational(c) for c in cs)
+    detail = "c = (%s)" % ", ".join(format_rational(c) for c in profile.level_constants())
     if not distinct:
         return _entry(name, True, False,
                       detail + "; equal constants cannot arise from a genuine "
                       "symplectic manifold")
-    integrals = top_product_integrals(profile, cs)
-    witness_ok = len(set(integrals)) == 1 and integrals[0] != 0
-    detail += "; top-product integral %s" % format_rational(integrals[0])
+    sums, den = _scaled_top_products(profile, cs, profile.mu_scale)
+    witness_ok = len(set(sums)) == 1 and sums[0] != 0
+    detail += "; top-product integral %s" % format_rational(Fraction(sums[0], den))
     return _entry(name, True, distinct and witness_ok, detail)
 
 
@@ -232,17 +239,17 @@ def delta_certificate(basis, profile, gamma, k):
     restriction times the telescoping scalar product above that index.  cup
     multiplies vertex by vertex, so the factorization holds by construction
     and no class is built: delta(v) is nonzero exactly when gamma(v) is and
-    mu(v), the constant of v's level, is none of c_2k .. c_(2n-2k-2).
+    mu(v), the constant of v's level, is none of c_2k .. c_(2n-2k-2), compared
+    as the ints D c.
     """
     n = profile.n
     name = "delta-certificate(k=%d)" % k
     if gamma.degree != 2 * k:
         raise ValueError("candidate class has degree %d, expected %d" % (gamma.degree, 2 * k))
-    bad_pre = [v for v in basis.order
-               if profile.index[v] < 2 * k and gamma.at(v) != 0]
+    bad_pre = [v for v in basis.order if profile.index[v] < 2 * k and gamma.at(v)]
     if bad_pre:
         raise ValueError("candidate does not vanish below index %d: %s" % (2 * k, bad_pre))
-    cs = profile.level_constants()
+    cs = profile.scaled_level_constants()
     if any(c is None for c in cs):
         return _entry(name, False, None, "level constants undefined")
     killed = set(cs[k:n - k])
@@ -272,7 +279,8 @@ def delta_certificates(basis, profile):
 
 def semifree_monotone_analysis(profile):
     """Detect a semifree action (all circle weights +-1) and, when present,
-    reproduce the monotone normalization in which mu + n is self-indexing."""
+    reproduce the monotone normalization in which mu + n is self-indexing:
+    the monotone moment values are ints."""
     n = profile.n
     semifree = all(abs(w) == 1 for ws in profile.weights.values() for w in ws)
     result = {"semifree": semifree, "monotone_mu": None, "self_indexing": None}
@@ -282,7 +290,7 @@ def semifree_monotone_analysis(profile):
     self_indexing = True
     for vid, ws in profile.weights.items():
         neg = sum(1 for w in ws if w < 0)
-        monotone[vid] = Fraction(2 * neg - n)
+        monotone[vid] = 2 * neg - n
         if monotone[vid] + n != profile.index[vid]:
             self_indexing = False
     result["monotone_mu"] = monotone

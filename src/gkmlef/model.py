@@ -4,13 +4,16 @@ profile of a chosen circle subgroup (weights, Morse indices, level sets).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import mul
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational, integer_form, parse_rational
 
 
 class GkmValidationError(ValueError):
@@ -269,7 +272,13 @@ def dumps_indented(obj):
 
 @dataclass(frozen=True)
 class CircleProfile:
-    """Data of the circle subgroup selected by an integer vector xi."""
+    """Data of the circle subgroup selected by an integer vector xi.
+
+    The pipeline computes with the moment map in integers: M(v) = D mu(v),
+    D > 0 the lcm of the denominators of mu (scaled_mu, mu_scale), computed
+    once per profile from mu.  Level sets, their constants and every test on
+    them compare and hash ints; a Fraction of mu is made where it is read.
+    """
     graph: GkmGraph
     xi: tuple
     weights: dict  # vertex id -> sorted tuple of nonzero integer circle weights
@@ -283,12 +292,27 @@ class CircleProfile:
 
     # computed once per profile; dataclasses.replace builds a new one
     @cached_property
+    def _scaled(self):
+        """({vertex id: M(v) = D mu(v)}, D)."""
+        return integer_form(self.mu)
+
+    @property
+    def scaled_mu(self):
+        """{vertex id: D mu(v)}, ints."""
+        return self._scaled[0]
+
+    @property
+    def mu_scale(self):
+        """D, the one positive scale that makes every moment value an int."""
+        return self._scaled[1]
+
+    @cached_property
     def _levels(self):
-        """{Morse index: (vertex ids sorted by id, sorted distinct moment values)}."""
-        out = {}
+        """{Morse index: (vertex ids sorted by id, sorted distinct D mu values)}."""
+        out, scaled = {}, self.scaled_mu
         for v, ix in sorted(self.index.items()):
             out.setdefault(ix, []).append(v)
-        return {ix: (tuple(vs), tuple(sorted({self.mu[v] for v in vs})))
+        return {ix: (tuple(vs), tuple(sorted({scaled[v] for v in vs})))
                 for ix, vs in out.items()}
 
     @cached_property
@@ -301,19 +325,32 @@ class CircleProfile:
         return self._levels.get(2 * k, ((), ()))[0]
 
     def level_values(self, k):
-        """Sorted distinct moment values on the index-2k level."""
-        return self._levels.get(2 * k, ((), ()))[1]
+        """Sorted distinct moment values on the index-2k level, as Fractions."""
+        return tuple(Fraction(x, self.mu_scale) for x in self._levels.get(2 * k, ((), ()))[1])
 
     @property
     def constant_on_levels(self):
-        return all(len(self.level_values(k)) <= 1 for k in range(self.n + 1))
+        return all(len(values) == 1 for _, values in self._levels.values())
+
+    def scaled_level_constant(self, k):
+        """D c_2k when the index-2k level is nonempty and mu is constant on
+        it, else None."""
+        values = self._levels.get(2 * k, ((), ()))[1]
+        return values[0] if len(values) == 1 else None
+
+    @cached_property
+    def _scaled_level_constants(self):
+        return tuple(self.scaled_level_constant(k) for k in range(self.n + 1))
+
+    def scaled_level_constants(self):
+        """(D c_0, ..., D c_2n), as scaled_level_constant gives each; one
+        tuple per profile."""
+        return self._scaled_level_constants
 
     def level_constant(self, k):
-        """c_2k when the level is nonempty and mu is constant on it."""
-        vals = self.level_values(k)
-        if len(vals) != 1:
-            return None
-        return vals[0]
+        """c_2k, one Fraction, when the level is nonempty and mu is constant on it."""
+        c = self.scaled_level_constant(k)
+        return None if c is None else Fraction(c, self.mu_scale)
 
     def level_constants(self):
         return [self.level_constant(k) for k in range(self.n + 1)]
@@ -324,7 +361,7 @@ class CircleProfile:
         return v
 
     def min_value(self):
-        return min(self.mu.values())
+        return Fraction(min(self.scaled_mu.values()), self.mu_scale)
 
     def negative_weight_product(self, vid):
         """Product of the negative circle weights at a vertex (1 at the minimum)."""
@@ -344,7 +381,7 @@ def restrict_to_circle(graph, xi):
         raise GkmValidationError("xi length %d != rank %d" % (len(xi), graph.rank))
     outward = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
-        w = sum(a * b for a, b in zip(e.weight, xi))
+        w = sum(map(mul, e.weight, xi))
         if w == 0:
             raise GkmValidationError(
                 "xi %r is not generic: edge %s-%s with weight %r pairs to zero"
@@ -352,14 +389,14 @@ def restrict_to_circle(graph, xi):
         outward[e.v].append(w)
         outward[e.w].append(-w)
     weights = {vid: tuple(sorted(ws)) for vid, ws in outward.items()}
-    index = {vid: 2 * sum(1 for w in ws if w < 0) for vid, ws in weights.items()}
+    # twice the number of negative weights, which come first in sorted order
+    index = {vid: 2 * bisect_left(ws, 0) for vid, ws in weights.items()}
     # mu(v) = <position, xi>, one Fraction each from the integer positions
     scaled, scale = _integer_positions({v.id: v.position for v in graph.vertices})
-    mu = {vid: Fraction(sum(p * a for p, a in zip(pos, xi)), scale)
-          for vid, pos in scaled.items()}
+    mu = {vid: Fraction(sum(map(mul, pos, xi)), scale) for vid, pos in scaled.items()}
 
     n = graph.n
-    counts = [sum(1 for ix in index.values() if ix == 2 * k) for k in range(n + 1)]
+    counts = Counter(ix // 2 for ix in index.values())  # absent k count 0
     if counts[0] != 1 or counts[n] != 1:
         raise GkmValidationError(
             "expected a unique minimum and maximum, got %d of index 0 and %d of index 2n"
@@ -384,12 +421,12 @@ def betti(profile):
 
 def check_hypothesis(profile):
     """Constancy of the moment map on each index level, and distinctness of
-    the level constants when they are all defined."""
+    the level constants when they are all defined, decided on D mu."""
     constant = profile.constant_on_levels
-    c = profile.level_constants()
-    defined = [x for x in c if x is not None]
+    defined = [x for x in profile.scaled_level_constants() if x is not None]
     all_distinct = constant and len(set(defined)) == len(defined)
-    return {"constant_on_levels": constant, "c": c, "all_distinct": all_distinct}
+    return {"constant_on_levels": constant, "c": profile.level_constants(),
+            "all_distinct": all_distinct}
 
 
 def self_indexing_normalizer(profile):
@@ -398,14 +435,15 @@ def self_indexing_normalizer(profile):
 
     Returns (a, b), or None unless c_2n > c_0 and every defined level
     constant lies on that line; raises if the constancy hypothesis fails.
+    The test is in the ints C = D c: C_2k lies on the line exactly when
+    (C_2k - C_0) 2n = 2k (C_2n - C_0), and then a = 2n D / (C_2n - C_0) and
+    b = -2n C_0 / (C_2n - C_0).
     """
     if not profile.constant_on_levels:
         raise GkmValidationError("moment map is not constant on index levels")
-    c = profile.level_constants()
-    if not c[-1] > c[0]:
+    c = profile.scaled_level_constants()
+    top, span = 2 * profile.n, c[-1] - c[0]
+    if span <= 0 or any(x is not None and (x - c[0]) * top != 2 * k * span
+                        for k, x in enumerate(c)):
         return None
-    a = 2 * profile.n / (c[-1] - c[0])
-    b = -a * c[0]
-    if any(x is not None and a * x + b != 2 * k for k, x in enumerate(c)):
-        return None
-    return (a, b)
+    return Fraction(top * profile.mu_scale, span), Fraction(-top * c[0], span)

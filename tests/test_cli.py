@@ -211,6 +211,19 @@ def test_xi_entries_are_plain_decimal_integers(capsys, xi):
     assert run(capsys, "analyze", "--example", "su3", "--xi=" + xi) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, literal", [
+    (("analyze", "--example", "so5", "--scale", "\uff13"), "\uff13"),
+    (("analyze", "--example", "so5", "--scale", "1/\u0662"), "1/\u0662"),
+    (("render", "--example", "cp3", "--projection", "1,0,0;0,\u0661,0"), "\u0661"),
+])
+def test_rational_options_take_ascii_digits_only(capsys, argv, literal):
+    # int() reads a fullwidth or Arabic-Indic digit; --scale and --projection
+    # refuse them as --xi does
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: not a rational literal: %r\n" % literal
+
+
 @pytest.mark.parametrize("command", ["analyze", "render", "validate"])
 def test_scale_with_a_document_path_is_an_error(capsys, tmp_path, command):
     # --scale rescales a catalog example; a document is read as written

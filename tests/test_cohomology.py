@@ -794,6 +794,16 @@ def test_lefschetz_operator_by_the_chevalley_formula(name, xi):
     assert profile.constant_on_levels == (xi is None and name != "hirzebruch1")
 
 
+@pytest.mark.parametrize("scale", [F(3, 7), F(1, 2), F(5)])
+def test_lefschetz_operator_with_moment_denominators(scale):
+    # so5 scaled by p/q has moment values over q, so the integer moment map
+    # M = D mu has D = q > 1 there
+    entry = catalog.get("so5", scale=scale)
+    profile = _assert_lefschetz_is_the_table_route(parse_gkm(entry.document),
+                                                   entry.default_xi)
+    assert profile.mu_scale == scale.denominator
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CHEVALLEY_NAMES), st.data())
 def test_lefschetz_operator_at_random_generic_circles(name, data):
@@ -932,16 +942,19 @@ class _CountingDict(dict):
 
 @pytest.mark.parametrize("name", ["sphere_product2", "sphere_product4", "su3"])
 def test_localization_pairing_reads_each_beta_once(name):
-    # one pass per degree: each class of degree k or 2n - k is read once,
-    # the middle degree's classes included, and no other class is read
+    # one pass per degree: each class of degree k or 2n - k is read once, from
+    # the basis's integer view a_F = s_F beta_F, the middle degree's classes
+    # included, and no other class is read; beta itself is not read again
     basis = _catalog_basis(name)
     profile = basis.profile
     counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
+    counted.__dict__["integer_beta"] = _CountingDict(basis.integer_beta)
     for k in range(0, 2 * profile.n + 1, 2):
-        counted.beta.reads = {}
+        counted.integer_beta.reads = {}
         assert localization_pairing_integers(counted, k) == localization_pairing_integers(basis, k)
-        assert counted.beta.reads == {f: 1 for f in basis.order
-                                      if profile.index[f] in (k, 2 * profile.n - k)}, k
+        assert counted.integer_beta.reads == {f: 1 for f in basis.order
+                                              if profile.index[f] in (k, 2 * profile.n - k)}, k
+        assert counted.beta.reads == {}, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])

@@ -35,10 +35,11 @@ def test_format_rational_takes_ints_fractions_and_what_fraction_takes():
         ["7", "-3", "-3/4", "3/4", "1/2", "1"]
 
 
-def test_integer_multiple_scales_by_the_lcm_of_the_denominators():
-    assert exact.integer_multiple({"a": F(1, 2), "b": F(-2, 3), "c": 4, "d": F(0)}) == \
-        {"a": 3, "b": -4, "c": 24, "d": 0}
-    assert exact.integer_multiple({}) == {}
+def test_integer_form_scales_by_the_lcm_of_the_denominators():
+    assert exact.integer_form({"a": F(1, 2), "b": F(-2, 3), "c": 4, "d": F(0)}) == \
+        ({"a": 3, "b": -4, "c": 24, "d": 0}, 6)
+    assert exact.integer_form({"a": F(5)}) == ({"a": 5}, 1)
+    assert exact.integer_form({}) == ({}, 1)
 
 
 def _residue(poly, weight):

@@ -70,6 +70,13 @@ GOLDEN = {
         (0, "23331055376848c42eb50a4200dff80c8d0ddf673f98b8dd8572055d7d2868e6"),
     ("so5 --shift-min", "text"):
         (0, "cde49191c6d13b3f9ea2788235ad246085238279f2fe41986ddcb0b795537809"),
+    # moment values with denominators (D > 1), and a circle that reorders the basis
+    ("so5 --scale 3/7", "json"):
+        (0, "8f8941b6f9e38093e5c930c8ee1b4974547e3c3fbb2aec554320f880e235de81"),
+    ("so5 --scale 3/7", "text"):
+        (0, "aa9e70db3f6d57d5b2ad2d5dfff7ce6b4082098e61b5e74829ed68d05add6532"),
+    ("cp3 --xi=-3,-2,-1", "json"):
+        (0, "72bab2b979decc5ba6230c8e873281f3e1a3500de7cb50ed11563cd3f917a64b"),
 }
 
 

@@ -198,6 +198,19 @@ def test_malformed_document_named_failure(case, capsys, tmp_path):
     assert out.endswith("verdict: invalid\n")
 
 
+@pytest.mark.parametrize("literal", ["\u0661", "1/\u0663", "\uff13", "-\u0967/2"])
+def test_a_position_with_a_non_ascii_digit_names_its_vertex(literal):
+    # int() reads Arabic-Indic, fullwidth and Devanagari digits; a position
+    # literal takes ASCII digits only
+    doc = json.loads(catalog.get("cp1").document)
+    vid = doc["vertices"][1]["id"]
+    doc["vertices"][1]["position"][0] = literal
+    failed = [(name, detail) for name, ok, detail in run_checks(doc) if not ok]
+    assert failed == [("vertex-positions", "vertex %s: not a rational literal: %r" % (vid, literal))]
+    with pytest.raises(GkmValidationError, match="vertex-positions: vertex %s" % vid):
+        parse_gkm(json.dumps(doc))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
     | st.sampled_from(["p0", "p1", "1/2", "1/0", "0", "1"]),
