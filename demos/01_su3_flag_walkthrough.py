@@ -30,7 +30,7 @@ for fid in basis.order:
     print("  alpha_%s (index %d):" % (fid, profile.index[fid]),
           {v: str(basis.alpha[fid].at(v)) for v in sorted(profile.mu)})
 
-omega = equivariant_symplectic_class(profile, shift=profile.min_value())
+omega = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
 print("\nsymplectic volume (localization):",
       abbv_integrate(cup_power(omega, 3), profile))
 

@@ -47,7 +47,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         min_shift = Fraction(low, scale)
         mu = {v: Fraction(m - low, scale) for v, m in scaled.items()}
         constants = [None if c is None else Fraction(c - low, scale)
-                     for c in profile.scaled_level_constants()]
+                     for c in profile.scaled_level_constants]
     normalizer = None
     if hyp["constant_on_levels"]:
         normalizer = self_indexing_normalizer(profile)
@@ -67,7 +67,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     certificates = lefschetz.delta_certificates(basis, profile) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
-    vids = sorted(profile.mu)
+    vids = sorted(profile.index)
 
     digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes else None
     report = {

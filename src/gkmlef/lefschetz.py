@@ -95,7 +95,7 @@ def verify_symp_expansion(profile, basis):
     index-2 class.  The shifted class restricts to (C_0 - M(v)) / D u at v, in
     the integers M = D mu and C_0 = D c_0: one Fraction per vertex."""
     name, d = "symplectic-expansion", profile.mu_scale
-    c0, c2 = profile.scaled_level_constant(0), profile.scaled_level_constant(1)
+    c0, c2 = profile.scaled_level_constants[:2]
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
     coeffs = expand_in_basis(equivariant_symplectic_class(profile, shift=Fraction(c0, d)), basis)
@@ -114,7 +114,7 @@ def verify_vanish(profile, k):
     """The symplectic class shifted by c_2k, restricting to (c_2k - mu(v)) u
     at v, vanishes on the whole index-2k level: mu(v) = c_2k there."""
     name = "shifted-class-vanishing(k=%d)" % k
-    c, scaled = profile.scaled_level_constant(k), profile.scaled_mu
+    c, scaled = profile.scaled_level_constants[k], profile.scaled_mu
     if c is None:
         return _entry(name, False, None,
                       "level %d empty or moment map not constant on it" % (2 * k))
@@ -124,28 +124,18 @@ def verify_vanish(profile, k):
                   "vanishes on all %d vertices of index %d" % (len(profile.level(k)), 2 * k))
 
 
-def top_product_integrals(profile, consts):
+def _scaled_top_products(profile, shifts, scale):
     """The localization integrals of the n + 1 products of n symplectic
     classes shifted by all but one of consts[0..n], the i-th omitting
-    consts[i]; the class shifted by c restricts to (c - mu(v)) u at v.
-
-    The i-th integral is the sum over the vertices v of the product of the
-    c_j - mu(v), j != i, over the Euler class e(v); see _scaled_top_products."""
-    scale = lcm(profile.mu_scale, *(c.denominator for c in consts))
-    sums, den = _scaled_top_products(
-        profile, [c.numerator * (scale // c.denominator) for c in consts], scale)
-    return [Fraction(x, den) for x in sums]
-
-
-def _scaled_top_products(profile, shifts, scale):
-    """The integrals of top_product_integrals(profile, consts) as (integer
-    sums, common denominator), from shifts = scale * consts, ints, scale a
-    multiple of profile.mu_scale.  With mu scaled to the same ints M and E the
-    lcm of the e(v), the sum of the products of the C_j - M(v) times E / e(v)
-    is an integer, scale^n E times the integral.  The products omitting one
-    factor come from prefix and suffix products at each vertex."""
+    consts[i], as (integer sums, common denominator); the class shifted by c
+    restricts to (c - mu(v)) u at v.  shifts = scale * consts are ints, scale
+    a multiple of profile.mu_scale.  With mu scaled to the same ints M and E
+    the lcm of the Euler classes e(v), the sum of the products of the
+    C_j - M(v), j != i, times E / e(v) is an integer, scale^n E times the
+    i-th integral.  The products omitting one factor come from prefix and
+    suffix products at each vertex."""
     n, factor = profile.n, scale // profile.mu_scale
-    euler = {v: profile.full_weight_product(v) for v in profile.mu}
+    euler = {v: profile.full_weight_product(v) for v in profile.weights}
     top = lcm(*euler.values())
     sums = [0] * (n + 1)
     for v, x in profile.scaled_mu.items():
@@ -162,10 +152,10 @@ def _scaled_top_products(profile, shifts, scale):
 def verify_distinct(profile):
     """Distinctness of the level constants, cross-checked by localization:
     every (n-fold) product of distinctly shifted symplectic classes is a top
-    class with the same nonzero integral (top_product_integrals), decided on
+    class with the same nonzero integral (_scaled_top_products), decided on
     the integer level constants C = D c."""
     name = "distinct-level-constants"
-    cs = profile.scaled_level_constants()
+    cs = profile.scaled_level_constants
     if any(c is None for c in cs):
         return _entry(name, False, None, "some level is empty or non-constant")
     distinct = len(set(cs)) == len(cs)
@@ -249,7 +239,7 @@ def delta_certificate(basis, profile, gamma, k):
     bad_pre = [v for v in basis.order if profile.index[v] < 2 * k and gamma.at(v)]
     if bad_pre:
         raise ValueError("candidate does not vanish below index %d: %s" % (2 * k, bad_pre))
-    cs = profile.scaled_level_constants()
+    cs = profile.scaled_level_constants
     if any(c is None for c in cs):
         return _entry(name, False, None, "level constants undefined")
     killed = set(cs[k:n - k])

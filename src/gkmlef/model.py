@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import format_rational, integer_form, parse_rational
+from .exact import format_rational, parse_rational
 
 
 class GkmValidationError(ValueError):
@@ -274,16 +274,17 @@ def dumps_indented(obj):
 class CircleProfile:
     """Data of the circle subgroup selected by an integer vector xi.
 
-    The pipeline computes with the moment map in integers: M(v) = D mu(v),
-    D > 0 the lcm of the denominators of mu (scaled_mu, mu_scale), computed
-    once per profile from mu.  Level sets, their constants and every test on
-    them compare and hash ints; a Fraction of mu is made where it is read.
+    The moment map is held in integers: M(v) = D mu(v) (scaled_mu), with
+    D > 0 the lcm of the reduced denominators of mu (mu_scale).  Level sets,
+    their constants and every test on them compare and hash ints; mu is the
+    Fraction view that the report reads.
     """
     graph: GkmGraph
     xi: tuple
     weights: dict  # vertex id -> sorted tuple of nonzero integer circle weights
     index: dict  # vertex id -> Morse index (twice the negative-weight count)
-    mu: dict  # vertex id -> Fraction, <position, xi>
+    scaled_mu: dict  # vertex id -> int, D <position, xi>
+    mu_scale: int  # D
     warnings: tuple = field(default=())
 
     @property
@@ -292,19 +293,10 @@ class CircleProfile:
 
     # computed once per profile; dataclasses.replace builds a new one
     @cached_property
-    def _scaled(self):
-        """({vertex id: M(v) = D mu(v)}, D)."""
-        return integer_form(self.mu)
-
-    @property
-    def scaled_mu(self):
-        """{vertex id: D mu(v)}, ints."""
-        return self._scaled[0]
-
-    @property
-    def mu_scale(self):
-        """D, the one positive scale that makes every moment value an int."""
-        return self._scaled[1]
+    def mu(self):
+        """{vertex id: mu(v) = M(v) / D}, Fractions."""
+        d = self.mu_scale
+        return {v: Fraction(m, d) for v, m in self.scaled_mu.items()}
 
     @cached_property
     def _levels(self):
@@ -324,44 +316,26 @@ class CircleProfile:
         """Vertex ids of Morse index 2k, sorted by id."""
         return self._levels.get(2 * k, ((), ()))[0]
 
-    def level_values(self, k):
-        """Sorted distinct moment values on the index-2k level, as Fractions."""
-        return tuple(Fraction(x, self.mu_scale) for x in self._levels.get(2 * k, ((), ()))[1])
-
     @property
     def constant_on_levels(self):
         return all(len(values) == 1 for _, values in self._levels.values())
 
-    def scaled_level_constant(self, k):
-        """D c_2k when the index-2k level is nonempty and mu is constant on
-        it, else None."""
-        values = self._levels.get(2 * k, ((), ()))[1]
-        return values[0] if len(values) == 1 else None
-
     @cached_property
-    def _scaled_level_constants(self):
-        return tuple(self.scaled_level_constant(k) for k in range(self.n + 1))
-
     def scaled_level_constants(self):
-        """(D c_0, ..., D c_2n), as scaled_level_constant gives each; one
-        tuple per profile."""
-        return self._scaled_level_constants
-
-    def level_constant(self, k):
-        """c_2k, one Fraction, when the level is nonempty and mu is constant on it."""
-        c = self.scaled_level_constant(k)
-        return None if c is None else Fraction(c, self.mu_scale)
+        """(C_0, ..., C_2n): C_2k = D c_2k when the index-2k level is
+        nonempty and mu is constant on it, else None."""
+        values = [self._levels.get(2 * k, ((), ()))[1] for k in range(self.n + 1)]
+        return tuple(vs[0] if len(vs) == 1 else None for vs in values)
 
     def level_constants(self):
-        return [self.level_constant(k) for k in range(self.n + 1)]
+        """[c_0, ..., c_2n] as Fractions, None where C_2k is None."""
+        d = self.mu_scale
+        return [None if c is None else Fraction(c, d) for c in self.scaled_level_constants]
 
     @property
     def min_vertex(self):
         (v,) = self.level(0)
         return v
-
-    def min_value(self):
-        return Fraction(min(self.scaled_mu.values()), self.mu_scale)
 
     def negative_weight_product(self, vid):
         """Product of the negative circle weights at a vertex (1 at the minimum)."""
@@ -391,9 +365,10 @@ def restrict_to_circle(graph, xi):
     weights = {vid: tuple(sorted(ws)) for vid, ws in outward.items()}
     # twice the number of negative weights, which come first in sorted order
     index = {vid: 2 * bisect_left(ws, 0) for vid, ws in weights.items()}
-    # mu(v) = <position, xi>, one Fraction each from the integer positions
+    # mu(v) = <position, xi>, in lowest terms over the integer positions
     scaled, scale = _integer_positions({v.id: v.position for v in graph.vertices})
-    mu = {vid: Fraction(sum(map(mul, pos, xi)), scale) for vid, pos in scaled.items()}
+    dots = {vid: sum(map(mul, pos, xi)) for vid, pos in scaled.items()}
+    g = gcd(scale, *dots.values())
 
     n = graph.n
     counts = Counter(ix // 2 for ix in index.values())  # absent k count 0
@@ -408,7 +383,8 @@ def restrict_to_circle(graph, xi):
                 "Poincare symmetry violated: b_%d = %d but b_%d = %d "
                 "(inconsistent input data)" % (2 * k, counts[k], 2 * (n - k), counts[n - k]))
             break
-    return CircleProfile(graph, xi, weights, index, mu, tuple(warnings))
+    return CircleProfile(graph, xi, weights, index, {v: m // g for v, m in dots.items()},
+                         scale // g, tuple(warnings))
 
 
 def betti(profile):
@@ -423,7 +399,7 @@ def check_hypothesis(profile):
     """Constancy of the moment map on each index level, and distinctness of
     the level constants when they are all defined, decided on D mu."""
     constant = profile.constant_on_levels
-    defined = [x for x in profile.scaled_level_constants() if x is not None]
+    defined = [x for x in profile.scaled_level_constants if x is not None]
     all_distinct = constant and len(set(defined)) == len(defined)
     return {"constant_on_levels": constant, "c": profile.level_constants(),
             "all_distinct": all_distinct}
@@ -441,7 +417,7 @@ def self_indexing_normalizer(profile):
     """
     if not profile.constant_on_levels:
         raise GkmValidationError("moment map is not constant on index levels")
-    c = profile.scaled_level_constants()
+    c = profile.scaled_level_constants
     top, span = 2 * profile.n, c[-1] - c[0]
     if span <= 0 or any(x is not None and (x - c[0]) * top != 2 * k * span
                         for k, x in enumerate(c)):

@@ -2,7 +2,7 @@ import dataclasses
 import logging
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,8 +16,8 @@ from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
 from gkmlef.cohomology import (CanonicalBasis, CircleClass,
                                localization_pairing_invertible)
 from gkmlef.exact import matrix_rank
-from gkmlef.lefschetz import (delta_certificate, delta_certificates,
-                              multiplication_matrix, top_product_integrals)
+from gkmlef.lefschetz import (_scaled_top_products, delta_certificate, delta_certificates,
+                              multiplication_matrix)
 
 F = Fraction
 
@@ -55,7 +55,7 @@ def test_hl_degree0_matches_localization(su3, su3_basis, su3_ring):
     omega_n = su3_ring.lefschetz_power({su3_ring.labels[0]: F(1)}, n)  # from the unit
     assert set(omega_n) == {top}
     integral_ring = omega_n[top] / profile.negative_weight_product(top)
-    omega_t = equivariant_symplectic_class(profile, shift=profile.min_value())
+    omega_t = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     integral_loc = abbv_integrate(cup_power(omega_t, n), profile)
     assert integral_ring == integral_loc == 6
 
@@ -65,7 +65,7 @@ def test_rank_symmetry(su3, su3_basis, su3_ring):
     # pairing <x, omega^(n-k) y> on the degree-k classes
     _, _, profile = su3
     n, beta = profile.n, su3_basis.beta
-    omega_t = equivariant_symplectic_class(profile, shift=profile.min_value())
+    omega_t = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     for k in range(0, n + 1, 2):
         source, _, mat = multiplication_matrix(su3_ring, k, n - k)
         wpow = cup_power(omega_t, n - k)
@@ -97,7 +97,7 @@ def test_lemma_vanish(su3, so5):
 
 def test_shifted_class_nonzero_off_level(su3):
     _, _, profile = su3
-    cls = equivariant_symplectic_class(profile, shift=profile.level_constant(1))
+    cls = equivariant_symplectic_class(profile, shift=profile.level_constants()[1])
     for v in profile.level(2):
         assert cls.degree == 2 and cls.at(v) == -2  # -2u
 
@@ -131,9 +131,9 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
     # profile-like object via dataclass replacement
     import dataclasses
     _, _, profile = so5
-    mu = dict(profile.mu)
-    mu["P"] = mu["S"]  # index-0 and index-2 constants now coincide
-    fake = dataclasses.replace(profile, mu=mu)
+    scaled = dict(profile.scaled_mu)
+    scaled["P"] = scaled["S"]  # index-0 and index-2 constants now coincide
+    fake = dataclasses.replace(profile, scaled_mu=scaled)
     entry = verify_distinct(fake)
     assert entry["applicable"] and entry["pass"] is False
     assert "cannot arise" in entry["detail"]
@@ -154,7 +154,7 @@ def _assert_multiplication_matrices_are_the_table_route(profile, basis, ring):
     """Each multiplication_matrix(ring, k, m) holds the expansions at u = 0 of
     the products beta_s w^m over the degree-k classes s, w the symplectic
     class shifted by the minimum value."""
-    w = equivariant_symplectic_class(profile, shift=profile.min_value())
+    w = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     for m in range(ring.n + 1):
         wpow = cup_power(w, m)
         for k in range(0, 2 * (ring.n - m) + 1, 2):
@@ -425,8 +425,10 @@ def test_top_product_integrals_equal_the_cup_route_at_random_circles(data):
         for cls in classes[:i] + classes[i + 1:]:
             top = cup(top, cls)
         expected.append(abbv_integrate(top, profile))
-    got = top_product_integrals(profile, consts)
-    assert [(type(x), x) for x in got] == [(type(x), x) for x in expected]
+    scale = lcm(profile.mu_scale, *(c.denominator for c in consts))
+    sums, den = _scaled_top_products(
+        profile, [c.numerator * (scale // c.denominator) for c in consts], scale)
+    assert [F(x, den) for x in sums] == expected
 
 
 @settings(max_examples=40, deadline=None)

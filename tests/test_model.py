@@ -355,7 +355,7 @@ def test_affine_reparametrization_invariance(su3):
     assert all(profile2.level(k) == profile.level(k) for k in range(profile.n + 1))
     assert betti(profile2) == betti(profile)
     for k in range(profile.n + 1):
-        assert profile2.level_constant(k) == a * profile.level_constant(k) + shift
+        assert profile2.level_constants()[k] == a * profile.level_constants()[k] + shift
 
 
 def test_roundtrip(su3):
@@ -419,7 +419,13 @@ def test_profile_caches_follow_dataclasses_replace(su3):
     moved = dataclasses.replace(profile, index={**profile.index, top: 2},
                                 weights={**profile.weights, top: (-2, 3, 5)})
     assert top in moved.level(1) and moved.level(profile.n) == ()
-    assert moved.level_values(1) == tuple(sorted({profile.mu[v] for v in moved.level(1)}))
+    assert moved.scaled_level_constants[1] is None and not moved.constant_on_levels
+    assert profile.scaled_level_constants[1] is not None and profile.constant_on_levels
     assert moved.negative_weight_product(top) == -2 and moved.full_weight_product(top) == -30
     assert profile.level(profile.n) == (top,)
     assert profile.full_weight_product(top) == prod(profile.weights[top])
+    # a replaced moment map gives its own mu and level constants
+    assert profile.mu[top] == profile.level_constants()[profile.n]
+    doubled = dataclasses.replace(profile, scaled_mu={v: 2 * m for v, m in profile.scaled_mu.items()})
+    assert doubled.mu == {v: 2 * x for v, x in profile.mu.items()}
+    assert doubled.scaled_level_constants == tuple(2 * c for c in profile.scaled_level_constants)
