@@ -14,7 +14,7 @@ from .cohomology import (canonical_classes, kirwan_reduce,
                          localization_pairing_invertible)
 from .exact import format_rational
 from .model import (betti, check_hypothesis, dumps_indented, restrict_to_circle,
-                    self_indexing_normalizer)
+                    self_indexing_normalizer, shift_moment_map)
 
 SCHEMA_VERSION = 1
 
@@ -37,17 +37,14 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     """Run the whole pipeline; returns (report_dict, exit_code)."""
     t0 = time.monotonic()
     profile = restrict_to_circle(graph, xi)
+    min_shift = 0
+    if shift_min:  # every stage reads mu - min(mu)
+        low = min(profile.scaled_mu.values())
+        min_shift = Fraction(low, profile.mu_scale)
+        profile = shift_moment_map(profile, low)
     hyp = check_hypothesis(profile)
     n = profile.n
 
-    mu, constants, min_shift = profile.mu, hyp["c"], 0
-    if shift_min:  # shifted in the ints D mu, one Fraction per reported value
-        scale, scaled = profile.mu_scale, profile.scaled_mu
-        low = min(scaled.values())
-        min_shift = Fraction(low, scale)
-        mu = {v: Fraction(m - low, scale) for v, m in scaled.items()}
-        constants = [None if c is None else Fraction(c - low, scale)
-                     for c in profile.scaled_level_constants]
     normalizer = None
     if hyp["constant_on_levels"]:
         normalizer = self_indexing_normalizer(profile)
@@ -85,7 +82,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
                 {
                     "id": v.id,
                     "position": [format_rational(x) for x in v.position],
-                    "mu": _rat(mu[v.id]),
+                    "mu": _rat(profile.mu[v.id]),
                     "index": profile.index[v.id],
                     "circle_weights": list(profile.weights[v.id]),
                 }
@@ -93,7 +90,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             ],
             "levels": {str(2 * k): list(profile.level(k)) for k in range(n + 1)},
             "betti": betti(profile),
-            "level_constants": [_rat(c) for c in constants],
+            "level_constants": [_rat(c) for c in hyp["c"]],
             "min_shift": _rat(min_shift),
             "warnings": list(profile.warnings),
         },

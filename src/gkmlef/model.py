@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -367,8 +367,8 @@ def restrict_to_circle(graph, xi):
     index = {vid: 2 * bisect_left(ws, 0) for vid, ws in weights.items()}
     # mu(v) = <position, xi>, in lowest terms over the integer positions
     scaled, scale = _integer_positions({v.id: v.position for v in graph.vertices})
-    dots = {vid: sum(map(mul, pos, xi)) for vid, pos in scaled.items()}
-    g = gcd(scale, *dots.values())
+    scaled_mu, mu_scale = _lowest_terms(
+        {vid: sum(map(mul, pos, xi)) for vid, pos in scaled.items()}, scale)
 
     n = graph.n
     counts = Counter(ix // 2 for ix in index.values())  # absent k count 0
@@ -383,8 +383,22 @@ def restrict_to_circle(graph, xi):
                 "Poincare symmetry violated: b_%d = %d but b_%d = %d "
                 "(inconsistent input data)" % (2 * k, counts[k], 2 * (n - k), counts[n - k]))
             break
-    return CircleProfile(graph, xi, weights, index, {v: m // g for v, m in dots.items()},
-                         scale // g, tuple(warnings))
+    return CircleProfile(graph, xi, weights, index, scaled_mu, mu_scale, tuple(warnings))
+
+
+def _lowest_terms(values, scale):
+    """({key: value / g}, scale / g), g the gcd of scale and every value:
+    the same ratios value / scale over the least positive scale."""
+    g = gcd(scale, *values.values())
+    return {key: x // g for key, x in values.items()}, scale // g
+
+
+def shift_moment_map(profile, shift):
+    """The profile of mu - shift / D, shift an int: its M - shift in lowest
+    terms, so that every value read from it is of the shifted moment map."""
+    scaled_mu, mu_scale = _lowest_terms(
+        {v: m - shift for v, m in profile.scaled_mu.items()}, profile.mu_scale)
+    return replace(profile, scaled_mu=scaled_mu, mu_scale=mu_scale)
 
 
 def betti(profile):

@@ -67,9 +67,9 @@ GOLDEN = {
     ("su3 --xi 2,-1", "text"):
         (2, "f49ec53cd939e202ac7d0f95c4b52929ae1d57196149049a6f70ed4802ee49cf"),
     ("so5 --shift-min", "json"):
-        (0, "23331055376848c42eb50a4200dff80c8d0ddf673f98b8dd8572055d7d2868e6"),
+        (0, "b27c21550023b78dbeff903c58f74b5ffeee7d8df00ffd9ad69240309b6fd317"),
     ("so5 --shift-min", "text"):
-        (0, "cde49191c6d13b3f9ea2788235ad246085238279f2fe41986ddcb0b795537809"),
+        (0, "80bc72d18068845c482d92d3f8a05534c42168607f7a6bce653b2986b3e4a7a6"),
     # moment values with denominators (D > 1), and a circle that reorders the basis
     ("so5 --scale 3/7", "json"):
         (0, "8f8941b6f9e38093e5c930c8ee1b4974547e3c3fbb2aec554320f880e235de81"),

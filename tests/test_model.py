@@ -358,6 +358,65 @@ def test_affine_reparametrization_invariance(su3):
         assert profile2.level_constants()[k] == a * profile.level_constants()[k] + shift
 
 
+def _without(report, *paths):
+    """report with the fields at each "a/b/c" path dropped, and every
+    vertex position: a plain copy, the argument is left as it is."""
+    report = json.loads(json.dumps(report))
+    for path in paths:
+        *parents, key = path.split("/")
+        node = report
+        for p in parents:
+            node = node[p]
+        del node[key]
+    for v in report["profile"]["vertices"]:
+        del v["position"]
+    return report
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_reports_are_translation_invariant(data):
+    # translating every position by t shifts mu by <t, xi>: --shift-min
+    # reports are equal but for the digest and the positions, whose change
+    # min_shift records; unshifted reports also differ in the mu-valued fields
+    name = data.draw(st.sampled_from(["su3", "so5", "cp2", "cp3", "sphere_product2",
+                                      "hirzebruch1"]), label="name")
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    t = data.draw(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * graph.rank), label="t")
+    moved_doc = emit_gkm(dataclasses.replace(graph, vertices=tuple(
+        Vertex(v.id, tuple(p + s for p, s in zip(v.position, t))) for v in graph.vertices)))
+    moved = parse_gkm(moved_doc)
+    xi = entry.default_xi
+    reports = {}
+    for shift_min in (True, False):
+        reports[shift_min] = [
+            analyze(g, xi, name=name, source_bytes=doc.encode(), shift_min=shift_min)
+            for g, doc in ((graph, entry.document), (moved, moved_doc))]
+        (report, code), (moved_report, moved_code) = reports[shift_min]
+        assert code == moved_code
+    (report, _), (moved_report, _) = reports[True]
+    assert F(moved_report["profile"]["min_shift"]) - F(report["profile"]["min_shift"]) \
+        == sum(s * x for s, x in zip(t, xi))
+    assert _without(moved_report, "input/digest", "profile/min_shift") \
+        == _without(report, "input/digest", "profile/min_shift")
+    # the normalizer of the shifted report maps each reported constant to its index
+    norm = report["self_indexing_normalizer"]
+    if norm is not None:
+        a, b = map(F, norm)
+        assert all(a * F(c) + b == 2 * k
+                   for k, c in enumerate(report["profile"]["level_constants"]))
+    mu_valued = ("input/digest", "profile/min_shift", "profile/level_constants",
+                 "self_indexing_normalizer")
+    (report, _), (moved_report, _) = reports[False]
+    for r in (report, moved_report):
+        for v in r["profile"]["vertices"]:
+            del v["mu"]
+        (distinct,) = [e for e in r["lemmas"] if e["name"] == "distinct-level-constants"]
+        distinct["detail"] = distinct["detail"].split("; ", 1)[-1]
+    assert _without(moved_report, *mu_valued) == _without(report, *mu_valued)
+
+
 def test_roundtrip(su3):
     entry, graph, _ = su3
     assert emit_gkm(parse_gkm(emit_gkm(graph))) == emit_gkm(graph) == entry.document
