@@ -162,7 +162,9 @@ def hirzebruch(k):
          "semifree": False})
 
 
-_NAME_RE = re.compile(r"^(su3|so5|cp(\d+)|sphere_product(\d+)|hirzebruch(\d+))$")
+# ASCII digits with no leading zero, matched against the whole name
+_NAME_RE = re.compile(r"su3|so5|cp([1-9][0-9]*)|sphere_product([1-9][0-9]*)"
+                      r"|hirzebruch([1-9][0-9]*)")
 
 
 def names():
@@ -173,7 +175,7 @@ def names():
 def get(name, scale=None):
     """Look up a catalog entry by name, e.g. su3, so5, cp2, sphere_product3,
     hirzebruch1.  scale applies to so5 only."""
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise KeyError("unknown catalog example %r (try one of %s)"
                        % (name, ", ".join(names())))
@@ -185,8 +187,8 @@ def get(name, scale=None):
         return so5_orbit(scale if scale is not None else 1)
     if scale is not None:
         raise ValueError("scale applies to so5 only")
+    if m.group(1):
+        return cp(int(m.group(1)))
     if m.group(2):
-        return cp(int(m.group(2)))
-    if m.group(3):
-        return sphere_product(int(m.group(3)))
-    return hirzebruch(int(m.group(4)))
+        return sphere_product(int(m.group(2)))
+    return hirzebruch(int(m.group(3)))

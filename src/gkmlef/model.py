@@ -44,6 +44,13 @@ class GkmGraph:
     def n(self):
         return self.dimension // 2
 
+    # not a field, so dataclasses.replace does not carry it to a new graph
+    @cached_property
+    def integer_positions(self):
+        """({vertex id: position times D}, D), as _integer_positions gives
+        them; parse_gkm stores the ones its edge checks computed."""
+        return _integer_positions({v.id: v.position for v in self.vertices})
+
 
 def _parallel(a, b):
     """True if primitive integer vectors a, b span the same line."""
@@ -65,8 +72,9 @@ def run_checks(doc):
 
 
 def _checks_and_positions(doc):
-    """run_checks(doc) and the parsed positions {vertex id: tuple of
-    Fractions} of the vertices whose positions passed their checks."""
+    """run_checks(doc), the parsed positions {vertex id: tuple of Fractions}
+    of the vertices whose positions passed their checks, and those positions
+    as _integer_positions gives them (None when the structure check fails)."""
     checks = []
     positions = {}
 
@@ -75,7 +83,7 @@ def _checks_and_positions(doc):
 
     if not isinstance(doc, dict):
         add("document-structure", False, "expected a JSON object")
-        return checks, positions
+        return checks, positions, None
     rank, dim = doc.get("rank"), doc.get("dimension")
     raw_vertices, raw_edges = doc.get("vertices"), doc.get("edges")
     if not (_is_int(rank) and _is_int(dim) and isinstance(raw_vertices, list)
@@ -83,7 +91,7 @@ def _checks_and_positions(doc):
         add("document-structure", False,
             "missing or malformed field: rank and dimension must be integers, "
             "vertices and edges lists")
-        return checks, positions
+        return checks, positions, None
     add("document-structure", True)
     add("rank-positive", rank >= 1, "rank = %d" % rank)
     add("dimension-even", dim % 2 == 0 and dim >= 2, "dimension = %d" % dim)
@@ -114,7 +122,8 @@ def _checks_and_positions(doc):
     if ok_vertices:
         add("vertex-positions", True)
     add("vertex-ids-unique", len(set(ids)) == len(ids))
-    scaled, _ = _integer_positions(positions)
+    integer_positions = _integer_positions(positions)
+    scaled = integer_positions[0]
 
     degree = {vid: 0 for vid in ids}
     adjacency = {vid: [] for vid in ids}
@@ -182,7 +191,7 @@ def _checks_and_positions(doc):
                     seen.add(nb)
                     stack.append(nb)
         add("graph-connected", len(seen) == len(ids))
-    return checks, positions
+    return checks, positions, integer_positions
 
 
 def _integer_positions(positions):
@@ -199,7 +208,7 @@ def parse_gkm(text):
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise GkmValidationError("malformed JSON: %s" % exc)
-    checks, positions = _checks_and_positions(doc)
+    checks, positions, integer_positions = _checks_and_positions(doc)
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     if failures:
         msg = "; ".join("%s: %s" % (n, d) if d else n for n, d in failures)
@@ -209,7 +218,9 @@ def parse_gkm(text):
     edges = tuple(
         Edge(str(re_["v"]), str(re_["w"]), tuple(int(a) for a in re_["weight"]))
         for re_ in doc["edges"])
-    return GkmGraph(int(doc["rank"]), int(doc["dimension"]), vertices, edges)
+    graph = GkmGraph(int(doc["rank"]), int(doc["dimension"]), vertices, edges)
+    graph.__dict__["integer_positions"] = integer_positions  # the cached_property's slot
+    return graph
 
 
 def emit_gkm(graph):
@@ -366,7 +377,7 @@ def restrict_to_circle(graph, xi):
     # twice the number of negative weights, which come first in sorted order
     index = {vid: 2 * bisect_left(ws, 0) for vid, ws in weights.items()}
     # mu(v) = <position, xi>, in lowest terms over the integer positions
-    scaled, scale = _integer_positions({v.id: v.position for v in graph.vertices})
+    scaled, scale = graph.integer_positions
     scaled_mu, mu_scale = _lowest_terms(
         {vid: sum(map(mul, pos, xi)) for vid, pos in scaled.items()}, scale)
 

@@ -81,6 +81,13 @@ def test_unknown_example_message_unquoted(capsys):
     code, _, err = run(capsys, "analyze", "--example", "nope")
     assert code == 1
     assert err.startswith("error: unknown catalog example 'nope'")
+    # a catalog number is ASCII digits with no leading zero, and the name
+    # takes no trailing newline (a Python regex's $ would allow one)
+    for name in ("cp\u0661", "sphere_product\u0663", "hirzebruch\uff11", "cp01", "cp0",
+                 "so5\n", "su3\n", "cp2\n"):
+        code, out, err = run(capsys, "analyze", "--example", name)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown catalog example %r" % name), name
 
 
 def test_zero_denominator_scale_is_an_input_error():

@@ -47,6 +47,27 @@ def test_parse_reads_each_coordinate_once(monkeypatch):
         tuple(map(F, rv["position"])) for rv in json.loads(document)["vertices"]]
 
 
+def test_positions_are_scaled_to_integers_once_per_graph(monkeypatch):
+    # parse_gkm keeps the integer positions its edge checks computed; a graph
+    # built directly scales them on first use, and a replaced graph its own
+    calls = []
+    scale = model._integer_positions
+    monkeypatch.setattr(model, "_integer_positions",
+                        lambda positions: calls.append(1) or scale(positions))
+    entry = catalog.get("so5", scale=F(3, 7))
+    graph = parse_gkm(entry.document)
+    profiles = [restrict_to_circle(graph, xi) for xi in (entry.default_xi, (-1, 3))]
+    assert len(calls) == 1
+    built = GkmGraph(graph.rank, graph.dimension, graph.vertices, graph.edges)
+    assert [restrict_to_circle(built, entry.default_xi).scaled_mu for _ in range(2)] \
+        == [profiles[0].scaled_mu] * 2
+    assert len(calls) == 2
+    half = tuple(Vertex(v.id, tuple(x / 2 for x in v.position)) for v in graph.vertices)
+    moved = dataclasses.replace(graph, vertices=half)
+    assert moved.integer_positions == (graph.integer_positions[0], 2 * graph.integer_positions[1])
+    assert len(calls) == 3
+
+
 def test_parse_rejects_nonparallel_edge(su3):
     entry, _, _ = su3
     doc = json.loads(entry.document)
