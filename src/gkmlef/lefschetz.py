@@ -126,14 +126,14 @@ def verify_vanish(profile, k):
 
 def _scaled_top_products(profile, shifts, scale):
     """The localization integrals of the n + 1 products of n symplectic
-    classes shifted by all but one of consts[0..n], the i-th omitting
-    consts[i], as (integer sums, common denominator); the class shifted by c
-    restricts to (c - mu(v)) u at v.  shifts = scale * consts are ints, scale
-    a multiple of profile.mu_scale.  With mu scaled to the same ints M and E
-    the lcm of the Euler classes e(v), the sum of the products of the
-    C_j - M(v), j != i, times E / e(v) is an integer, scale^n E times the
-    i-th integral.  The products omitting one factor come from prefix and
-    suffix products at each vertex."""
+    classes shifted by all but one of the constants c_j = shifts[j] / scale,
+    the i-th omitting c_i, as (integer sums, common denominator); the class
+    shifted by c restricts to (c - mu(v)) u at v.  shifts are ints and scale
+    is a multiple of profile.mu_scale.  With mu scaled to the same ints M
+    and E the lcm of the Euler classes e(v), the sum of the products of the
+    shifts[j] - M(v), j != i, times E / e(v) is an integer, scale^n E times
+    the i-th integral.  The products omitting one factor come from prefix
+    and suffix products at each vertex."""
     n, factor = profile.n, scale // profile.mu_scale
     euler = {v: profile.full_weight_product(v) for v in profile.weights}
     top = lcm(*euler.values())

@@ -56,7 +56,7 @@ def test_positions_are_scaled_to_integers_once_per_graph(monkeypatch):
                         lambda positions: calls.append(1) or scale(positions))
     entry = catalog.get("so5", scale=F(3, 7))
     graph = parse_gkm(entry.document)
-    profiles = [restrict_to_circle(graph, xi) for xi in (entry.default_xi, (-1, 3))]
+    profiles = [restrict_to_circle(graph, xi) for xi in (entry.default_xi, (2, 1))]
     assert len(calls) == 1
     built = GkmGraph(graph.rank, graph.dimension, graph.vertices, graph.edges)
     assert [restrict_to_circle(built, entry.default_xi).scaled_mu for _ in range(2)] \
@@ -506,6 +506,7 @@ def test_profile_caches_follow_dataclasses_replace(su3):
     assert profile.full_weight_product(top) == prod(profile.weights[top])
     # a replaced moment map gives its own mu and level constants
     assert profile.mu[top] == profile.level_constants()[profile.n]
-    doubled = dataclasses.replace(profile, scaled_mu={v: 2 * m for v, m in profile.scaled_mu.items()})
+    doubled = dataclasses.replace(profile,
+                                  scaled_mu={v: 2 * m for v, m in profile.scaled_mu.items()})
     assert doubled.mu == {v: 2 * x for v, x in profile.mu.items()}
     assert doubled.scaled_level_constants == tuple(2 * c for c in profile.scaled_level_constants)

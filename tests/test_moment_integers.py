@@ -133,7 +133,8 @@ def test_integer_moment_routes_equal_the_fraction_references(data):
     levels, cs = _levels(profile), _constants(profile)
     for k in range(n + 1):
         assert profile.level(k) == levels[k][0]
-        assert sorted({profile.scaled_mu[v] for v in levels[k][0]}) == [x * d for x in levels[k][1]]
+        assert sorted({profile.scaled_mu[v] for v in levels[k][0]}) \
+            == [x * d for x in levels[k][1]]
     assert profile.level_constants() == cs
     assert profile.scaled_level_constants == tuple(None if c is None else c * d for c in cs)
     constant = all(len(vals) <= 1 for _, vals in levels.values())
