@@ -55,7 +55,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
 
     # the zero-class lemmas read the pairings as their high-side certificate
     pairing_invertible = localization_pairing_invertible(basis)
-    lemmas = [lefschetz.verify_symp_expansion(profile, basis)]
+    lemmas = [lefschetz.verify_symp_expansion(profile, ring)]
     for k in range(1, n + 1):
         lemmas.append(lefschetz.verify_vanish(profile, k))
     lemmas.append(lefschetz.verify_distinct(profile))

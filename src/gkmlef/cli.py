@@ -9,7 +9,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .analysis import analyze, report_to_json, report_to_text

@@ -486,40 +486,45 @@ def expand_in_basis(cls, basis):
 
 @dataclass(frozen=True)
 class OrdinaryRing:
-    """H*(M) on the reduced canonical basis.
+    """H*(M) on the reduced canonical basis, labelled by basis.order.
 
-    Elements are dicts label -> Fraction over the images of the normalized
-    canonical classes.  The Lefschetz operator is stored; the structure
-    constants are built on the first read of `table`.  Products truncate
-    above the top degree.
+    The Lefschetz operator L is held in ints over one scale S, the lcm of
+    the reduced denominators of L: lefschetz[F] = {H: S L(beta_F)_H}.  The
+    structure constants, Fractions, are built on the first read of `table`.
+    Products truncate above the top degree.
     """
-    labels: tuple  # vertex ids in basis order
-    degree: dict  # label -> cohomological degree (the Morse index)
-    lefschetz: dict  # label -> its product with omega, degree + 2 labels only
-    omega: dict  # expansion of the symplectic class, degree-2 labels only
-    dimension: int  # = 2n
     basis: CanonicalBasis = field(repr=False, compare=False)
+    lefschetz: dict  # label -> S times its product with omega, degree + 2 labels only
+    scale: int  # S
+
+    @property
+    def labels(self):
+        return self.basis.order
 
     @property
     def n(self):
-        return self.dimension // 2
+        return self.basis.profile.n
+
+    @property
+    def omega(self):  # S times the expansion of the symplectic class: L of the unit
+        return self.lefschetz[self.labels[0]]
 
     def basis_in_degree(self, k):
-        return [l for l in self.labels if self.degree[l] == k]
+        return [l for l in self.labels if self.basis.profile.index[l] == k]
 
     @cached_property
     def table(self):
         """(label, label) -> dict label -> Fraction, each pair once in basis
         order: cup, expand, and keep the coefficients at u = 0."""
-        beta, table = self.basis.beta, {}
+        beta, index, table = self.basis.beta, self.basis.profile.index, {}
         for i, f in enumerate(self.labels):
             for g in self.labels[i:]:
-                table[(f, g)] = ({} if self.degree[f] + self.degree[g] > self.dimension
+                table[(f, g)] = ({} if index[f] + index[g] > 2 * self.n
                                  else _at_u0(cup(beta[f], beta[g]), self.basis))
         return table
 
     def lefschetz_power(self, x, m):
-        """x times omega^m, by m applications of the Lefschetz operator."""
+        """x times (scale omega)^m, by m applications of the stored operator."""
         for _ in range(m):
             out = {}
             for l, c in x.items():
@@ -543,8 +548,9 @@ def kirwan_reduce(basis):
     min value), read off the canonical basis by the equivariant Chevalley
     formula: L(beta_F) = sum of (mu(F) - mu(H)) beta_F(H) beta_H over the H
     of index(F) + 2.  In the integers M = D mu and a_F = s_F beta_F
-    (basis.integer_beta), each entry is one Fraction,
-    (M(F) - M(H)) a_F(H) / (D s_F).
+    (basis.integer_beta), that entry is (M(F) - M(H)) a_F(H) / (D s_F), taken
+    over T = lcm(D s_F); dividing the entries and T by their gcd leaves T the
+    lcm of the reduced denominators, the ring's scale.
 
     X = beta_F w - w(F) u beta_F has the Kirwan image of beta_F w, u going to
     0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When every beta has canonical
@@ -559,15 +565,16 @@ def kirwan_reduce(basis):
         f, bad = basis.support_violation
         raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
                              % (f, basis.beta[f].at(bad), bad))
+    scale = d * lcm(*(s for _, s in basis.integer_beta.values()))
     lefschetz = {}
     for f in labels:
         values, s = basis.integer_beta[f]
-        m, target, den = scaled[f], index[f] + 2, d * s
-        lefschetz[f] = {h: Fraction(x, den) for h, c in values.items()
+        m, target, factor = scaled[f], index[f] + 2, scale // (d * s)
+        lefschetz[f] = {h: x * factor for h, c in values.items()
                         if index[h] == target and (x := (m - scaled[h]) * c)}
-    degree = {l: index[l] for l in labels}
-    return OrdinaryRing(labels, degree, lefschetz, lefschetz[labels[0]], 2 * profile.n,
-                        basis)
+    common = gcd(scale, *(x for row in lefschetz.values() for x in row.values()))
+    return OrdinaryRing(basis, {f: {h: x // common for h, x in row.items()}
+                                for f, row in lefschetz.items()}, scale // common)
 
 
 def localization_pairing_integers(basis, k):

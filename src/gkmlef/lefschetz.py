@@ -4,14 +4,13 @@ monotone analysis."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
 
 from .exact import format_rational, matrix_rank
-from .cohomology import equivariant_symplectic_class, expand_in_basis
 
 _log = logging.getLogger("gkmlef")
 
@@ -42,43 +41,36 @@ class HLReport:
 
 
 def multiplication_matrix(ring, k, power):
-    """Matrix of multiplication by omega^power from degree k to k + 2*power,
-    rows indexed by the source basis, columns by the target basis: each row
-    is the Lefschetz operator applied power times to a source basis vector."""
+    """Matrix of multiplication by (D omega)^power, D = ring.scale, from
+    degree k to k + 2*power: rows indexed by the source basis, columns by the
+    target basis, each row the stored operator D L applied power times to a
+    source basis vector."""
     source = ring.basis_in_degree(k)
     target = ring.basis_in_degree(k + 2 * power)
-    mat = []
-    for s in source:
-        prod = ring.lefschetz_power({s: 1}, power)
-        mat.append([prod.get(t, 0) for t in target])
-    return source, target, mat
+    rows = (ring.lefschetz_power({s: 1}, power) for s in source)
+    return source, target, [[row.get(t, 0) for t in target] for row in rows]
 
 
 def hard_lefschetz_check(ring):
     """Exact rank of omega^(n-k): H^k -> H^(2n-k) for k = 0..n.
 
-    The matrices are those of D L, D the lcm of the denominators of the
-    Lefschetz operator L: integers, and D^(n-k) times the matrix of
-    omega^(n-k), of the same rank.  Odd degrees are empty in this setting
-    (isolated fixed points force even Morse indices) and are reported as
-    vacuously true.
+    The matrices are those of the stored operator, D L with D = ring.scale:
+    integers, and D^(n-k) times the matrix of omega^(n-k), of the same rank.
+    Odd degrees are empty in this setting (isolated fixed points force even
+    Morse indices) and are reported as vacuously true.
     """
     if not ring.omega and ring.n > 0:
         raise ValueError("ring has no distinguished symplectic class")
     n = ring.n
-    scale = lcm(*(x.denominator for row in ring.lefschetz.values() for x in row.values()))
-    integral = replace(ring, lefschetz={
-        f: {h: x.numerator * (scale // x.denominator) for h, x in row.items()}
-        for f, row in ring.lefschetz.items()})
     entries = []
     for k in range(n + 1):
         if k % 2 == 1:
             entries.append(HLDegree(k, 0, 0, 0, vacuous=True))
             continue
-        source, target, mat = multiplication_matrix(integral, k, n - k)
+        source, target, mat = multiplication_matrix(ring, k, n - k)
         rank = matrix_rank(mat) if source and target else 0
         entries.append(HLDegree(k, len(source), len(target), rank, vacuous=False))
-    return HLReport(ring.dimension, tuple(entries))
+    return HLReport(2 * n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +81,20 @@ def _entry(name, applicable, passed, detail):
             "pass": passed if applicable else None, "detail": detail}
 
 
-def verify_symp_expansion(profile, basis):
+def verify_symp_expansion(profile, ring):
     """The symplectic class shifted by c_0, the minimum-normalized one,
     expands with no u-term at the minimum and equal coefficient -c_2 on every
-    index-2 class.  The shifted class restricts to (C_0 - M(v)) / D u at v, in
-    the integers M = D mu and C_0 = D c_0: one Fraction per vertex."""
+    index-2 class.  kirwan_reduce checked canonical support, so the expansion
+    is ring.omega / ring.scale, with u-term c_0 - mu(min) = 0 at the minimum."""
     name, d = "symplectic-expansion", profile.mu_scale
     c0, c2 = profile.scaled_level_constants[:2]
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
-    coeffs = expand_in_basis(equivariant_symplectic_class(profile, shift=Fraction(c0, d)), basis)
-    a0 = coeffs[profile.min_vertex]  # the u-term at the minimum
     expected = Fraction(c0 - c2, d) if c2 is not None else None
-    a2 = {v: coeffs[v] for v in profile.level(1)}
-    ok = not a0 and all(a == expected for a in a2.values())
-    detail = ("a0 = %s; index-2 coefficients %s, expected %s each"
-              % (format_rational(a0),
-                 {v: format_rational(a) for v, a in sorted(a2.items())},
+    a2 = {v: Fraction(ring.omega.get(v, 0), ring.scale) for v in profile.level(1)}
+    ok = all(a == expected for a in a2.values())
+    detail = ("a0 = 0; index-2 coefficients %s, expected %s each"
+              % ({v: format_rational(a) for v, a in sorted(a2.items())},
                  format_rational(expected) if expected is not None else "n/a"))
     return _entry(name, True, ok, detail)
 

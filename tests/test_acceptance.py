@@ -84,7 +84,7 @@ def test_criterion_4_lemma_suite(capsys):
     for name in HYPOTHESIS_CATALOG:
         _, graph, profile = _pipeline(name)
         basis = canonical_classes(graph, profile)
-        entries = [verify_symp_expansion(profile, basis), verify_distinct(profile)]
+        entries = [verify_symp_expansion(profile, kirwan_reduce(basis)), verify_distinct(profile)]
         for k in range(1, profile.n + 1):
             entries.append(verify_vanish(profile, k))
         pairings = localization_pairing_invertible(basis)

@@ -765,7 +765,7 @@ def test_su3_structure_constants_frozen(su3_ring):
     assert su3_ring.table[("B", "B")] == {"E": F(2)}
     assert su3_ring.table[("B", "C")] == {"D": F(2), "E": F(2)}
     assert su3_ring.table[("C", "C")] == {"D": F(2)}
-    assert su3_ring.omega == {"B": F(-1), "C": F(-1)}
+    assert (su3_ring.omega, su3_ring.scale) == ({"B": -1, "C": -1}, 1)
 
 
 CHEVALLEY_NAMES = ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"]
@@ -773,14 +773,28 @@ CHEVALLEY_NAMES = ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"]
 
 def _assert_lefschetz_is_the_table_route(graph, xi):
     """The Lefschetz operator read off by the Chevalley formula, and omega,
-    equal the expansions of the products with the symplectic class at u = 0."""
+    held as ints over ring.scale, equal the expansions of the products with
+    the symplectic class at u = 0.  The full expansion of that class, shifted
+    by c_0 = mu(min), is 0 at the minimum and on every class of index other
+    than 2, and omega on the index-2 classes."""
     profile = restrict_to_circle(graph, xi)
     basis = canonical_classes(graph, profile)
     ring = kirwan_reduce(basis)
+    assert all(type(x) is int for row in ring.lefschetz.values() for x in row.values())
+
+    def reduced(row):
+        return {h: F(x, ring.scale) for h, x in row.items()}
+
     omega = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     for f in basis.order:
-        assert ring.lefschetz[f] == cohomology._at_u0(cup(basis.beta[f], omega), basis), (xi, f)
-    assert ring.omega == cohomology._at_u0(omega, basis) != {}
+        assert reduced(ring.lefschetz[f]) == \
+            cohomology._at_u0(cup(basis.beta[f], omega), basis), (xi, f)
+    assert reduced(ring.omega) == cohomology._at_u0(omega, basis) != {}
+    coeffs = expand_in_basis(omega, basis)
+    assert coeffs[profile.min_vertex] == 0
+    for h, c in coeffs.items():
+        assert c == (F(ring.omega.get(h, 0), ring.scale) if profile.index[h] == 2 else 0), \
+            (xi, h)
     return profile
 
 

@@ -52,9 +52,9 @@ def test_hl_degree0_matches_localization(su3, su3_basis, su3_ring):
     n = profile.n
     # [omega]^n as a multiple of the top reduced class, integrated
     (top,) = profile.level(n)
-    omega_n = su3_ring.lefschetz_power({su3_ring.labels[0]: F(1)}, n)  # from the unit
+    omega_n = su3_ring.lefschetz_power({su3_ring.labels[0]: 1}, n)  # from the unit
     assert set(omega_n) == {top}
-    integral_ring = omega_n[top] / profile.negative_weight_product(top)
+    integral_ring = F(omega_n[top], su3_ring.scale ** n * profile.negative_weight_product(top))
     omega_t = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     integral_loc = abbv_integrate(cup_power(omega_t, n), profile)
     assert integral_ring == integral_loc == 6
@@ -76,13 +76,13 @@ def test_rank_symmetry(su3, su3_basis, su3_ring):
 
 def test_lemma_symp_expansion_cp1(cp1, cp1_basis):
     _, _, profile = cp1
-    entry = verify_symp_expansion(profile, cp1_basis)
+    entry = verify_symp_expansion(profile, kirwan_reduce(cp1_basis))
     assert entry["applicable"] and entry["pass"]
 
 
-def test_lemma_symp_expansion_su3(su3, su3_basis):
+def test_lemma_symp_expansion_su3(su3, su3_ring):
     _, _, profile = su3
-    entry = verify_symp_expansion(profile, su3_basis)
+    entry = verify_symp_expansion(profile, su3_ring)
     assert entry["applicable"] and entry["pass"]
     assert "-1" in entry["detail"]  # both index-2 coefficients are -c_2 = -1
 
@@ -115,8 +115,8 @@ def test_lemma_distinct_cup_count(su3, monkeypatch):
     calls = []
     cup = cohomology.cup
     monkeypatch.setattr(cohomology, "cup", lambda a, b: calls.append(1) or cup(a, b))
-    build = lefschetz.equivariant_symplectic_class
-    monkeypatch.setattr(lefschetz, "equivariant_symplectic_class",
+    build = cohomology.equivariant_symplectic_class
+    monkeypatch.setattr(cohomology, "equivariant_symplectic_class",
                         lambda *args, **kwargs: calls.append(2) or build(*args, **kwargs))
     init = CircleClass.__init__
     monkeypatch.setattr(CircleClass, "__init__",
@@ -151,16 +151,17 @@ def test_lemma_zeroclass(su3_basis, so5):
 
 
 def _assert_multiplication_matrices_are_the_table_route(profile, basis, ring):
-    """Each multiplication_matrix(ring, k, m) holds the expansions at u = 0 of
-    the products beta_s w^m over the degree-k classes s, w the symplectic
-    class shifted by the minimum value."""
+    """Each multiplication_matrix(ring, k, m) holds scale^m times the
+    expansions at u = 0 of the products beta_s w^m over the degree-k classes
+    s, w the symplectic class shifted by the minimum value."""
     w = equivariant_symplectic_class(profile, shift=profile.mu[profile.min_vertex])
     for m in range(ring.n + 1):
         wpow = cup_power(w, m)
         for k in range(0, 2 * (ring.n - m) + 1, 2):
             source, target, mat = multiplication_matrix(ring, k, m)
             products = [cohomology._at_u0(cup(basis.beta[s], wpow), basis) for s in source]
-            assert mat == [[p.get(t, 0) for t in target] for p in products], (profile.xi, k, m)
+            assert mat == [[ring.scale ** m * p.get(t, 0) for t in target]
+                           for p in products], (profile.xi, k, m)
 
 
 MULTIPLICATION_NAMES = ["su3", "so5", "cp4", "hirzebruch1", "sphere_product3"]
@@ -290,29 +291,30 @@ def test_delta_certificates_build_each_shifted_class_once(monkeypatch):
     assert len(expected) > 1  # more candidates than one
 
 
-@pytest.mark.parametrize("name, classes", [
+@pytest.mark.parametrize("name, applicable", [
     ("sphere_product3", 1), ("sphere_product8", 1),
     ("hirzebruch1", 0),  # exit 2: c_2 is undefined, so the expansion lemma is n/a
 ])
 def test_analyze_builds_the_shifted_classes_and_the_support_certificate_once(
-        name, classes, monkeypatch):
-    # one symplectic class is built per analysis, the one the expansion lemma
-    # expands (shifted by c_0), and the support certificate is computed once
-    shifts, certified = [], []
-    for module in (cohomology, lefschetz):
-        build = module.equivariant_symplectic_class
-        monkeypatch.setattr(module, "equivariant_symplectic_class",
-                            lambda profile, shift=0, build=build:
-                            shifts.append(shift) or build(profile, shift))
+        name, applicable, monkeypatch):
+    # no symplectic class is built and nothing is expanded: the expansion
+    # lemma reads ring.omega; and the support certificate is computed once
+    certified = []
+    for module in (analysis, cohomology, lefschetz):
+        for attr in ("equivariant_symplectic_class", "expand_in_basis"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, lambda *args, attr=attr, **kwargs:
+                                    pytest.fail("analyze called " + attr))
     certificate = CanonicalBasis.support_violation.func
     counted = cached_property(lambda basis: certified.append(basis) or certificate(basis))
     counted.__set_name__(CanonicalBasis, "support_violation")
     monkeypatch.setattr(CanonicalBasis, "support_violation", counted)
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
-    analysis.analyze(graph, entry.default_xi)
-    constants = restrict_to_circle(graph, entry.default_xi).level_constants()
-    assert shifts == constants[:classes] and len(shifts) == classes
+    report, _ = analysis.analyze(graph, entry.default_xi)
+    (expansion,) = [e for e in report["lemmas"] if e["name"] == "symplectic-expansion"]
+    assert (expansion["applicable"], expansion["pass"]) == \
+        ((True, True) if applicable else (False, None))
     assert len(certified) == 1
 
 
@@ -402,12 +404,13 @@ def test_hl_ranks_equal_the_fraction_matrix_ranks_at_random_circles(data):
 
 
 def test_hl_rank_of_a_doctored_operator_equals_the_fraction_rank(su3_ring):
-    # proportional rows only with their denominators: rank 1, not 2
-    lefschetz = {**su3_ring.lefschetz, "B": {"D": F(1, 2), "E": F(1, 3)},
-                 "C": {"D": F(3), "E": F(2)}}
-    doctored = dataclasses.replace(su3_ring, lefschetz=lefschetz)
-    _, _, mat = multiplication_matrix(doctored, 2, 1)
-    assert matrix_rank(mat) == hard_lefschetz_check(doctored).degrees[2].rank == 1
+    # L(B) = (1/2, 1/3) and L(C) = (3, 2) are proportional: rank 1, not 2;
+    # held as ints over the scale 6, the rows are (3, 2) and (18, 12)
+    lefschetz = {**su3_ring.lefschetz, "B": {"D": 3, "E": 2}, "C": {"D": 18, "E": 12}}
+    doctored = dataclasses.replace(su3_ring, lefschetz=lefschetz, scale=6)
+    fractions = [[F(x, 6) for x in row] for row in multiplication_matrix(doctored, 2, 1)[2]]
+    assert fractions == [[F(1, 2), F(1, 3)], [F(3), F(2)]]
+    assert matrix_rank(fractions) == hard_lefschetz_check(doctored).degrees[2].rank == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from gkmlef import (GkmValidationError, betti, catalog, check_hypothesis,
 from gkmlef.analysis import analyze, report_to_json
 from gkmlef.cli import main
 from gkmlef.exact import parse_rational
-from gkmlef.model import CircleProfile, GkmGraph, Vertex, dumps_indented, run_checks
+from gkmlef.model import GkmGraph, Vertex, dumps_indented, run_checks
 
 F = Fraction
 
