@@ -12,12 +12,12 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import (integer_form, matrix_rank, monomial_exponents, monomial_residue,
-                    solve_many, sparse_nullspace)
+from .exact import (integer_form, matrix_rank, monomial_exponents, monomial_residue, solve,
+                    sparse_nullspace)
 
 _log = logging.getLogger("gkmlef")
 
@@ -249,19 +249,31 @@ def _direction(x, y):
     return x // g, y // g
 
 
-def _linear_product(lines):
-    """The product of the binary linear forms a x + b y, (a, b) in lines, as
-    integer coefficients, the coefficient of x^(deg - i) y^i at i."""
-    out = [1]
-    for a, b in lines:
-        out = [a * hi + b * lo for hi, lo in zip(out + [0], [0] + out)]
-    return out
+def _lagrange_weights(lines, points, pad, targets):
+    """(own, rows): rows[t][j] is y^pad times the product of the lines other
+    than lines[j] at targets[t], from prefix and suffix products of the line
+    values there, and own[j] the same at points[j], the point of lines[j]."""
+    def row(x, y):
+        at = [a * x + b * y for a, b in lines]
+        suffix = list(accumulate(reversed(at[1:]), mul, initial=1))[::-1]
+        return [u * v * y ** pad for u, v in zip(accumulate(at[:-1], mul, initial=1), suffix)]
+    return [row(*point)[j] for j, point in enumerate(points)], [row(*t) for t in targets]
 
 
-def _powers(point, d):
-    """The degree-d monomials at point = (x, y), in the order of _linear_product."""
-    x, y = point
-    return [x ** (d - i) * y ** i for i in range(d + 1)]
+def _interpolate(carried, own, rows):
+    """The Lagrange interpolant through the carried values {down slot j:
+    (v, e)}, j < len(own), at the targets of rows, sum_j v row[j] / (e
+    own[j]): ([int], den), den > 0, reduced by their gcd; None if all are 0."""
+    terms = [(j, v, e * own[j]) for j, (v, e) in carried.items() if j < len(own)]
+    if not terms:
+        return None
+    den = lcm(*(abs(s) for _, _, s in terms))
+    cs = [0] * len(own)
+    for j, v, s in terms:
+        cs[j] = v * (den // s)
+    at = [sum(map(mul, cs, row)) for row in rows]
+    g = gcd(den, *at)
+    return [x // g for x in at], den // g
 
 
 def flow_up_classes(graph, profile):
@@ -269,92 +281,73 @@ def flow_up_classes(graph, profile):
     w -> (w . xi, w . eta) of the torus, eta = projection_eta(graph, xi):
     tau_p, one per vertex p, has degree d = index(p) / 2, vanishes before p
     in basis_order and restricts at p to the product of the projected
-    weights of p's edges to earlier vertices.  Returns {p: {q: (coefficients,
-    denominator)}}, p and each p's q in basis order: each nonzero tau_p(q) as
-    a binary form in (x, y), integer coefficients x^d first (as
-    _linear_product) over a positive denominator, reduced by their gcd.  Its
-    circle value is the x^d coefficient over the denominator.
+    weights of p's edges to earlier vertices.  Returns {p: {q: (c, den)}}, p
+    and each p's q in basis order: the nonzero circle values of tau_p, the
+    binary form tau_p(q) at (x, y) = (1, 0), as c / den in lowest terms.
 
-    tau_p(q) = tau_p(w) mod a x + b y says that the two forms agree at the
-    point (-b, a), so tau_p(q) is the Lagrange interpolant through the first
-    n = min(k, d + 1) of q's k down-edge points, padded by y^(d + 1 - n).  Its
-    basis is built once per q and n and shared by every degree and class.
-    Every edge is a down edge of its later end q, so the sweep certifies
-    every projected edge congruence where it builds tau_p(q): at all k
-    points, the n it interpolates included, for each p before q that is
-    nonzero at a down neighbour of q (tau_p(q) = 0 included), and tau_q(q)
-    at its own down points.  Raises FlowUpError unless every vertex has
-    index / 2 down edges and every check passes.  On the GKM graph of a
-    Hamiltonian T-manifold the GKM theorem holds for the subtorus too (its
-    weights at each vertex are pairwise independent), so these classes span
-    the circle image in each degree, as over the torus.
+    tau_p(q) = tau_p(w) mod the line a x + b y of an edge w -> q, q later,
+    says that the two forms agree at the point (-b, a), so a class is held
+    by its values at points: each edge carries tau_p(w) at its point to q,
+    and tau_p(q) is the Lagrange interpolant through the first n = min(k,
+    d + 1) of q's k carried values, times (y / y_j)^(d + 1 - n).  Its value
+    at the other k - n down points (the checks), at q's up-edge points and
+    at (1, 0) is one integer dot product each, with weights built once per
+    (q, d).  tau_q(q) is the product of q's down lines.  So every projected
+    edge congruence is certified at its later end: at the n interpolated
+    points by definition, at the k - n others by the check, for every p
+    before q that is nonzero at a down point of q (tau_p(q) = 0 included),
+    and for tau_q at its own down points, where each product has the factor
+    0.  Raises FlowUpError unless every vertex has index / 2 down edges and
+    every check passes.  On the GKM graph of a Hamiltonian T-manifold the
+    GKM theorem holds for the subtorus too (its weights at each vertex are
+    pairwise independent), so these classes span the circle image in each
+    degree, as over the torus.
     """
     order, xi = basis_order(profile), profile.xi
     eta = projection_eta(graph, xi)
     position = {v: i for i, v in enumerate(order)}
     degree = {v: profile.index[v] // 2 for v in order}
     down = {v: [] for v in order}  # [(earlier neighbour, projected outward weight)]
+    up = {v: [] for v in order}  # [(later neighbour, its down slot, the edge's point)]
     for e in graph.edges:
-        a, b = _dot(e.weight, xi), _dot(e.weight, eta)
-        if position[e.v] > position[e.w]:
-            down[e.v].append((e.w, (a, b)))
-        else:
-            down[e.w].append((e.v, (-a, -b)))
+        w, q, a, b = e.w, e.v, _dot(e.weight, xi), _dot(e.weight, eta)
+        if position[w] > position[q]:
+            w, q, a, b = q, w, -a, -b
+        up[w].append((q, len(down[q]), (-b, a)))
+        down[q].append((w, (a, b)))
     for q in order:
         if len(down[q]) != degree[q]:
             raise FlowUpError("vertex %s has %d edges to earlier vertices and index %d"
                               % (q, len(down[q]), profile.index[q]))
-    tau, holders = {}, {}  # holders[v]: the p with tau_p(v) != 0
+    inbox = {v: {} for v in order}  # q -> {p: {down slot: tau_p there, (value, den)}}
+    circle = {}
     for q in order:
-        near = [w for w, _ in down[q]]
         lines = [line for _, line in down[q]]
-        points = [(-b, a) for a, b in lines]
-        k = len(lines)
-        top = _linear_product(lines)
-        for w, point in zip(near, points):
-            if _dot(top, _powers(point, k)):
-                raise _congruence_error(w, q, q)
-        tau[q], holders[q] = {q: (top, 1)}, [q]
-        by_degree = {}  # degree -> {p before q: the j with tau_p(w_j) != 0}
-        for j, w in enumerate(near):
-            for p in holders[w]:
-                by_degree.setdefault(degree[p], {}).setdefault(p, []).append(j)
-        bases = {}  # n -> (columns of the basis, each basis form at its own point)
-        for d, ps in by_degree.items():
-            n = min(k, d + 1)
-            if n not in bases:
-                basis = [_linear_product(lines[:j] + lines[j + 1:n]) for j in range(n)]
-                bases[n] = (list(zip(*basis)),
-                            [_dot(f, _powers(point, n - 1)) for f, point in zip(basis, points)])
-            columns, own = bases[n]
-            pad = d + 1 - n
-            powers = [_powers(point, d) for point in points]
-            tails = [pw[pad:] for pw in powers]
-            scales = [s * y ** pad for s, (_, y) in zip(own, points)]
-            for p, hits in ps.items():
-                values, dens = [0] * k, [1] * k
-                for j in hits:
-                    f, dens[j] = tau[p][near[j]]
-                    values[j] = sum(map(mul, f, powers[j]))
-                terms = [(j, dens[j] * scales[j]) for j in range(n) if values[j]]
-                if terms:
-                    den = lcm(*(abs(s) for _, s in terms))
-                    cs = [0] * n
-                    for j, s in terms:
-                        cs[j] = values[j] * (den // s)
-                    tail = [sum(map(mul, cs, col)) for col in columns]
-                    g = gcd(den, *tail)
-                    tail, den = [c // g for c in tail], den // g
-                    tau[p][q] = ([0] * pad + tail, den)
-                    holders[q].append(p)
-                    at = [sum(map(mul, tail, t)) for t in tails]
-                else:  # tau_p(q) = 0, so tau_p must vanish at every down point
-                    at, den = [0] * k, 1
-                # the n interpolated points hold by construction; checked all the same
-                for w, x, wden, value in zip(near, at, dens, values):
-                    if x * wden != value * den:
-                        raise _congruence_error(w, q, p)
-    return tau
+        points, k = [(-b, a) for a, b in lines], len(lines)
+        circle[q] = {q: (prod(a for a, _ in lines), 1)}
+        for r, j, (x, y) in up[q]:
+            inbox[r].setdefault(q, {})[j] = (prod(a * x + b * y for a, b in lines), 1)
+        weights = {}  # d -> (n, own, rows)
+        for p, carried in inbox.pop(q).items():
+            if (d := degree[p]) not in weights:
+                n = min(k, d + 1)
+                targets = points[n:] + [t for *_, t in up[q]] + [(1, 0)]
+                weights[d] = n, *_lagrange_weights(lines[:n], points[:n], d + 1 - n, targets)
+            n, own, rows = weights[d]
+            if (found := _interpolate(carried, own, rows)) is None:  # 0, yet carried past n
+                raise _congruence_error(down[q][min(carried)][0], q, p)
+            at, den = found
+            for j in range(n, k):
+                v, e = carried.get(j, (0, 1))
+                if at[j - n] * e != v * den:
+                    raise _congruence_error(down[q][j][0], q, p)
+            for (r, j, _), x in zip(up[q], at[k - n:]):
+                if x:
+                    inbox[r].setdefault(p, {})[j] = (x, den)
+            if c := at[-1]:
+                g = gcd(c, den)
+                circle[p][q] = c // g, den // g
+    return circle
 
 
 def _congruence_error(w, q, p):
@@ -374,31 +367,29 @@ def _alpha_beta(profile, fid, values):
 
 def canonical_classes(graph, profile):
     """Canonical class basis, one class per fixed point: alpha_F is the
-    flow-up class tau_F read on the circle, each value the x^d coefficient c
-    over the denominator den, and beta_F(q) = c / (den * the product of the
-    negative weights at F), one Fraction each.  tau_F vanishes before F; at F
-    its circle value is the product of F's projected down lines at (1, 0),
-    the product of the negative weights at F; and at any later q of index <=
-    index(F) it is the interpolant padded by a power of y, whose x^d
-    coefficient is 0.  Those are the defining conditions of alpha_F, so no
-    substitution is needed; kirwan_reduce certifies the support again
-    (basis.support_violation).  The basis order is the order of the flow-up
-    classes, sorted once.  If the flow-up classes are not certified, a DEBUG
-    line names the reason and the oracle canonical_classes_global is
-    returned."""
+    flow-up class tau_F read on the circle, each value c over den, and
+    beta_F(q) = c / (den * the product of the negative weights at F), one
+    Fraction each.  tau_F vanishes before F; at F its circle value is the
+    product of F's projected down lines at (1, 0), the product of the
+    negative weights at F; and at any later q of index <= index(F) it is the
+    interpolant times a power of y, 0 at (1, 0).  Those are the defining
+    conditions of alpha_F, so no substitution is needed; kirwan_reduce
+    certifies the support again (basis.support_violation).  The basis order
+    is the order of the flow-up classes, sorted once.  If the flow-up classes
+    are not certified, a DEBUG line names the reason and the oracle
+    canonical_classes_global is returned."""
     try:
         classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
         _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
         return canonical_classes_global(graph, profile)
     alpha, beta = {}, {}
-    for fid, forms in classes.items():
+    for fid, values in classes.items():
         wprod, degree = profile.negative_weight_product(fid), profile.index[fid]
-        values = [(q, f[0], den) for q, (f, den) in forms.items() if f[0]]
         alpha[fid] = CircleClass(profile.graph, degree,
-                                 {q: Fraction(c, den) for q, c, den in values})
+                                 {q: Fraction(c, den) for q, (c, den) in values.items()})
         beta[fid] = CircleClass(profile.graph, degree,
-                                {q: Fraction(c, den * wprod) for q, c, den in values})
+                                {q: Fraction(c, den * wprod) for q, (c, den) in values.items()})
     return CanonicalBasis(profile, tuple(classes), alpha, beta)
 
 
@@ -423,7 +414,7 @@ def canonical_classes_global(graph, profile):
             if scaled[vid] < scaled[fid] or index[vid] <= index[fid]:
                 rows.append({b * nv + j: Fraction(1)})
                 rhs.append(profile.negative_weight_product(fid) if vid == fid else _ZERO)
-    (point,), null_basis = solve_many(rows, [rhs], nv * len(fids))
+    point, null_basis = solve(rows, rhs, nv * len(fids))
     if point is None:
         raise ClassConstructionError("global canonical-class system is inconsistent")
 

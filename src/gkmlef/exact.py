@@ -167,18 +167,13 @@ def _null_basis(rows, pivots, ncols):
     return list(basis.values())
 
 
-def _particulars(rows, pivots, ncols, nrhs):
-    """For each right-hand side in columns ncols .. ncols + nrhs - 1 of an
-    augmented matrix, the solution with every free unknown 0, {pivot column:
-    Fraction}, read off _rref; None where inconsistent."""
-    out = []
-    for b in range(ncols, ncols + nrhs):
-        if any(b in row for row in rows[len(pivots):]):
-            out.append(None)
-        else:
-            out.append({pc: Fraction(row[b], row[pc]) for row, pc in zip(rows, pivots)
-                        if b in row})
-    return out
+def _particular(rows, pivots, b):
+    """The solution with every free unknown 0 for the right-hand side in
+    column b of an augmented matrix, {pivot column: Fraction}, read off
+    _rref; None if inconsistent."""
+    if any(b in row for row in rows[len(pivots):]):
+        return None
+    return {pc: Fraction(row[b], row[pc]) for row, pc in zip(rows, pivots) if b in row}
 
 
 def matrix_rank(mat):
@@ -198,22 +193,18 @@ def sparse_nullspace(mat, ncols):
     return _null_basis(*_rref(_sparse(mat), ncols), ncols)
 
 
-def solve_many(mat, rhss, ncols):
-    """Solve mat * x = b exactly (ncols unknowns; rows dense or sparse) for
-    every right-hand side b in rhss, one value per row each, with one
-    elimination of mat augmented by all of them.
+def solve(mat, rhs, ncols):
+    """Solve mat * x = rhs exactly (ncols unknowns; rows dense or sparse; one
+    right-hand side value per row), with one elimination of mat augmented by
+    rhs.
 
-    Returns (points, basis) as sparse vectors {column: Fraction}: points[i]
-    is the solution for rhss[i] with every free unknown 0, or None if that
-    system is inconsistent; every solution set is its point plus the span
-    of the basis.
+    Returns (point, basis) as sparse vectors {column: Fraction}: point is the
+    solution with every free unknown 0, or None if the system is
+    inconsistent; the solution set is point plus the span of basis.
     """
-    aug = []
-    for i, row in enumerate(_sparse(mat)):
-        extra = {ncols + b: rhs[i] for b, rhs in enumerate(rhss) if rhs[i]}
-        aug.append({**row, **extra} if extra else row)
+    aug = [{**row, ncols: b} if b else row for row, b in zip(_sparse(mat), rhs, strict=True)]
     rows, pivots = _rref(aug, ncols)
-    return _particulars(rows, pivots, ncols, len(rhss)), _null_basis(rows, pivots, ncols)
+    return _particular(rows, pivots, ncols), _null_basis(rows, pivots, ncols)
 
 
 def mat_vec(mat, vec):

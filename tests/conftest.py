@@ -1,3 +1,7 @@
+import json
+from itertools import combinations, permutations
+from math import gcd
+
 import pytest
 
 from gkmlef import catalog, canonical_classes, kirwan_reduce, parse_gkm, restrict_to_circle
@@ -75,3 +79,58 @@ def _zeroclass_by_rank(basis, k):
 def zeroclass_by_rank():
     """_zeroclass_by_rank, the exact-rank reference for verify_zeroclass."""
     return _zeroclass_by_rank
+
+
+# -- homogeneous spaces, until the catalog builds them ----------------------
+
+def _document(positions, pairs):
+    """A GKM document: {vertex id: integer position}, and an edge v -> w for
+    each pair, weighted by the primitive position difference."""
+    edges = []
+    for v, w in pairs:
+        diff = [b - a for a, b in zip(positions[v], positions[w])]
+        g = gcd(*diff)
+        edges.append({"v": v, "w": w, "weight": [x // g for x in diff]})
+    first = next(iter(positions))
+    return json.dumps({
+        "rank": len(positions[first]),
+        "dimension": 2 * sum(first in (e["v"], e["w"]) for e in edges),
+        "vertices": [{"id": v, "position": list(pos)} for v, pos in positions.items()],
+        "edges": edges})
+
+
+def grassmannian(k, n):
+    """Gr(k, n): the k-subsets S of {0..n-1} at the 0/1 indicator of S, and
+    an edge S -> S - i + j of weight e_j - e_i for each i < j, i in S and j
+    not; the circle is xi = (0, 1, ..., n-1)."""
+    def vid(s):
+        return "s" + "-".join(map(str, sorted(s)))
+    subsets = [frozenset(s) for s in combinations(range(n), k)]
+    positions = {vid(s): tuple(int(i in s) for i in range(n)) for s in subsets}
+    pairs = [(vid(s), vid(s - {i} | {j})) for s in subsets
+             for i, j in combinations(range(n), 2) if i in s and j not in s]
+    return _document(positions, pairs), tuple(range(n))
+
+
+def flag(n):
+    """The complete flags in C^n: the permutations p at (p(0), ..., p(n-1)),
+    and an edge for each transposition of two positions, weighted by the
+    primitive difference; the circle is xi = (0, 1, ..., n-1)."""
+    def vid(p):
+        return "p" + "-".join(map(str, p))
+    perms = list(permutations(range(n)))
+    positions = {vid(p): p for p in perms}
+    pairs = []
+    for p in perms:
+        for i, j in combinations(range(n), 2):
+            if p[i] < p[j]:
+                swapped = list(p)
+                swapped[i], swapped[j] = p[j], p[i]
+                pairs.append((vid(p), vid(swapped)))
+    return _document(positions, pairs), tuple(range(n))
+
+
+@pytest.fixture(scope="session")
+def homogeneous():
+    """The builders grassmannian and flag, by name."""
+    return {"grassmannian": grassmannian, "flag": flag}

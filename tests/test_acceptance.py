@@ -2,22 +2,18 @@
 
 All quantities are exact rationals; "tolerance" everywhere is exact equality.
 """
-import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from gkmlef import (abbv_integrate, betti, canonical_classes,
-                    canonical_classes_global, catalog, cup,
+                    canonical_classes_global, catalog,
                     equivariant_symplectic_class, emit_gkm,
                     hard_lefschetz_check, kirwan_reduce, parse_gkm,
                     restrict_to_circle, self_indexing_normalizer,
                     semifree_monotone_analysis)
 from gkmlef.cli import main
-from gkmlef.cohomology import constant_class, localization_pairing_invertible
-from gkmlef.lefschetz import (delta_certificates, verify_distinct,
-                              verify_symp_expansion, verify_vanish,
+from gkmlef.cohomology import localization_pairing_invertible
+from gkmlef.lefschetz import (verify_distinct, verify_symp_expansion, verify_vanish,
                               verify_zeroclass)
 
 F = Fraction

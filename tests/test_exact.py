@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gkmlef import exact
 from gkmlef.exact import (format_rational, mat_vec, matrix_rank, monomial_exponents,
-                          monomial_residue, parse_rational, solve_many, sparse_nullspace)
+                          monomial_residue, parse_rational, solve, sparse_nullspace)
 
 F = Fraction
 
@@ -62,10 +62,10 @@ def test_divisibility():
 
 
 def _solve(mat, rhs):
-    """mat * x = rhs by solve_many with one right-hand side: None if
-    inconsistent, else (particular, null basis) as dense lists."""
+    """mat * x = rhs by solve: None if inconsistent, else (particular, null
+    basis) as dense lists."""
     ncols = len(mat[0])
-    (point,), basis = solve_many(mat, [rhs], ncols)
+    point, basis = solve(mat, rhs, ncols)
     if point is None:
         return None
     return _dense([point], ncols)[0], _dense(basis, ncols)
@@ -92,6 +92,12 @@ def test_solve_affine_line():
 
 def test_solve_affine_empty():
     assert _solve([[F(1)], [F(1)]], [F(0), F(1)]) is None
+
+
+def test_solve_takes_one_right_hand_side_value_per_row():
+    for rhs in ([F(1)], [F(1), F(1), F(1)]):
+        with pytest.raises(ValueError):
+            solve([[F(1)], [F(1)]], rhs, 1)
 
 
 def _counting(monkeypatch, name):
@@ -184,8 +190,8 @@ def _reference_null_basis(rows, pivots, ncols):
 
 
 def _reference_solve(mat, rhs):
-    """solve_many with one right-hand side, from _reference_rref of the
-    augmented matrix: (point or None, null basis), sparse."""
+    """solve by _reference_rref of the augmented matrix: (point or None,
+    null basis), sparse."""
     ncols = len(mat[0])
     rows, pivots = _reference_rref([list(row) + [b] for row, b in zip(mat, rhs)], ncols)
     basis = _reference_null_basis(rows, pivots, ncols)
@@ -232,22 +238,9 @@ def test_integer_elimination_matches_fraction_rref(system):
     reference = _reference_null_basis(rows, pivots, ncols)
     assert _exactly(sparse_nullspace(mat, ncols)) == _exactly(reference)
     point, basis = _reference_solve(mat, rhs)
-    (got,), got_basis = solve_many(mat, [rhs], ncols)
+    got, got_basis = solve(mat, rhs, ncols)
     assert _exactly(got_basis) == _exactly(basis)
     assert got is point is None or _exactly([got]) == _exactly([point])
-
-
-@given(systems(), st.data())
-def test_solve_many_matches_one_solve_per_right_hand_side(system, data):
-    mat, rhs = system
-    ncols = len(mat[0])
-    rhss = [rhs] + data.draw(st.lists(
-        st.lists(sparse_entries, min_size=len(mat), max_size=len(mat)), max_size=3))
-    points, basis = solve_many(mat, rhss, ncols)
-    for b, point in zip(rhss, points):
-        expected, expected_basis = _reference_solve(mat, b)
-        assert _exactly(basis) == _exactly(expected_basis)
-        assert point is expected is None or _exactly([point]) == _exactly([expected])
 
 
 @given(st.integers(1, 6), st.booleans(), st.booleans(), st.data())
@@ -277,10 +270,10 @@ def test_rank_of_a_single_row_or_column_needs_no_elimination(m, column, zero, da
     # -5^14/3^20 is congruent mod P to a small fraction that is no null vector
     (lambda: sparse_nullspace([[F(3 ** 20), F(5 ** 14)]], 2),
      [{1: F(1), 0: F(-5 ** 14, 3 ** 20)}], "check"),
-    (lambda: solve_many([[F(1)], [F(1)]], [[F(0), F(1)]], 1)[0][0], None, "inconsistent"),
-    # one inconsistent right-hand side leaves the others solved
-    (lambda: solve_many([[F(1)], [F(1)]], [[F(2), F(2)], [F(0), F(1)]], 1),
-     ([{0: F(2)}, None], []), "inconsistent"),
+    (lambda: solve([[F(1)], [F(1)]], [F(0), F(1)], 1)[0], None, "inconsistent"),
+    # an inconsistent system still returns the null basis of its matrix
+    (lambda: solve([[F(1), F(0)], [F(1), F(0)]], [F(0), F(1)], 2), (None, [{1: F(1)}]),
+     "inconsistent"),
 ])
 def test_uncertified_results_fall_back_exactly(caplog, call, expected, reason):
     caplog.set_level(logging.DEBUG, logger="gkmlef")
