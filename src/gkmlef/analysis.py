@@ -1,20 +1,24 @@
 """Full analysis pipeline and its machine-readable report.
 
-The report is a plain dict with deterministic key and list ordering, so
-identical input bytes and flags always serialize to identical report bytes.
+The report is a dict with deterministic key and list ordering, so identical
+input bytes and flags always serialize to identical report bytes.  Every
+node is a plain JSON value except canonical_basis.classes, a read-only
+Mapping over the canonical basis that prints itself (ClassesView), so
+json.dumps(report, default=dict) gives the tree report_to_json prints.
 """
 from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
                          localization_pairing_invertible)
 from .exact import format_rational
-from .model import (betti, check_hypothesis, dumps_indented, restrict_to_circle,
-                    self_indexing_normalizer, shift_moment_map)
+from .model import (_string, betti, check_hypothesis, dumps_indented,
+                    restrict_to_circle, self_indexing_normalizer, shift_moment_map)
 
 SCHEMA_VERSION = 1
 
@@ -27,14 +31,68 @@ def _ascending(cls, vids):
     """{vertex id: coefficients of cls there in ascending powers of u}, over
     vids: c * u^d is d "0"s then c, and a vertex cls does not store is [].
     The stored values are nonzero Fractions, and str formats them as
-    format_rational does."""
+    format_rational does.  ClassesView is read by this route, and its
+    writer is tested against it; report_to_json does not call it."""
     zeros, values = ["0"] * (cls.degree // 2), cls.values
     return {vid: zeros + [str(c)] if (c := values.get(vid)) else [] for vid in vids}
 
 
+class ClassesView(Mapping):
+    """The report's canonical_basis.classes: {F: {"degree", "alpha",
+    "beta"}} over basis.order, each family as _ascending gives it, built
+    when read.  indented(newline) prints it as model.dumps_indented prints
+    that dict, visiting only the stored values."""
+
+    def __init__(self, basis, vids):
+        self._basis, self._vids = basis, vids
+
+    def __getitem__(self, fid):
+        basis = self._basis
+        return {"degree": basis.profile.index[fid],
+                "alpha": _ascending(basis.alpha[fid], self._vids),
+                "beta": _ascending(basis.beta[fid], self._vids)}
+
+    def __iter__(self):
+        return iter(self._basis.order)
+
+    def __len__(self):
+        return len(self._basis.order)
+
+    def indented(self, newline):
+        """json.dumps(dict(self), indent=2) at the depth whose line breaks
+        are `newline`: one '"vid": []' row per vertex, copied per family,
+        with the rows of the stored values overwritten."""
+        basis, vids = self._basis, self._vids
+        if not basis.order:
+            return "{}"
+        fid_break = newline + "  "
+        key_break = fid_break + "  "
+        vid_break = key_break + "  "
+        value_break = vid_break + "  "
+        keys = [_string(vid) + ": " for vid in vids]
+        empty = [key + "[]" for key in keys]
+        slot = {vid: i for i, vid in enumerate(vids)}
+        close = '"' + vid_break + "]"
+
+        def family(cls):  # never {}: vids holds every id of basis.order
+            rows = empty.copy()
+            head = "[" + value_break + ('"0",' + value_break) * (cls.degree // 2) + '"'
+            for vid, c in cls.values.items():  # the basis stores no zero value
+                i = slot[vid]
+                rows[i] = keys[i] + head + str(c) + close
+            return "{" + vid_break + ("," + vid_break).join(rows) + key_break + "}"
+
+        index = basis.profile.index
+        return ("{" + fid_break + ("," + fid_break).join([
+            _string(fid) + ": {" + key_break + '"degree": ' + str(index[fid])
+            + "," + key_break + '"alpha": ' + family(basis.alpha[fid])
+            + "," + key_break + '"beta": ' + family(basis.beta[fid]) + fid_break + "}"
+            for fid in basis.order]) + newline + "}")
+
+
 def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             with_timings=False):
-    """Run the whole pipeline; returns (report_dict, exit_code)."""
+    """Run the whole pipeline; returns (report, exit_code)."""
     t0 = time.monotonic()
     profile = restrict_to_circle(graph, xi)
     min_shift = 0
@@ -104,14 +162,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             None if normalizer is None else [_rat(normalizer[0]), _rat(normalizer[1])],
         "canonical_basis": {
             "order": list(basis.order),
-            "classes": {
-                fid: {
-                    "degree": profile.index[fid],
-                    "alpha": _ascending(basis.alpha[fid], vids),
-                    "beta": _ascending(basis.beta[fid], vids),
-                }
-                for fid in basis.order
-            },
+            "classes": ClassesView(basis, vids),
         },
         "hard_lefschetz": {
             "holds": hl.holds,

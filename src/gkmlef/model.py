@@ -268,15 +268,19 @@ def _indented(obj, newline):
                 + ("," + inner).join([leaf(x) if (leaf := leaves(type(x))) is not None
                                       else _indented(x, inner) for x in obj])
                 + newline + "]")
+    indented = getattr(obj, "indented", None)
+    if indented is not None:  # an object that prints itself, as analysis.ClassesView
+        return indented(newline)
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def dumps_indented(obj):
     """json.dumps(obj, indent=2) + "\\n", byte for byte, for trees of dict
     (str keys), list, tuple, str, int, float, bool and None, matched by exact
-    type; any other type raises TypeError.  The stdlib takes its pure-Python
-    encoder whenever indent is set; this one joins strings, with the C string
-    escaper for every str."""
+    type, and of objects that print themselves: one with an indented(newline)
+    method prints as its return value.  Any other type raises TypeError.  The
+    stdlib takes its pure-Python encoder whenever indent is set; this one
+    joins strings, with the C string escaper for every str."""
     leaf = _LEAVES.get(type(obj))
     return (leaf(obj) if leaf is not None else _indented(obj, "\n")) + "\n"
 

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import permutations
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmlef import (GkmValidationError, betti, catalog, check_hypothesis,
-                    emit_gkm, model, parse_gkm, restrict_to_circle,
+from gkmlef import (GkmValidationError, analysis, betti, canonical_classes, catalog,
+                    check_hypothesis, emit_gkm, model, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
-from gkmlef.analysis import analyze, report_to_json
+from gkmlef.analysis import _ascending, analyze, report_to_json
 from gkmlef.cli import main
 from gkmlef.exact import parse_rational
 from gkmlef.model import GkmGraph, Vertex, dumps_indented, run_checks
@@ -307,6 +308,27 @@ def test_check_hypothesis(su3, so5):
     assert len({profile.mu[v] for v in profile.level(1)}) == 2
 
 
+@pytest.mark.parametrize("space, args, box, holds", [
+    ("grassmannian", (2, 5), 2, 120), ("flag", (4,), 3, 0), ("grassmannian", (2, 4), 3, 312),
+], ids=["gr2-5", "flag4", "gr2-4"])
+def test_hypothesis_on_homogeneous_spaces(homogeneous, space, args, box, holds):
+    # every weight is some e_j - e_i, so the generic integer circles in the
+    # box [-box, box]^n are those with distinct coordinates
+    document, _ = homogeneous[space](*args)
+    graph = parse_gkm(document)
+    circles = list(permutations(range(-box, box + 1), graph.rank))
+    assert sum(check_hypothesis(restrict_to_circle(graph, xi))["constant_on_levels"]
+               for xi in circles) == holds
+
+
+@pytest.mark.parametrize("xi", [(0, 1, 2, 3), (3, -1, 2, -3)])
+def test_hard_lefschetz_holds_on_flag4_without_the_hypothesis(homogeneous, xi):
+    document, _ = homogeneous["flag"](4)
+    report, code = analyze(parse_gkm(document), xi)
+    assert code == 2 and report["hypothesis"]["constant_on_levels"] is False
+    assert report["hard_lefschetz"]["holds"] is True
+
+
 def test_self_indexing_normalizer(su3, so5):
     _, _, p_su3 = su3
     assert self_indexing_normalizer(p_su3) is None  # fails at the third level
@@ -382,7 +404,7 @@ def test_affine_reparametrization_invariance(su3):
 def _without(report, *paths):
     """report with the fields at each "a/b/c" path dropped, and every
     vertex position: a plain copy, the argument is left as it is."""
-    report = json.loads(json.dumps(report))
+    report = json.loads(json.dumps(report, default=dict))
     for path in paths:
         *parents, key = path.split("/")
         node = report
@@ -478,15 +500,75 @@ def test_dumps_indented_rejects_what_it_does_not_print(tree):
         dumps_indented(tree)
 
 
-@pytest.mark.parametrize("name", catalog.names() + ["cp6", "sphere_product5", "hirzebruch2"])
-def test_report_and_document_writers_are_the_stdlib(name):
+def _renamed(name, ids):
+    """The catalog document of name with its vertex ids replaced, in order,
+    by ids (JSON values of any type), printed as the stdlib prints it."""
+    doc = json.loads(catalog.get(name).document)
+    new = {v["id"]: x for v, x in zip(doc["vertices"], ids, strict=True)}
+    for v in doc["vertices"]:
+        v["id"] = new[v["id"]]
+    for e in doc["edges"]:
+        e["v"], e["w"] = new[e["v"]], new[e["w"]]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _writer_cases():
+    """{case id: (document, xi, the document emit_gkm gives back)}."""
+    cases = {}
+    for name in catalog.names() + ["cp6", "sphere_product5", "hirzebruch2"]:
+        entry = catalog.get(name)
+        cases[name] = (entry.document, entry.default_xi, entry.document)
+    so5 = catalog.get("so5", scale=F(3, 7))  # fractional class values
+    cases["so5-scale-3_7"] = (so5.document, so5.default_xi, so5.document)
+    cp3 = catalog.get("cp3")
+    cases["cp3-xi=-3,-2,-1"] = (cp3.document, (-3, -2, -1), cp3.document)
+    escaped = _renamed("cp2", ['a"b', "\u00e9\\", "tab\t"])
+    cases["cp2-escaped-ids"] = (escaped, catalog.get("cp2").default_xi, escaped)
+    cases["su3-number-ids"] = (_renamed("su3", range(1, 7)), catalog.get("su3").default_xi,
+                               _renamed("su3", [str(i) for i in range(1, 7)]))
+    return cases
+
+
+_WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_report_and_document_writers_are_the_stdlib(case):
+    # the report's classes print themselves; json.dumps reads them as the
+    # dict they stand for, built by the _ascending route
+    document, xi, emitted = _WRITER_CASES[case]
+    graph = parse_gkm(document)
+    assert emit_gkm(graph) == emitted == json.dumps(json.loads(emitted), indent=2) + "\n"
+    report, _ = analyze(graph, xi, name=case, source_bytes=document.encode())
+    assert report_to_json(report) == json.dumps(report, indent=2, default=dict) + "\n"
+    profile = restrict_to_circle(graph, xi)
+    basis = canonical_classes(graph, profile)
+    vids = sorted(profile.index)
+    classes = report["canonical_basis"]["classes"]
+    assert list(classes) == list(basis.order) == report["canonical_basis"]["order"]
+    assert dict(classes) == {fid: {"degree": profile.index[fid],
+                                   "alpha": _ascending(basis.alpha[fid], vids),
+                                   "beta": _ascending(basis.beta[fid], vids)}
+                             for fid in basis.order}
+
+
+@pytest.mark.parametrize("name, code", [("sphere_product3", 0), ("hirzebruch1", 2)])
+def test_report_json_writes_the_classes_from_the_basis(name, code, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_ascending called")
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
-    assert emit_gkm(graph) == entry.document \
-        == json.dumps(json.loads(entry.document), indent=2) + "\n"
-    report, _ = analyze(graph, entry.default_xi, name=name,
-                        source_bytes=entry.document.encode())
-    assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
+    monkeypatch.setattr(analysis, "_ascending", refuse)
+    report, got = analyze(graph, entry.default_xi, name=name,
+                          source_bytes=entry.document.encode())
+    text = report_to_json(report)
+    monkeypatch.undo()
+    assert got == code
+    classes = report["canonical_basis"]["classes"]
+    fid = report["canonical_basis"]["order"][-1]
+    assert classes[fid]["degree"] == 2 * graph.n
+    assert fid in classes and "no such vertex" not in classes
+    assert text == json.dumps(report, indent=2, default=dict) + "\n"
 
 
 def test_profile_caches_follow_dataclasses_replace(su3):
