@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -251,13 +251,18 @@ def _direction(x, y):
 
 def _lagrange_weights(lines, points, pad, targets):
     """(own, rows): rows[t][j] is y^pad times the product of the lines other
-    than lines[j] at targets[t], from prefix and suffix products of the line
-    values there, and own[j] the same at points[j], the point of lines[j]."""
-    def row(x, y):
+    than lines[j] at targets[t], and own[j] the same at points[j], the point
+    (-b_j, a_j) of lines[j] = (a_j, b_j): a_j^pad times the product of b_i a_j
+    - a_i b_j over i != j.  No line vanishes at a target, so each row is one
+    product of the line values there, divided by each of them."""
+    own = [y ** pad * prod(a * x + b * y for i, (a, b) in enumerate(lines) if i != j)
+           for j, (x, y) in enumerate(points)]
+    rows = []
+    for x, y in targets:
         at = [a * x + b * y for a, b in lines]
-        suffix = list(accumulate(reversed(at[1:]), mul, initial=1))[::-1]
-        return [u * v * y ** pad for u, v in zip(accumulate(at[:-1], mul, initial=1), suffix)]
-    return [row(*point)[j] for j, point in enumerate(points)], [row(*t) for t in targets]
+        total = prod(at) * y ** pad
+        rows.append([total // v for v in at])
+    return own, rows
 
 
 def _interpolate(carried, own, rows):
@@ -292,16 +297,17 @@ def flow_up_classes(graph, profile):
     d + 1) of q's k carried values, times (y / y_j)^(d + 1 - n).  Its value
     at the other k - n down points (the checks), at q's up-edge points and
     at (1, 0) is one integer dot product each, with weights built once per
-    (q, d).  tau_q(q) is the product of q's down lines.  So every projected
-    edge congruence is certified at its later end: at the n interpolated
-    points by definition, at the k - n others by the check, for every p
-    before q that is nonzero at a down point of q (tau_p(q) = 0 included),
-    and for tau_q at its own down points, where each product has the factor
-    0.  Raises FlowUpError unless every vertex has index / 2 down edges and
-    every check passes.  On the GKM graph of a Hamiltonian T-manifold the
-    GKM theorem holds for the subtorus too (its weights at each vertex are
-    pairwise independent), so these classes span the circle image in each
-    degree, as over the torus.
+    (q, d).  A class of degree 0 is a constant: its value on slot 0 is its
+    value at every target, with no weights.  tau_q(q) is the product of q's
+    down lines.  So every projected edge congruence is certified at its
+    later end: at the n interpolated points by definition, at the k - n
+    others by the check, for every p before q that is nonzero at a down
+    point of q (tau_p(q) = 0 included), and for tau_q at its own down
+    points, where each product has the factor 0.  Raises FlowUpError unless
+    every vertex has index / 2 down edges and every check passes.  On the
+    GKM graph of a Hamiltonian T-manifold the GKM theorem holds for the
+    subtorus too (its weights at each vertex are pairwise independent), so
+    these classes span the circle image in each degree, as over the torus.
     """
     order, xi = basis_order(profile), profile.xi
     eta = projection_eta(graph, xi)
@@ -329,12 +335,18 @@ def flow_up_classes(graph, profile):
             inbox[r].setdefault(q, {})[j] = (prod(a * x + b * y for a, b in lines), 1)
         weights = {}  # d -> (n, own, rows)
         for p, carried in inbox.pop(q).items():
-            if (d := degree[p]) not in weights:
-                n = min(k, d + 1)
-                targets = points[n:] + [t for *_, t in up[q]] + [(1, 0)]
-                weights[d] = n, *_lagrange_weights(lines[:n], points[:n], d + 1 - n, targets)
-            n, own, rows = weights[d]
-            if (found := _interpolate(carried, own, rows)) is None:  # 0, yet carried past n
+            if not (d := degree[p]):  # a constant: slot 0's value at every target
+                n, found = 1, carried.get(0)
+                if found:
+                    found = [found[0]] * (k + len(up[q])), found[1]
+            else:
+                if d not in weights:
+                    n = min(k, d + 1)
+                    targets = points[n:] + [t for *_, t in up[q]] + [(1, 0)]
+                    weights[d] = n, *_lagrange_weights(lines[:n], points[:n], d + 1 - n, targets)
+                n, own, rows = weights[d]
+                found = _interpolate(carried, own, rows)
+            if found is None:  # 0 (a constant: no slot 0), yet carried past n
                 raise _congruence_error(down[q][min(carried)][0], q, p)
             at, den = found
             for j in range(n, k):

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -134,3 +134,27 @@ def flag(n):
 def homogeneous():
     """The builders grassmannian and flag, by name."""
     return {"grassmannian": grassmannian, "flag": flag}
+
+
+def random_regular(rng):
+    """A random 3-regular graph of rank 3, drawn from rng: 4, 6 or 8 vertices
+    at distinct points of [-2, 2]^3, the edges a random pairing of three ends
+    per vertex (drawn again while it has a loop or a double edge), weighted
+    by the primitive position differences.  Many are no T-manifold's GKM
+    graph."""
+    size = rng.choice((4, 6, 8))
+    points = rng.sample(list(product(range(-2, 3), repeat=3)), size)
+    while True:
+        ends = [i for i in range(size) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = {tuple(sorted(ends[i:i + 2])) for i in range(0, len(ends), 2)}
+        if len(pairs) == len(ends) // 2 and all(v != w for v, w in pairs):
+            break
+    return _document({"v%d" % i: p for i, p in enumerate(points)},
+                     [("v%d" % v, "v%d" % w) for v, w in sorted(pairs)])
+
+
+@pytest.fixture(scope="session", name="random_regular")
+def random_regular_fixture():
+    """The builder random_regular."""
+    return random_regular

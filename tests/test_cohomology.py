@@ -1,10 +1,14 @@
 import dataclasses
+import inspect
+import logging
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import accumulate, combinations, combinations_with_replacement, permutations
 from math import comb, gcd, lcm, prod
-
-import logging
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +23,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                flow_up_classes, localization_pairing_invertible,
                                localization_pairing_integers)
 from gkmlef.exact import matrix_rank, monomial_exponents, solve
-from gkmlef.model import Edge, GkmGraph, Vertex
+from gkmlef.model import Edge, GkmGraph, GkmValidationError, Vertex
 
 F = Fraction
 
@@ -376,27 +380,52 @@ def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
     assert calls == []
 
 
-def _corrupt_first_carried(monkeypatch, slot):
-    """Add 1 to one value carried to the first vertex q, in the first class
-    that q checks: q has a carried value past the interpolated prefix of n =
-    len(own) down points, so q has a check point.  slot(n, carried) picks the
-    down slot whose edge has its value corrupted."""
-    original, done = cohomology._interpolate, []
+def _add_one(carried, j):
+    v, e = carried[j]
+    carried[j] = (v + e, e)
 
-    def patched(carried, own, rows):
-        if not done and max(carried) >= len(own):
-            j = slot(len(own), carried)
-            v, e = carried[j]
-            carried[j] = (v + e, e)
-            done.append(j)
-        return original(carried, own, rows)
 
-    monkeypatch.setattr(cohomology, "_interpolate", patched)
-    return done
+@contextmanager
+def _corrupting_first_carried(slot, degrees, corrupt=_add_one):
+    """Corrupt one value in the inbox of the first vertex q that has a check
+    point, as the sweep reads that inbox: in the first class there whose
+    degree d is in degrees and that has a carried value past the n = min(k,
+    d + 1) interpolated down points, k = index(q) / 2.  slot(n, carried)
+    picks the down slot j, and corrupt(carried, j) changes its value (adds 1
+    to it by default).  The inbox is changed through a line tracer, on the
+    line of flow_up_classes that pops it, so the constant class and the
+    interpolated classes both see the change.  Yields the list of corrupted
+    slots."""
+    lines, start = inspect.getsourcelines(cohomology.flow_up_classes)
+    reads = start + next(i for i, line in enumerate(lines) if "inbox.pop(q)" in line)
+    done = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == reads and not done:
+            q, down, degree = frame.f_locals["q"], frame.f_locals["down"], frame.f_locals["degree"]
+            for p, carried in frame.f_locals["inbox"].get(q, {}).items():
+                n = min(len(down[q]), degree[p] + 1)
+                if degree[p] in degrees and max(carried) >= n:
+                    j = slot(n, carried)
+                    corrupt(carried, j)
+                    done.append(j)
+                    break
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is cohomology.flow_up_classes.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        yield done
+    finally:
+        sys.settrace(previous)
 
 
 def _interpolated(n, carried):
-    # an interpolated value: the interpolant changes at every check point
+    # an interpolated value (for the constant, its value on slot 0): the
+    # interpolant changes at every check point
     return min(j for j in carried if j < n)
 
 
@@ -405,27 +434,43 @@ def _checked(n, carried):
     return max(carried)
 
 
-@pytest.mark.parametrize("name, slot", [
-    ("su3", _interpolated), ("cp3", _interpolated), ("su3", _checked), ("cp3", _checked),
-], ids=["su3-inconsistent", "cp3-inconsistent", "su3-edge-check", "cp3-edge-check"])
-def test_uncertified_flow_up_falls_back(name, slot, monkeypatch, caplog):
+@pytest.mark.parametrize("name, slot, degrees", [
+    ("su3", _interpolated, None), ("cp3", _interpolated, None), ("su3", _checked, None),
+    ("cp3", _checked, None), ("sphere_product3", _checked, [0]), ("cp3", _interpolated, [1, 2]),
+], ids=["su3-inconsistent", "cp3-inconsistent", "su3-edge-check", "cp3-edge-check",
+        "sphere_product3-constant-edge-check", "cp3-positive-degree-inconsistent"])
+def test_uncertified_flow_up_falls_back(name, slot, degrees, caplog):
     # a wrong value carried along one edge fails the edge check at its later
     # end: interpolated there, it leaves the local system inconsistent, and
     # checked there, it differs from the interpolant; one DEBUG line, then
-    # the oracle's classes
+    # the oracle's classes.  The constant class takes its value from slot 0
+    # and checks every other slot, so it fails the same way
     graph, profile = _flow_up_case(name, None)
+    degrees = degrees or range(graph.n + 1)
     certified = canonical_classes(graph, profile)
-    done = _corrupt_first_carried(monkeypatch, slot)
-    with pytest.raises(cohomology.FlowUpError, match="fails its congruence in the class of"):
-        flow_up_classes(graph, profile)
+    with _corrupting_first_carried(slot, degrees) as done:
+        with pytest.raises(cohomology.FlowUpError, match="fails its congruence in the class of"):
+            flow_up_classes(graph, profile)
     assert len(done) == 1
-    monkeypatch.undo()
-    _corrupt_first_carried(monkeypatch, slot)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
-    fallback = canonical_classes(graph, profile)
+    with _corrupting_first_carried(slot, degrees) as done:
+        fallback = canonical_classes(graph, profile)
+    assert len(done) == 1
     assert fallback.alpha == certified.alpha and fallback.beta == certified.beta
     assert [(r.name, r.levelno) for r in caplog.records] == [("gkmlef", logging.DEBUG)]
     assert "fails its congruence in the class of" in caplog.records[0].getMessage()
+
+
+def test_a_constant_without_its_first_slot_fails_its_congruence():
+    # the unit class reaches every later point on every down slot; with its
+    # value on slot 0 dropped it has no value at q, and the first slot that
+    # still carries it names the edge, as for an interpolant that is 0
+    graph, profile = _flow_up_case("su3", None)
+    with _corrupting_first_carried(_interpolated, [0], dict.pop) as done:
+        with pytest.raises(cohomology.FlowUpError,
+                           match="^edge C-D fails its congruence in the class of A$"):
+            flow_up_classes(graph, profile)
+    assert done == [0]
 
 
 def test_flow_up_certificate_needs_one_down_edge_per_negative_weight(su3):
@@ -471,20 +516,77 @@ def test_a_class_that_interpolates_to_zero_must_vanish_at_every_down_point():
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
 def test_flow_up_builds_each_interpolation_basis_once(name, xi, monkeypatch):
     # one set of Lagrange weights per (q, d), shared by every class of
-    # degree d that reaches q
+    # degree d > 0 that reaches q; the constant class (d = 0) takes its value
+    # from slot 0 and builds none.  A call for degree d interpolates through
+    # n = len(lines) points with pad d + 1 - n, so d = n + pad - 1
     graph, profile = _flow_up_case(name, xi)
     calls = []
     weights = cohomology._lagrange_weights
 
-    def counting(*args):
-        calls.append(args)
-        return weights(*args)
+    def counting(lines, points, pad, targets):
+        calls.append(len(lines) + pad - 1)
+        return weights(lines, points, pad, targets)
 
     monkeypatch.setattr(cohomology, "_lagrange_weights", counting)
     flow_up_classes(graph, profile)
     order = cohomology.basis_order(profile)
-    bound = sum(len({profile.index[p] for p in order[:i]}) for i in range(len(order)))
+    bound = sum(len({profile.index[p] for p in order[:i]} - {0}) for i in range(len(order)))
     assert 0 < len(calls) <= bound
+    assert 0 not in calls
+
+
+def _lagrange_weights_by_prefixes(lines, points, pad, targets):
+    """The Lagrange weights by their definition: each row from prefix and
+    suffix products of the line values, so no value is divided by; own[j]
+    is entry j of the row at points[j]."""
+    def row(x, y):
+        at = [a * x + b * y for a, b in lines]
+        suffix = list(accumulate(reversed(at[1:]), mul, initial=1))[::-1]
+        return [u * v * y ** pad for u, v in zip(accumulate(at[:-1], mul, initial=1), suffix)]
+    return [row(*point)[j] for j, point in enumerate(points)], [row(*t) for t in targets]
+
+
+_small = st.integers(-9, 9)
+_nonzero = _small.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_nonzero, _small), min_size=1, max_size=5),
+       st.integers(0, 3), st.lists(st.tuples(_small, _small), max_size=6),
+       st.lists(_nonzero, max_size=3))
+def test_lagrange_weights_are_the_prefix_and_suffix_products(lines, pad, drawn, on_axis):
+    # pairwise non-parallel lines, each nonzero at (1, 0) as a circle weight
+    # is, so none vanishes at another's point (-b, a); the targets are those
+    # drawn points where no line vanishes, points with y = 0 and (1, 0).
+    # pad > 0 occurs on no catalog input at its default circle, only at
+    # circles such as hirzebruch1's (4, 1) and (-3, -1) in FLOW_UP_CASES
+    assume(all(a * d != b * c for (a, b), (c, d) in combinations(lines, 2)))
+    points = [(-b, a) for a, b in lines]
+    targets = [(x, y) for x, y in drawn if all(a * x + b * y for a, b in lines)]
+    targets += [(x, 0) for x in on_axis] + [(1, 0)]
+    assert (cohomology._lagrange_weights(lines, points, pad, targets)
+            == _lagrange_weights_by_prefixes(lines, points, pad, targets))
+
+
+def test_random_regular_graphs_certify_the_oracle_or_refuse(random_regular):
+    # random rank-3, 3-regular documents at xi = (1, 7, 31): many are no
+    # T-manifold's GKM graph, so the sweep must either certify the oracle's
+    # classes or raise FlowUpError, never another exception
+    rng, certified, refused = random.Random(5), 0, 0
+    for _ in range(300):
+        try:
+            graph = parse_gkm(random_regular(rng))
+            profile = restrict_to_circle(graph, (1, 7, 31))
+        except GkmValidationError:
+            continue
+        try:
+            flow_up_classes(graph, profile)
+        except cohomology.FlowUpError:
+            refused += 1
+            continue
+        certified += 1
+        assert _matches_oracle(graph, profile)
+    assert certified > 50 and refused > 20, (certified, refused)
 
 
 # -- cup product ------------------------------------------------------------
