@@ -159,20 +159,24 @@ def circle_annihilator(graph, d, xi):
 class CanonicalBasis:
     profile: object
     order: tuple  # vertex ids ascending by (moment value, index, id)
-    alpha: dict  # vertex id -> CircleClass of degree = Morse index
-    beta: dict  # vertex id -> alpha / (product of negative weights)
+    integer_beta: dict  # F -> (a_F, s_F), beta_F = a_F / s_F: the one stored form
 
     @property
     def graph(self):
         return self.profile.graph
 
     @cached_property
-    def integer_beta(self):
-        """{F: (a_F, s_F)}: s_F the lcm of the denominators of beta_F and
-        a_F = s_F beta_F, {vertex id: int} over the vertices beta_F stores.
-        Built once per basis; kirwan_reduce, support_violation and the
-        localization pairings read it."""
-        return {f: integer_form(cls.values) for f, cls in self.beta.items()}
+    def alpha(self):  # beta_F times the product of the negative weights at F
+        return self._classes(self.profile.negative_weight_product)
+
+    @cached_property
+    def beta(self):
+        return self._classes(lambda f: 1)
+
+    def _classes(self, factor):  # Fraction views {F: CircleClass}, built on first read
+        graph, index = self.graph, self.profile.index
+        return {f: CircleClass(graph, index[f], {v: Fraction(c * w, s) for v, c in values.items()})
+                for f, (values, s) in self.integer_beta.items() for w in (factor(f),)}
 
     @cached_property
     def support_violation(self):
@@ -209,14 +213,14 @@ def _dot(a, b):
 
 
 def projection_eta(graph, xi):
-    """eta = (1, m, ..., m^(r-1)) for the least m >= 1 that keeps the
-    projections w -> (w . xi, w . eta) of the weights at each vertex pairwise
-    non-parallel.  For each m, two projections at a vertex are parallel
-    exactly when their directions (reduced by the gcd, sign fixed) are equal,
-    and a zero projection is parallel to every other: O(E) per m.  Those of
-    a and b are parallel when eta is orthogonal to n = (a . xi) b - (b . xi) a,
-    a polynomial in m of degree < r, so each pair rules out < r values; n = 0
-    (a, b parallel) raises FlowUpError at the first vertex where it collides."""
+    """(eta, {edge weight w: (w . xi, w . eta)}), eta = (1, m, ..., m^(r-1))
+    for the least m >= 1 that keeps these projections of the weights at each
+    vertex pairwise non-parallel.  For each m, two projections at a vertex
+    are parallel exactly when their directions (reduced by the gcd, sign
+    fixed) are equal, and a zero projection is parallel to every other: O(E)
+    per m.  Those of a and b are parallel when eta is orthogonal to n = (a .
+    xi) b - (b . xi) a, a polynomial in m of degree < r, so each pair rules
+    out < r values; n = 0 (a, b parallel) raises FlowUpError at its vertex."""
     incident = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
         incident[e.v].append(e.weight)
@@ -225,7 +229,8 @@ def projection_eta(graph, xi):
     m = 1
     while True:
         eta = tuple(m ** i for i in range(graph.rank))
-        direction = {w: _direction(x, _dot(w, eta)) for w, x in at_xi.items()}
+        projected = {w: (x, _dot(w, eta)) for w, x in at_xi.items()}
+        direction = {w: _direction(*p) for w, p in projected.items()}
         for v, weights in incident.items():
             seen = {direction[w] for w in weights}
             if len(seen) < len(weights) or (None in seen and len(weights) > 1):
@@ -235,7 +240,7 @@ def projection_eta(graph, xi):
                         raise FlowUpError("parallel weights %r and %r at %s" % (a, b, v))
                 break
         else:
-            return eta
+            return eta, projected
         m += 1
 
 
@@ -283,7 +288,7 @@ def _interpolate(carried, own, rows):
 
 def flow_up_classes(graph, profile):
     """The flow-up classes of Guillemin-Zara on the rank-2 projection
-    w -> (w . xi, w . eta) of the torus, eta = projection_eta(graph, xi):
+    w -> (w . xi, w . eta) of the torus, as projection_eta(graph, xi) gives it:
     tau_p, one per vertex p, has degree d = index(p) / 2, vanishes before p
     in basis_order and restricts at p to the product of the projected
     weights of p's edges to earlier vertices.  Returns {p: {q: (c, den)}}, p
@@ -309,14 +314,13 @@ def flow_up_classes(graph, profile):
     subtorus too (its weights at each vertex are pairwise independent), so
     these classes span the circle image in each degree, as over the torus.
     """
-    order, xi = basis_order(profile), profile.xi
-    eta = projection_eta(graph, xi)
+    order, projected = basis_order(profile), projection_eta(graph, profile.xi)[1]
     position = {v: i for i, v in enumerate(order)}
     degree = {v: profile.index[v] // 2 for v in order}
     down = {v: [] for v in order}  # [(earlier neighbour, projected outward weight)]
     up = {v: [] for v in order}  # [(later neighbour, its down slot, the edge's point)]
     for e in graph.edges:
-        w, q, a, b = e.w, e.v, _dot(e.weight, xi), _dot(e.weight, eta)
+        w, q, (a, b) = e.w, e.v, projected[e.weight]
         if position[w] > position[q]:
             w, q, a, b = q, w, -a, -b
         up[w].append((q, len(down[q]), (-b, a)))
@@ -366,43 +370,30 @@ def _congruence_error(w, q, p):
     return FlowUpError("edge %s-%s fails its congruence in the class of %s" % (w, q, p))
 
 
-def _alpha_beta(profile, fid, values):
-    """alpha_F from its circle values {vertex id: Fraction}, zeros dropped,
-    and its normalization beta_F = alpha_F / (product of the negative weights
-    at F).  The oracle's; canonical_classes builds both from integers."""
-    wprod = profile.negative_weight_product(fid)
-    graph, degree = profile.graph, profile.index[fid]
-    values = {v: c for v, c in values.items() if c}
-    return (CircleClass(graph, degree, values),
-            CircleClass(graph, degree, {v: c / wprod for v, c in values.items()}))
-
-
 def canonical_classes(graph, profile):
     """Canonical class basis, one class per fixed point: alpha_F is the
-    flow-up class tau_F read on the circle, each value c over den, and
-    beta_F(q) = c / (den * the product of the negative weights at F), one
-    Fraction each.  tau_F vanishes before F; at F its circle value is the
-    product of F's projected down lines at (1, 0), the product of the
-    negative weights at F; and at any later q of index <= index(F) it is the
-    interpolant times a power of y, 0 at (1, 0).  Those are the defining
-    conditions of alpha_F, so no substitution is needed; kirwan_reduce
-    certifies the support again (basis.support_violation).  The basis order
-    is the order of the flow-up classes, sorted once.  If the flow-up classes
-    are not certified, a DEBUG line names the reason and the oracle
-    canonical_classes_global is returned."""
+    flow-up class tau_F read on the circle, c / den at q, and beta_F(q) = c /
+    (den L), L the product of the negative weights at F, with no Fraction
+    made: s_F is the lcm of the reduced denominators den |L| / gcd(c, L) (c,
+    den coprime) and a_F(q) = c s_F / (den L), exact.  tau_F vanishes before
+    F; at F it is the product of F's projected down lines at (1, 0), L; at
+    any later q of index <= index(F) it is the interpolant times a power of
+    y, 0 at (1, 0).  Those are the defining conditions of alpha_F, so no
+    substitution is needed; kirwan_reduce certifies the support again
+    (basis.support_violation).  The basis order is the flow-up classes'
+    order, sorted once.  If they are not certified, a DEBUG line names the
+    reason and the oracle canonical_classes_global is returned."""
     try:
         classes = flow_up_classes(graph, profile)
     except FlowUpError as exc:
         _log.debug("flow-up classes not certified (%s); using the global oracle", exc)
         return canonical_classes_global(graph, profile)
-    alpha, beta = {}, {}
+    integer_beta = {}
     for fid, values in classes.items():
-        wprod, degree = profile.negative_weight_product(fid), profile.index[fid]
-        alpha[fid] = CircleClass(profile.graph, degree,
-                                 {q: Fraction(c, den) for q, (c, den) in values.items()})
-        beta[fid] = CircleClass(profile.graph, degree,
-                                {q: Fraction(c, den * wprod) for q, (c, den) in values.items()})
-    return CanonicalBasis(profile, tuple(classes), alpha, beta)
+        w = profile.negative_weight_product(fid)
+        scale = lcm(*(den * abs(w) // gcd(c, w) for c, den in values.values()))
+        integer_beta[fid] = {q: c * scale // (den * w) for q, (c, den) in values.items()}, scale
+    return CanonicalBasis(profile, tuple(classes), integer_beta)
 
 
 def canonical_classes_global(graph, profile):
@@ -411,7 +402,7 @@ def canonical_classes_global(graph, profile):
     class.  The values of alpha_F lie in the circle image of its degree, cut
     out by the congruence-space annihilators, equal the product of the
     negative weights at F, and vanish below F's moment value or at index <=
-    F's.  Every row is sparse."""
+    F's.  Every row is sparse.  The basis stores alpha_F / that product."""
     vids = [v.id for v in graph.vertices]
     nv = len(vids)
     fids = basis_order(profile)
@@ -430,7 +421,7 @@ def canonical_classes_global(graph, profile):
     if point is None:
         raise ClassConstructionError("global canonical-class system is inconsistent")
 
-    alpha, beta = {}, {}
+    integer_beta = {}
     for b, fid in enumerate(fids):
         block = range(b * nv, (b + 1) * nv)
         ambiguity = sum(1 for nu in null_basis if any(c in block for c in nu))
@@ -438,9 +429,10 @@ def canonical_classes_global(graph, profile):
             raise ClassConstructionError(
                 "canonical class at %s is not unique (ambiguity dimension %d)"
                 % (fid, ambiguity))
-        alpha[fid], beta[fid] = _alpha_beta(
-            profile, fid, {vid: point.get(b * nv + j, _ZERO) for j, vid in enumerate(vids)})
-    return CanonicalBasis(profile, fids, alpha, beta)
+        w = profile.negative_weight_product(fid)
+        integer_beta[fid] = integer_form({vid: x / w for j, vid in enumerate(vids)
+                                          if (x := point.get(b * nv + j))})
+    return CanonicalBasis(profile, fids, integer_beta)
 
 
 def equivariant_symplectic_class(profile, shift=0):
@@ -550,8 +542,8 @@ def kirwan_reduce(basis):
     image of multiplication by w = equivariant_symplectic_class(profile,
     min value), read off the canonical basis by the equivariant Chevalley
     formula: L(beta_F) = sum of (mu(F) - mu(H)) beta_F(H) beta_H over the H
-    of index(F) + 2.  In the integers M = D mu and a_F = s_F beta_F
-    (basis.integer_beta), that entry is (M(F) - M(H)) a_F(H) / (D s_F), taken
+    of index(F) + 2.  In the integers M = D mu and a_F = s_F beta_F, as the
+    basis stores them, that entry is (M(F) - M(H)) a_F(H) / (D s_F), taken
     over T = lcm(D s_F); dividing the entries and T by their gcd leaves T the
     lcm of the reduced denominators, the ring's scale.
 

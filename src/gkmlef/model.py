@@ -182,15 +182,14 @@ def _checks_and_positions(doc):
                 break
         add("gkm-independence", ok, detail)
 
-    if ids:
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        add("graph-connected", len(seen) == len(ids))
+    seen, stack = set(ids[:1]), ids[:1]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    add("graph-connected", ids and len(seen) == len(ids),
+        "" if ids else "the document has no vertices")
     return checks, positions, integer_positions
 
 

@@ -141,6 +141,25 @@ def test_validate_names_bad_edge(capsys, tmp_path):
     assert "verdict: invalid" in out
 
 
+def _empty_document(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"rank": 1, "dimension": 2, "vertices": [], "edges": []}')
+    return str(path)
+
+
+def test_validate_fails_a_document_with_no_vertices(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", _empty_document(tmp_path))
+    assert code == 0
+    assert "FAIL graph-connected: the document has no vertices\n" in out
+    assert out.endswith("verdict: invalid\n")
+
+
+def test_analyze_refuses_a_document_with_no_vertices(capsys, tmp_path):
+    # refused by parse_gkm, before restrict_to_circle looks for a minimum
+    code, out, err = run(capsys, "analyze", _empty_document(tmp_path))
+    assert (code, out, err) == (1, "", "error: graph-connected: the document has no vertices\n")
+
+
 def test_render_su3(capsys, tmp_path):
     out_path = tmp_path / "img.svg"
     code, _, _ = run(capsys, "render", "--example", "su3", "--out", str(out_path))

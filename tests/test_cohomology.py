@@ -22,7 +22,7 @@ from gkmlef.cohomology import (CircleClass, ExpansionError,
                                congruence_space, constant_class,
                                flow_up_classes, localization_pairing_invertible,
                                localization_pairing_integers)
-from gkmlef.exact import matrix_rank, monomial_exponents, solve
+from gkmlef.exact import integer_form, matrix_rank, monomial_exponents, solve
 from gkmlef.model import Edge, GkmGraph, GkmValidationError, Vertex
 
 F = Fraction
@@ -228,7 +228,7 @@ def test_flow_up_classes_are_triangular_classes(name, xi):
     # own check, and the circle image and the oracle are tested above
     graph, profile = _flow_up_case(name, xi)
     order = cohomology.basis_order(profile)
-    eta = cohomology.projection_eta(graph, profile.xi)
+    eta, _ = cohomology.projection_eta(graph, profile.xi)
     assert not _parallel_pair_at_a_vertex(graph, profile.xi, eta)
     tau = flow_up_classes(graph, profile)
     assert tuple(tau) == order
@@ -250,7 +250,9 @@ def test_projection_eta_rejects_m_1_and_takes_m_2(name, xi, eta, generic):
     graph = parse_gkm(catalog.get(name).document)
     assert _parallel_pair_at_a_vertex(graph, xi, (1,) * graph.rank)
     assert not _parallel_pair_at_a_vertex(graph, xi, eta)
-    assert cohomology.projection_eta(graph, xi) == eta
+    projected = {e.weight: (sum(map(mul, e.weight, xi)), sum(map(mul, e.weight, eta)))
+                 for e in graph.edges}
+    assert cohomology.projection_eta(graph, xi) == (eta, projected)
     if generic:
         assert _matches_oracle(graph, restrict_to_circle(graph, xi))
 
@@ -261,7 +263,7 @@ def test_projected_classes_at_random_generic_circles(name, data):
     graph = parse_gkm(catalog.get(name).document)
     xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
     assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
-    eta = cohomology.projection_eta(graph, xi)
+    eta, _ = cohomology.projection_eta(graph, xi)
     assert not _parallel_pair_at_a_vertex(graph, xi, eta), eta
     assert _matches_oracle(graph, restrict_to_circle(graph, xi))
 
@@ -289,7 +291,7 @@ def test_projection_eta_is_the_least_m_off_every_normal(name, data):
     xi = data.draw(st.tuples(*[st.integers(-6, 6)] * graph.rank), label="xi")
     assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
     m = _least_m_by_normals(graph, xi)
-    assert cohomology.projection_eta(graph, xi) == tuple(m ** i for i in range(graph.rank))
+    assert cohomology.projection_eta(graph, xi)[0] == tuple(m ** i for i in range(graph.rank))
 
 
 def test_projection_eta_rejects_parallel_weights():
@@ -334,6 +336,29 @@ def test_canonical_classes_are_the_flow_up_classes_at_random_generic_circles(nam
     xi = data.draw(st.tuples(*[st.integers(-4, 4)] * graph.rank), label="xi")
     assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
     _assert_alpha_is_the_flow_up_class(graph, restrict_to_circle(graph, xi))
+
+
+@pytest.mark.parametrize("name, xi", [("su3", None), ("sphere_product3", None),
+                                      ("cp3", (-3, -2, -1)), ("hirzebruch1", (-2, -1))])
+def test_sweep_basis_is_stored_in_integers(name, xi, monkeypatch, caplog):
+    # from a certified sweep canonical_classes makes no Fraction: the basis
+    # holds integer_beta only, and the Fraction views alpha and beta are
+    # built on their first read, equal to the oracle's
+    graph, profile = _flow_up_case(name, xi)
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction%r made" % (args,))
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    with monkeypatch.context() as patched:
+        patched.setattr(cohomology, "Fraction", no_fraction)
+        basis = canonical_classes(graph, profile)
+    assert caplog.records == []  # the sweep was certified: no fallback
+    assert "alpha" not in basis.__dict__ and "beta" not in basis.__dict__
+    oracle = canonical_classes_global(graph, profile)
+    assert basis.order == oracle.order and basis.integer_beta == oracle.integer_beta
+    for f in basis.order:
+        assert basis.alpha[f].values == oracle.alpha[f].values, f
+        assert basis.beta[f].values == oracle.beta[f].values, f
 
 
 @pytest.mark.parametrize("name", ["cp5", "sphere_product4"])
@@ -951,10 +976,10 @@ def test_lefschetz_operator_at_random_generic_circles(name, data):
 
 
 def _doctored(basis, fid, values):
-    """basis with beta_F given the extra or changed values {vertex id: value}."""
-    beta = dict(basis.beta)
-    beta[fid] = CircleClass(basis.graph, beta[fid].degree, {**beta[fid].values, **values})
-    return dataclasses.replace(basis, beta=beta)
+    """basis with beta_F given the extra or changed values {vertex id: value},
+    in its stored integer form, so that the views follow."""
+    beta = integer_form({**basis.beta[fid].values, **values})
+    return dataclasses.replace(basis, integer_beta={**basis.integer_beta, fid: beta})
 
 
 @pytest.mark.parametrize("fid, values, named", [
@@ -1002,7 +1027,8 @@ def test_localization_pairing_invertible(su3_basis, cp1_basis):
         assert localization_pairing_invertible(basis) == (True,) * (basis.profile.n + 1)
     # beta_C replaced by beta_B: the degree-2 pairing has two equal rows, and
     # degree 4, its transpose, is singular with it
-    doctored = dataclasses.replace(su3_basis, beta={**su3_basis.beta, "C": su3_basis.beta["B"]})
+    doctored = dataclasses.replace(
+        su3_basis, integer_beta={**su3_basis.integer_beta, "C": su3_basis.integer_beta["B"]})
     assert localization_pairing_invertible(doctored) == (True, False, False, True)
 
 
@@ -1081,17 +1107,16 @@ class _CountingDict(dict):
 def test_localization_pairing_reads_each_beta_once(name):
     # one pass per degree: each class of degree k or 2n - k is read once, from
     # the basis's integer view a_F = s_F beta_F, the middle degree's classes
-    # included, and no other class is read; beta itself is not read again
+    # included, and no other class is read; the Fraction view beta is not built
     basis = _catalog_basis(name)
     profile = basis.profile
-    counted = dataclasses.replace(basis, beta=_CountingDict(basis.beta))
-    counted.__dict__["integer_beta"] = _CountingDict(basis.integer_beta)
+    counted = dataclasses.replace(basis, integer_beta=_CountingDict(basis.integer_beta))
     for k in range(0, 2 * profile.n + 1, 2):
         counted.integer_beta.reads = {}
         assert localization_pairing_integers(counted, k) == localization_pairing_integers(basis, k)
         assert counted.integer_beta.reads == {f: 1 for f in basis.order
                                               if profile.index[f] in (k, 2 * profile.n - k)}, k
-        assert counted.beta.reads == {}, k
+        assert "beta" not in counted.__dict__, k
 
 
 @pytest.mark.parametrize("name", ["su3", "cp1", "cp4", "sphere_product3"])

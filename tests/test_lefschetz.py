@@ -15,7 +15,7 @@ from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
                     verify_zeroclass)
 from gkmlef.cohomology import (CanonicalBasis, CircleClass,
                                localization_pairing_invertible)
-from gkmlef.exact import matrix_rank
+from gkmlef.exact import integer_form, matrix_rank
 from gkmlef.lefschetz import (_scaled_top_products, delta_certificate, delta_certificates,
                               multiplication_matrix)
 
@@ -234,10 +234,10 @@ def test_zeroclass_high_side_falls_back_from_a_singular_pairing(name, monkeypatc
 def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch, caplog,
                                                        zeroclass_by_rank,
                                                        values, passed, rank):
-    beta = dict(su3_basis.beta)
+    integer_beta = dict(su3_basis.integer_beta)
     for fid, extra in values.items():
-        beta[fid] = CircleClass(su3_basis.graph, 2, {**beta[fid].values, **extra})
-    doctored = dataclasses.replace(su3_basis, beta=beta)
+        integer_beta[fid] = integer_form({**su3_basis.beta[fid].values, **extra})
+    doctored = dataclasses.replace(su3_basis, integer_beta=integer_beta)
     assert doctored.support_violation == ("B", "C")
     pairings = localization_pairing_invertible(su3_basis)
     assert all(pairings)
