@@ -2,8 +2,8 @@
 
 Pipeline: parse or generate a GKM document, select a circle subgroup, build
 the canonical-class basis of equivariant cohomology, Kirwan-reduce to the
-ordinary ring, and decide the hard Lefschetz property with exact rank
-computations over Q.
+ordinary ring, and decide the hard Lefschetz property: by the paper's proof
+where its premises hold, and by exact rank computations over Q elsewhere.
 """
 
 from .model import (GkmGraph, GkmValidationError, CircleProfile, parse_gkm,

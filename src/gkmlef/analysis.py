@@ -12,6 +12,7 @@ import hashlib
 import time
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
@@ -31,17 +32,21 @@ def _ascending(cls, vids):
     """{vertex id: coefficients of cls there in ascending powers of u}, over
     vids: c * u^d is d "0"s then c, and a vertex cls does not store is [].
     The stored values are nonzero Fractions, and str formats them as
-    format_rational does.  ClassesView is read by this route, and its
-    writer is tested against it; report_to_json does not call it."""
+    format_rational does.  This is the reference route: ClassesView reads
+    the Fraction views through it, and its integer writer is tested against
+    it; report_to_json does not call it."""
     zeros, values = ["0"] * (cls.degree // 2), cls.values
     return {vid: zeros + [str(c)] if (c := values.get(vid)) else [] for vid in vids}
 
 
 class ClassesView(Mapping):
     """The report's canonical_basis.classes: {F: {"degree", "alpha",
-    "beta"}} over basis.order, each family as _ascending gives it, built
-    when read.  indented(newline) prints it as model.dumps_indented prints
-    that dict, visiting only the stored values."""
+    "beta"}} over basis.order, each family as _ascending gives it from the
+    Fraction views basis.alpha and basis.beta, built when read.
+    indented(newline) prints it as model.dumps_indented prints that dict,
+    from basis.integer_beta alone: beta_F(q) = a_F(q) / s_F and alpha_F(q) =
+    L_F a_F(q) / s_F, L_F the product of the negative weights at F, each
+    reduced by one gcd and written as str writes a Fraction."""
 
     def __init__(self, basis, vids):
         self._basis, self._vids = basis, vids
@@ -74,20 +79,26 @@ class ClassesView(Mapping):
         slot = {vid: i for i, vid in enumerate(vids)}
         close = '"' + vid_break + "]"
 
-        def family(cls):  # never {}: vids holds every id of basis.order
+        def family(head, values, factor, s):  # never {}: vids holds every id of basis.order
             rows = empty.copy()
-            head = "[" + value_break + ('"0",' + value_break) * (cls.degree // 2) + '"'
-            for vid, c in cls.values.items():  # the basis stores no zero value
-                i = slot[vid]
-                rows[i] = keys[i] + head + str(c) + close
+            for vid, c in values.items():  # the basis stores no zero value
+                i, x = slot[vid], c * factor
+                g = gcd(x, s)  # s > 0, so the sign stays on x, as in a Fraction
+                rows[i] = (keys[i] + head + (str(x // g) if g == s else
+                                             "%d/%d" % (x // g, s // g)) + close)
             return "{" + vid_break + ("," + vid_break).join(rows) + key_break + "}"
 
-        index = basis.profile.index
-        return ("{" + fid_break + ("," + fid_break).join([
-            _string(fid) + ": {" + key_break + '"degree": ' + str(index[fid])
-            + "," + key_break + '"alpha": ' + family(basis.alpha[fid])
-            + "," + key_break + '"beta": ' + family(basis.beta[fid]) + fid_break + "}"
-            for fid in basis.order]) + newline + "}")
+        index, integer_beta = basis.profile.index, basis.integer_beta
+        weight = basis.profile.negative_weight_product
+        out = []
+        for fid in basis.order:
+            values, s = integer_beta[fid]
+            head = "[" + value_break + ('"0",' + value_break) * (index[fid] // 2) + '"'
+            out.append(_string(fid) + ": {" + key_break + '"degree": ' + str(index[fid])
+                       + "," + key_break + '"alpha": ' + family(head, values, weight(fid), s)
+                       + "," + key_break + '"beta": ' + family(head, values, 1, s)
+                       + fid_break + "}")
+        return "{" + fid_break + ("," + fid_break).join(out) + newline + "}"
 
 
 def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
@@ -109,16 +120,19 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
 
     basis = canonical_classes(graph, profile)
     ring = kirwan_reduce(basis)
-    hl = lefschetz.hard_lefschetz_check(ring)
 
     # the zero-class lemmas read the pairings as their high-side certificate
     pairing_invertible = localization_pairing_invertible(basis)
     lemmas = [lefschetz.verify_symp_expansion(profile, ring)]
     for k in range(1, n + 1):
         lemmas.append(lefschetz.verify_vanish(profile, k))
-    lemmas.append(lefschetz.verify_distinct(profile))
+    distinct = lefschetz.verify_distinct(profile)
+    lemmas.append(distinct)
     for k in range(n + 1):
         lemmas.extend(lefschetz.verify_zeroclass(basis, k, pairing_invertible))
+    # hard Lefschetz by the paper's proof where the ledger holds it
+    hl = lefschetz.hard_lefschetz_check(
+        ring, lefschetz.proof_chain(hyp, distinct, basis, pairing_invertible))
     certificates = lefschetz.delta_certificates(basis, profile) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)

@@ -558,8 +558,9 @@ def kirwan_reduce(basis):
     labels, scaled, index, d = basis.order, profile.scaled_mu, profile.index, profile.mu_scale
     if basis.support_violation is not None:
         f, bad = basis.support_violation
+        values, s = basis.integer_beta[f]
         raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
-                             % (f, basis.beta[f].at(bad), bad))
+                             % (f, Fraction(values.get(bad, 0), s), bad))
     scale = d * lcm(*(s for _, s in basis.integer_beta.values()))
     lefschetz = {}
     for f in labels:

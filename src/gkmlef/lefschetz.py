@@ -51,26 +51,74 @@ def multiplication_matrix(ring, k, power):
     return source, target, [[row.get(t, 0) for t in target] for row in rows]
 
 
-def hard_lefschetz_check(ring):
-    """Exact rank of omega^(n-k): H^k -> H^(2n-k) for k = 0..n.
+def hard_lefschetz_check(ring, proved=False):
+    """Rank of omega^(n-k): H^k -> H^(2n-k) for k = 0..n.
 
-    The matrices are those of the stored operator, D L with D = ring.scale:
+    proved says that the paper's proof of hard Lefschetz applies
+    (proof_chain): omega^(n-k) is then injective on H^k, so where dim H^k =
+    dim H^(2n-k) its rank is dim H^k and no matrix is built.  Every other
+    degree, and every degree when proved is False, the default, takes the
+    exact rank of the stored operator's matrix, D L with D = ring.scale:
     integers, and D^(n-k) times the matrix of omega^(n-k), of the same rank.
+    With proved, one DEBUG line says whether a rank was still taken (the
+    dimensions differ only on input that breaks Poincare symmetry).
     Odd degrees are empty in this setting (isolated fixed points force even
     Morse indices) and are reported as vacuously true.
     """
     if not ring.omega and ring.n > 0:
         raise ValueError("ring has no distinguished symplectic class")
     n = ring.n
-    entries = []
+    entries, ranked = [], []
     for k in range(n + 1):
         if k % 2 == 1:
             entries.append(HLDegree(k, 0, 0, 0, vacuous=True))
             continue
+        if proved:
+            source, target = ring.basis_in_degree(k), ring.basis_in_degree(2 * n - k)
+            if len(source) == len(target):
+                entries.append(HLDegree(k, len(source), len(target), len(source), vacuous=False))
+                continue
+            ranked.append(k)
         source, target, mat = multiplication_matrix(ring, k, n - k)
         rank = matrix_rank(mat) if source and target else 0
         entries.append(HLDegree(k, len(source), len(target), rank, vacuous=False))
+    if proved:
+        if ranked:
+            _log.debug("hard Lefschetz proved, but dim H^k != dim H^(2n-k) for k = %s; "
+                       "taking the exact rank there", ", ".join(map(str, ranked)))
+        else:
+            _log.debug("hard Lefschetz proved; no rank taken")
     return HLReport(2 * n, tuple(entries))
+
+
+def proof_chain(hyp, distinct, basis, pairing_invertible):
+    """Whether the paper's proof of hard Lefschetz applies, read off the
+    ledger: hyp is model.check_hypothesis's, distinct verify_distinct's entry
+    and pairing_invertible cohomology.localization_pairing_invertible's.
+
+    Take x in H^2j with omega^(n-2j) x = 0, lifted to x~ = sum a_F beta_F over
+    index 2j, and delta = x~ times the classes omega~ - c_2l u, l = j ..
+    n-j-1: it maps to 0, so delta = u y.  Canonical support and the constant
+    levels make delta vanish below index 2n - 2j, so zero-class(n-j-1, low)
+    gives y = 0.  Above, delta is x~ times differences of distinct level
+    constants, so x~ vanishes there and zero-class(j, high) gives x = 0.
+    Both zero-class sides are certified by canonical support and invertible
+    pairings (verify_zeroclass).  So the proof needs the hypothesis, a
+    passing distinct-level-constants, basis.support_violation None and every
+    pairing invertible; when one fails, one DEBUG line names the first."""
+    if not hyp["constant_on_levels"]:
+        reason = "the moment map is not constant on every level"
+    elif not distinct["pass"]:
+        reason = "distinct-level-constants does not pass"
+    elif basis.support_violation is not None:
+        reason = "beta_%s breaks canonical support at %s" % basis.support_violation
+    elif not all(pairing_invertible):
+        reason = "the degree-%d localization pairing is singular" % (
+            2 * pairing_invertible.index(False))
+    else:
+        return True
+    _log.debug("hard Lefschetz not proved (%s); taking the exact ranks", reason)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +215,8 @@ def verify_zeroclass(basis, k, pairing_invertible):
     tuple cohomology.localization_pairing_invertible(basis) returns.
 
     The degree-2k space is spanned by u^(k-i) beta_F over the index-2i points,
-    i <= k, and each condition is a row [beta_F(v)].  Both sides are
+    i <= k, and each condition is a row [beta_F(v)], or in integers [a_F(v)],
+    a_F = s_F beta_F as basis.integer_beta stores it: the same rank.  Both sides are
     certified to have full rank when the basis has canonical support
     (basis.support_violation is None), the high side also needing
     pairing_invertible[j] for every j <= k:
@@ -183,7 +232,7 @@ def verify_zeroclass(basis, k, pairing_invertible):
       vanishes where x does, and the argument repeats down to k = 0.
 
     A side that is not certified logs one DEBUG line with the reason and
-    takes the exact matrix_rank."""
+    takes the exact matrix_rank of the integer rows."""
     index, n = basis.profile.index, basis.profile.n
     columns = [fid for fid in basis.order if index[fid] <= 2 * k]
     high = [v for v in basis.order if index[v] >= 2 * (n - k)]
@@ -201,8 +250,9 @@ def verify_zeroclass(basis, k, pairing_invertible):
         else:
             _log.debug("zero-class(k=%d,%s) not certified (%s); taking the exact rank",
                        k, side, reasons[side])
-            mat = [[basis.beta[fid].at(v) for fid in columns] for v in constrained]
-            rank = matrix_rank(mat)
+            # the rows [a_F(v)]: beta_F's column scaled by s_F, of the same rank
+            values = [basis.integer_beta[fid][0] for fid in columns]
+            rank = matrix_rank([[a.get(v, 0) for a in values] for v in constrained])
         entries.append(_entry("zero-class(k=%d,%s)" % (k, side), True, rank == len(columns),
                               "space dimension %d, independent vanishing conditions %d"
                               % (len(columns), rank)))
@@ -219,13 +269,19 @@ def delta_certificate(basis, profile, gamma, k):
     multiplies vertex by vertex, so the factorization holds by construction
     and no class is built: delta(v) is nonzero exactly when gamma(v) is and
     mu(v), the constant of v's level, is none of c_2k .. c_(2n-2k-2), compared
-    as the ints D c.
+    as the ints D c.  So only gamma's support is read (_delta_entry).
     """
-    n = profile.n
-    name = "delta-certificate(k=%d)" % k
     if gamma.degree != 2 * k:
         raise ValueError("candidate class has degree %d, expected %d" % (gamma.degree, 2 * k))
-    bad_pre = [v for v in basis.order if profile.index[v] < 2 * k and gamma.at(v)]
+    return _delta_entry(basis, profile, gamma.values, k)
+
+
+def _delta_entry(basis, profile, values, k):
+    """delta_certificate's entry for the degree-2k candidate whose values
+    {vertex: value, absent: 0} are nonzero where its restrictions are."""
+    n = profile.n
+    name = "delta-certificate(k=%d)" % k
+    bad_pre = [v for v in basis.order if profile.index[v] < 2 * k and values.get(v)]
     if bad_pre:
         raise ValueError("candidate does not vanish below index %d: %s" % (2 * k, bad_pre))
     cs = profile.scaled_level_constants
@@ -233,7 +289,7 @@ def delta_certificate(basis, profile, gamma, k):
         return _entry(name, False, None, "level constants undefined")
     killed = set(cs[k:n - k])
     survives = [c not in killed for c in cs]  # by the level index / 2
-    support = [v for v, c in gamma.values.items() if c and survives[profile.index[v] // 2]]
+    support = [v for v, c in values.items() if c and survives[profile.index[v] // 2]]
     low_ok = all(profile.index[v] >= 2 * (n - k) for v in support)
     return _entry(name, True, low_ok,
                   "vanishes below index %d: %s; restriction product formula: True; "
@@ -242,7 +298,9 @@ def delta_certificate(basis, profile, gamma, k):
 
 def delta_certificates(basis, profile):
     """Certificates for a spanning set of candidates per eligible degree: the
-    canonical classes of each index 2k with 2k < n."""
+    canonical classes alpha_F of each index 2k with 2k < n.  alpha_F is
+    beta_F = a_F / s_F times the nonzero product of the negative weights at
+    F, so its support is that of a_F, read from basis.integer_beta."""
     out = []
     n = profile.n
     for k in range(n + 1):
@@ -250,7 +308,7 @@ def delta_certificates(basis, profile):
             break
         for fid in basis.order:
             if profile.index[fid] == 2 * k:
-                entry = delta_certificate(basis, profile, basis.alpha[fid], k)
+                entry = _delta_entry(basis, profile, basis.integer_beta[fid][0], k)
                 entry = dict(entry, candidate=fid)
                 out.append(entry)
     return out

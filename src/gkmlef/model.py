@@ -52,11 +52,6 @@ class GkmGraph:
         return _integer_positions({v.id: v.position for v in self.vertices})
 
 
-def _parallel(a, b):
-    """True if primitive integer vectors a, b span the same line."""
-    return a == b or a == tuple(-x for x in b)
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -65,25 +60,29 @@ def run_checks(doc):
     """Run every structural check on a decoded document.
 
     Returns a list of (check, ok, detail) triples; parse_gkm fails if any
-    check fails, cmd_validate reports all of them.  Total over any JSON
-    value: a malformed document gives failed checks, never an exception.
+    check fails, cmd_validate reports all of them, with the details of
+    those that fail.  Total over any JSON value: a malformed document gives
+    failed checks, never an exception.
     """
     return _checks_and_positions(doc)[0]
 
 
 def _checks_and_positions(doc):
     """run_checks(doc), the parsed positions {vertex id: tuple of Fractions}
-    of the vertices whose positions passed their checks, and those positions
-    as _integer_positions gives them (None when the structure check fails)."""
+    of the vertices whose positions passed their checks, those positions as
+    _integer_positions gives them (None when the structure check fails),
+    and the Edges of the edges that reached every edge check, in document
+    order: when every check passes, the graph's edges."""
     checks = []
     positions = {}
+    edges = []
 
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
     if not isinstance(doc, dict):
         add("document-structure", False, "expected a JSON object")
-        return checks, positions, None
+        return checks, positions, None, edges
     rank, dim = doc.get("rank"), doc.get("dimension")
     raw_vertices, raw_edges = doc.get("vertices"), doc.get("edges")
     if not (_is_int(rank) and _is_int(dim) and isinstance(raw_vertices, list)
@@ -91,7 +90,7 @@ def _checks_and_positions(doc):
         add("document-structure", False,
             "missing or malformed field: rank and dimension must be integers, "
             "vertices and edges lists")
-        return checks, positions, None
+        return checks, positions, None, edges
     add("document-structure", True)
     add("rank-positive", rank >= 1, "rank = %d" % rank)
     add("dimension-even", dim % 2 == 0 and dim >= 2, "dimension = %d" % dim)
@@ -125,62 +124,65 @@ def _checks_and_positions(doc):
     integer_positions = _integer_positions(positions)
     scaled = integer_positions[0]
 
-    degree = {vid: 0 for vid in ids}
     adjacency = {vid: [] for vid in ids}
-    outward = {vid: [] for vid in ids}
+    # vid -> [(the weight or its negative, whichever leads with a positive
+    # entry, (edge number, v, w))]: two weights at a vertex are parallel
+    # exactly when these keys are equal
+    lines = {vid: [] for vid in ids}
+    label = "edge %d (%s-%s)"  # formatted only for a check that fails
     for i, re_ in enumerate(raw_edges):
         if not isinstance(re_, dict) or not {"v", "w", "weight"} <= re_.keys():
             add("edge-fields", False, "edge %d: expected an object with v, w and weight" % i)
             continue
         v, w = str(re_["v"]), str(re_["w"])
-        label = "edge %d (%s-%s)" % (i, v, w)
         if not (isinstance(re_["weight"], list) and all(map(_is_int, re_["weight"]))):
-            add("edge-weight-integer", False, label + ": weight must be a list of integers")
+            add("edge-weight-integer", False,
+                label % (i, v, w) + ": weight must be a list of integers")
             continue
         weight = tuple(re_["weight"])
         if v == w:
-            add("edge-self-loop", False, label)
+            add("edge-self-loop", False, label % (i, v, w))
             continue
-        if v not in degree or w not in degree:
-            add("edge-endpoints", False, label + ": unknown endpoint")
+        if v not in adjacency or w not in adjacency:
+            add("edge-endpoints", False, label % (i, v, w) + ": unknown endpoint")
             continue
         if len(weight) != rank:
-            add("edge-weight-rank", False, label)
+            add("edge-weight-rank", False, label % (i, v, w))
             continue
         if all(a == 0 for a in weight):
-            add("edge-weight-nonzero", False, label)
+            add("edge-weight-nonzero", False, label % (i, v, w))
             continue
-        add("edge-weight-primitive", gcd(*weight) == 1, label)
+        ok = gcd(*weight) == 1
+        add("edge-weight-primitive", ok, "" if ok else label % (i, v, w))
+        p = next(k for k, a in enumerate(weight) if a != 0)
         if v in scaled and w in scaled:
             # diff = lam * weight with lam > 0, in integers: with pivot p,
             # lam = diff_p / weight_p, so diff_p weight_p > 0 and
             # diff_i weight_p = diff_p weight_i for every i
             diff = [pw - pv for pv, pw in zip(scaled[v], scaled[w])]
-            p = next(k for k, a in enumerate(weight) if a != 0)
             dp, wp = diff[p], weight[p]
-            parallel_ok = dp * wp > 0 and all(d * wp == dp * a for d, a in zip(diff, weight))
-            add("edge-parallel-to-positions", parallel_ok,
-                label + ": position difference must be a positive multiple of the weight")
-        degree[v] += 1
-        degree[w] += 1
+            ok = dp * wp > 0 and all(d * wp == dp * a for d, a in zip(diff, weight))
+            add("edge-parallel-to-positions", ok, "" if ok else label % (i, v, w)
+                + ": position difference must be a positive multiple of the weight")
         adjacency[v].append(w)
         adjacency[w].append(v)
-        outward[v].append((label, weight))
-        outward[w].append((label, tuple(-a for a in weight)))
+        line = (weight if weight[p] > 0 else tuple(-a for a in weight)), (i, v, w)
+        lines[v].append(line)
+        lines[w].append(line)
+        edges.append(Edge(v, w, weight))
 
     for vid in ids:
-        add("vertex-degree", degree[vid] == n,
-            "vertex %s has %d incident edges, expected n = %d" % (vid, degree[vid], n))
+        degree = len(adjacency[vid])
+        add("vertex-degree", degree == n, "" if degree == n else
+            "vertex %s has %d incident edges, expected n = %d" % (vid, degree, n))
 
     for vid in ids:
-        ok = True
+        # the pairs are walked only to name the first two parallel weights
         detail = ""
-        for (l1, w1), (l2, w2) in combinations(outward[vid], 2):
-            if _parallel(w1, w2):
-                ok = False
-                detail = "vertex %s: dependent weights on %s and %s" % (vid, l1, l2)
-                break
-        add("gkm-independence", ok, detail)
+        if len({key for key, _ in lines[vid]}) < len(lines[vid]):
+            (_, a), (_, b) = next((x, y) for x, y in combinations(lines[vid], 2) if x[0] == y[0])
+            detail = "vertex %s: dependent weights on %s and %s" % (vid, label % a, label % b)
+        add("gkm-independence", not detail, detail)
 
     seen, stack = set(ids[:1]), ids[:1]
     while stack:
@@ -190,7 +192,7 @@ def _checks_and_positions(doc):
                 stack.append(nb)
     add("graph-connected", ids and len(seen) == len(ids),
         "" if ids else "the document has no vertices")
-    return checks, positions, integer_positions
+    return checks, positions, integer_positions, edges
 
 
 def _integer_positions(positions):
@@ -207,17 +209,15 @@ def parse_gkm(text):
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise GkmValidationError("malformed JSON: %s" % exc)
-    checks, positions, integer_positions = _checks_and_positions(doc)
+    checks, positions, integer_positions, edges = _checks_and_positions(doc)
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     if failures:
         msg = "; ".join("%s: %s" % (n, d) if d else n for n, d in failures)
         raise GkmValidationError(msg)
-    # the ids are unique, so positions holds every vertex, in document order
+    # the ids are unique, so positions holds every vertex, in document order,
+    # and every edge passed its checks, so edges holds them all
     vertices = tuple(Vertex(vid, pos) for vid, pos in positions.items())
-    edges = tuple(
-        Edge(str(re_["v"]), str(re_["w"]), tuple(int(a) for a in re_["weight"]))
-        for re_ in doc["edges"])
-    graph = GkmGraph(int(doc["rank"]), int(doc["dimension"]), vertices, edges)
+    graph = GkmGraph(doc["rank"], doc["dimension"], vertices, tuple(edges))
     graph.__dict__["integer_positions"] = integer_positions  # the cached_property's slot
     return graph
 

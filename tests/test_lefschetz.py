@@ -7,7 +7,7 @@ from math import lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog,
+from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog, check_hypothesis,
                     cohomology, cup, cup_power, equivariant_symplectic_class,
                     hard_lefschetz_check, kirwan_reduce, lefschetz, parse_gkm,
                     restrict_to_circle, semifree_monotone_analysis,
@@ -17,7 +17,7 @@ from gkmlef.cohomology import (CanonicalBasis, CircleClass,
                                localization_pairing_invertible)
 from gkmlef.exact import integer_form, matrix_rank
 from gkmlef.lefschetz import (_scaled_top_products, delta_certificate, delta_certificates,
-                              multiplication_matrix)
+                              multiplication_matrix, proof_chain)
 
 F = Fraction
 
@@ -373,6 +373,169 @@ def test_theorem_as_property():
         _, basis, ring = pipeline(name)
         if basis.profile.constant_on_levels:
             assert hard_lefschetz_check(ring).holds, name
+
+
+# -- hard Lefschetz by the paper's proof, against the exact rank --------------
+
+def _proved_and_ranked(graph, xi):
+    """(proof_chain's verdict, hard_lefschetz_check given it, the number of
+    matrix_rank calls that made, the exact-rank hard_lefschetz_check)."""
+    profile = restrict_to_circle(graph, xi)
+    basis = canonical_classes(graph, profile)
+    ring = kirwan_reduce(basis)
+    proved = proof_chain(check_hypothesis(profile), verify_distinct(profile), basis,
+                         localization_pairing_invertible(basis))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        rank = lefschetz.matrix_rank
+        mp.setattr(lefschetz, "matrix_rank", lambda mat: calls.append(mat) or rank(mat))
+        chained = hard_lefschetz_check(ring, proved)
+    return proved, chained, len(calls), hard_lefschetz_check(ring)
+
+
+def _drawn_hypothesis_input(data, homogeneous):
+    """A graph and a circle at which the moment map is constant on levels:
+    cp(n) at a drawn circle, so5 at a drawn scale, sphere_product(n), or
+    Gr(2, 4) or Gr(2, 5) at a drawn circle where the hypothesis holds."""
+    family = data.draw(st.sampled_from(["cp", "so5", "sphere_product", "gr2-4", "gr2-5"]),
+                       label="family")
+    if family in ("gr2-4", "gr2-5"):
+        graph = parse_gkm(homogeneous["grassmannian"](2, int(family[-1]))[0])
+        xi = tuple(data.draw(st.permutations(range(-3, 4)), label="xi")[:graph.rank])
+    elif family == "cp":
+        graph = parse_gkm(catalog.get("cp%d" % data.draw(st.integers(1, 5), label="n")).document)
+        xi = data.draw(st.tuples(*[st.integers(-5, 5)] * graph.rank), label="xi")
+    elif family == "so5":
+        scale = F(data.draw(st.integers(1, 9), label="p"), data.draw(st.integers(1, 9), label="q"))
+        entry = catalog.get("so5", scale=scale)
+        graph, xi = parse_gkm(entry.document), entry.default_xi
+    else:
+        entry = catalog.get("sphere_product%d" % data.draw(st.integers(1, 5), label="n"))
+        graph, xi = parse_gkm(entry.document), entry.default_xi
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    assume(check_hypothesis(restrict_to_circle(graph, xi))["constant_on_levels"])
+    return graph, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_proof_chain_equals_the_exact_rank_on_hypothesis_inputs(homogeneous, data):
+    # where the hypothesis holds, the rest of the chain holds too, and the
+    # ranks it reports without a matrix are the exact ones
+    proved, chained, calls, exact = _proved_and_ranked(*_drawn_hypothesis_input(data, homogeneous))
+    assert proved and calls == 0
+    assert chained == exact and exact.holds
+
+
+@pytest.mark.parametrize("xi", [(0, 1, 2, 3), (3, -1, 2, -3)])
+def test_proof_chain_fails_on_flag4_and_the_ranks_are_taken(homogeneous, xi, caplog):
+    # flag4 is the negative control: no hypothesis, so every degree is ranked
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    proved, chained, calls, exact = _proved_and_ranked(
+        parse_gkm(homogeneous["flag"](4)[0]), xi)
+    assert not proved and calls > 0 and chained == exact
+    assert [r.getMessage() for r in caplog.records] == [
+        "hard Lefschetz not proved (the moment map is not constant on every level); "
+        "taking the exact ranks"]
+
+
+def _hl_section(ring):
+    """The report's hard_lefschetz section, from the exact ranks."""
+    hl = hard_lefschetz_check(ring)
+    return {"holds": hl.holds,
+            "degrees": [{"degree": d.degree, "source_dim": d.source_dim,
+                         "target_dim": d.target_dim, "rank": d.rank, "vacuous": d.vacuous,
+                         "holds": d.holds} for d in hl.degrees]}
+
+
+HYPOTHESIS_NAMES = [name for name in catalog.names()
+                    if catalog.get(name).expected["constant_on_levels"]]
+
+
+@pytest.mark.parametrize("name", HYPOTHESIS_NAMES)
+def test_analyze_proves_hard_lefschetz_without_a_rank(name, monkeypatch, caplog):
+    # every rank in lefschetz is certified: the zero-class sides and HL
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    monkeypatch.setattr(lefschetz, "matrix_rank",
+                        lambda mat: pytest.fail("lefschetz took a rank"))
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    report, code = analysis.analyze(graph, entry.default_xi)
+    monkeypatch.undo()
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == ["hard Lefschetz proved; no rank taken"]
+    assert report["hard_lefschetz"] == _hl_section(pipeline(name)[2])
+
+
+@pytest.mark.parametrize("name", ["cp3", "sphere_product3"])
+def test_analyze_ranks_hard_lefschetz_after_a_singular_pairing(name, monkeypatch, caplog):
+    # a pairing doctored singular breaks the chain: HL takes every rank
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    invertible = analysis.localization_pairing_invertible
+    monkeypatch.setattr(analysis, "localization_pairing_invertible",
+                        lambda basis: (*invertible(basis)[:-1], False))
+    ranks = _counting_ranks(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    report, _ = analysis.analyze(graph, entry.default_xi)
+    # one rank per HL degree, and one for zero-class(k=n,high), whose pairing
+    # is the doctored one
+    degrees = [d for d in report["hard_lefschetz"]["degrees"] if not d["vacuous"]]
+    assert len(ranks) == len(degrees) + 1
+    hl_lines = [r.getMessage() for r in caplog.records if "hard Lefschetz" in r.getMessage()]
+    assert hl_lines == ["hard Lefschetz not proved (the degree-%d localization pairing is "
+                        "singular); taking the exact ranks" % (2 * graph.n)]
+    assert report["hard_lefschetz"] == _hl_section(pipeline(name)[2])
+
+
+def test_proof_chain_fails_on_a_support_violation(su3, su3_basis, su3_ring, caplog):
+    # the doctored basis of test_zeroclass_low_side_falls_back_without_support
+    _, _, profile = su3
+    integer_beta = dict(su3_basis.integer_beta)
+    integer_beta["B"] = integer_form({**su3_basis.beta["B"].values, "C": F(2)})
+    doctored = dataclasses.replace(su3_basis, integer_beta=integer_beta)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    assert not proof_chain(check_hypothesis(profile), verify_distinct(profile), doctored,
+                           localization_pairing_invertible(su3_basis))
+    assert [r.getMessage() for r in caplog.records] == [
+        "hard Lefschetz not proved (beta_B breaks canonical support at C); "
+        "taking the exact ranks"]
+
+
+def test_proof_chain_fails_on_equal_level_constants(so5, caplog):
+    # the equal constants of test_lemma_distinct_flags_synthetic_equality
+    _, _, profile = so5
+    basis = canonical_classes(profile.graph, profile)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    distinct = dict(verify_distinct(profile), **{"pass": False})
+    assert not proof_chain(check_hypothesis(profile), distinct, basis,
+                           localization_pairing_invertible(basis))
+    assert [r.getMessage() for r in caplog.records] == [
+        "hard Lefschetz not proved (distinct-level-constants does not pass); "
+        "taking the exact ranks"]
+
+
+def test_proved_hard_lefschetz_ranks_degrees_of_unequal_dimension(monkeypatch, caplog):
+    # sphere_product4 with one index-6 vertex moved to index 4, as input that
+    # breaks Poincare symmetry would give: dim H^2 = 4 but dim H^6 = 3, so
+    # degree 2 is ranked; degrees 0 and 4 keep the proof
+    profile, basis, ring = pipeline("sphere_product4")
+    moved = next(v for v in basis.order if profile.index[v] == 6)
+    doctored_profile = dataclasses.replace(profile, index={**profile.index, moved: 4})
+    doctored = dataclasses.replace(
+        ring, basis=dataclasses.replace(basis, profile=doctored_profile))
+    exact = hard_lefschetz_check(doctored)
+    ranks = _counting_ranks(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="gkmlef")
+    proved = hard_lefschetz_check(doctored, True)
+    assert len(ranks) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "hard Lefschetz proved, but dim H^k != dim H^(2n-k) for k = 2; "
+        "taking the exact rank there"]
+    assert [(d.source_dim, d.target_dim) for d in proved.degrees if not d.vacuous] == \
+        [(1, 1), (4, 3), (7, 7)]
+    assert proved.degrees[2] == exact.degrees[2]
+    assert [d.rank for d in proved.degrees if not d.vacuous] == [1, 3, 7]
 
 
 # -- the integer routes against their Fraction oracles ------------------------

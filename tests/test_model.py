@@ -11,6 +11,7 @@ from gkmlef import (GkmValidationError, analysis, betti, canonical_classes, cata
                     check_hypothesis, emit_gkm, model, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
 from gkmlef.analysis import _ascending, analyze, report_to_json
+from gkmlef.cohomology import CanonicalBasis
 from gkmlef.cli import main
 from gkmlef.exact import parse_rational
 from gkmlef.model import GkmGraph, Vertex, dumps_indented, run_checks
@@ -165,13 +166,17 @@ def test_parse_rejects_dependent_weights(cp1):
                      {"id": "b", "position": ["1", "0"]},
                      {"id": "c", "position": ["2", "0"]},
                      {"id": "d", "position": ["1", "1"]}],
-        "edges": [{"v": "a", "w": "b", "weight": [1, 0]},
+        "edges": [{"v": "b", "w": "a", "weight": [-1, 0]},
                   {"v": "b", "w": "c", "weight": [1, 0]},
                   {"v": "c", "w": "d", "weight": [-1, 1]},
                   {"v": "a", "w": "d", "weight": [1, 1]}],
     }
     with pytest.raises(GkmValidationError, match="gkm-independence"):
         parse_gkm(json.dumps(doc))
+    # opposite weights are parallel too; the detail names the first two
+    # parallel weights in edge order
+    assert [(name, detail) for name, ok, detail in run_checks(doc) if not ok] == [
+        ("gkm-independence", "vertex b: dependent weights on edge 0 (b-a) and edge 1 (b-c)")]
 
 
 def _set(path, value):
@@ -568,6 +573,34 @@ def test_report_json_writes_the_classes_from_the_basis(name, code, monkeypatch):
     fid = report["canonical_basis"]["order"][-1]
     assert classes[fid]["degree"] == 2 * graph.n
     assert fid in classes and "no such vertex" not in classes
+    assert text == json.dumps(report, indent=2, default=dict) + "\n"
+
+
+# every catalog entry at its default circle, and the homogeneous spaces of
+# tests/conftest.py at theirs
+_VIEW_CASES = [(name, None) for name in catalog.names()] + [
+    ("grassmannian", (2, 4)), ("grassmannian", (2, 5)), ("grassmannian", (3, 6)),
+    ("flag", (3,)), ("flag", (4,))]
+
+
+@pytest.mark.parametrize("source, args", _VIEW_CASES,
+                         ids=[s + "".join(map(str, a or ())) for s, a in _VIEW_CASES])
+def test_analyze_and_the_json_writer_build_no_fraction_view(source, args, homogeneous,
+                                                            monkeypatch):
+    # after the sweep, analyze and report_to_json read integer_beta alone;
+    # json.dumps through the views is the byte reference
+    def refuse(basis):
+        raise AssertionError("a Fraction view was built")
+    if args is None:
+        document, xi = catalog.get(source).document, catalog.get(source).default_xi
+    else:
+        document, xi = homogeneous[source](*args)
+    graph = parse_gkm(document)
+    monkeypatch.setattr(CanonicalBasis, "alpha", property(refuse))
+    monkeypatch.setattr(CanonicalBasis, "beta", property(refuse))
+    report, _ = analyze(graph, xi, source_bytes=document.encode())
+    text = report_to_json(report)
+    monkeypatch.undo()
     assert text == json.dumps(report, indent=2, default=dict) + "\n"
 
 
