@@ -105,7 +105,11 @@ def proof_chain(hyp, distinct, basis, pairing_invertible):
     Both zero-class sides are certified by canonical support and invertible
     pairings (verify_zeroclass).  So the proof needs the hypothesis, a
     passing distinct-level-constants, basis.support_violation None and every
-    pairing invertible; when one fails, one DEBUG line names the first."""
+    pairing invertible; when one fails, one DEBUG line names the first.
+    The support premise is cached on the basis and costs nothing more here.
+    analyze never sees it fail: kirwan_reduce, which analyze runs first,
+    raises ExpansionError on a support violation.  The premise is kept so
+    that the chain is sound when it is called on any basis."""
     if not hyp["constant_on_levels"]:
         reason = "the moment map is not constant on every level"
     elif not distinct["pass"]:

@@ -158,24 +158,42 @@ def test_parse_rejects_duplicate_id(su3):
         parse_gkm(json.dumps(doc))
 
 
-def test_parse_rejects_dependent_weights(cp1):
-    # two edges at one vertex with parallel weights violate the GKM condition
-    doc = {
+def _dependent_weights_doc(first_edge):
+    # edges 0 and 1 meet at b with parallel weights
+    return {
         "rank": 2, "dimension": 4,
         "vertices": [{"id": "a", "position": ["0", "0"]},
                      {"id": "b", "position": ["1", "0"]},
                      {"id": "c", "position": ["2", "0"]},
                      {"id": "d", "position": ["1", "1"]}],
-        "edges": [{"v": "b", "w": "a", "weight": [-1, 0]},
+        "edges": [first_edge,
                   {"v": "b", "w": "c", "weight": [1, 0]},
                   {"v": "c", "w": "d", "weight": [-1, 1]},
                   {"v": "a", "w": "d", "weight": [1, 1]}],
     }
+
+
+def _failed_checks(doc):
+    return [(name, detail) for name, ok, detail in run_checks(doc) if not ok]
+
+
+def test_parse_rejects_dependent_weights(cp1):
+    # two edges at one vertex with parallel weights violate the GKM condition;
+    # b is the second endpoint of edge 0 and the first of edge 1
+    doc = _dependent_weights_doc({"v": "a", "w": "b", "weight": [1, 0]})
     with pytest.raises(GkmValidationError, match="gkm-independence"):
         parse_gkm(json.dumps(doc))
-    # opposite weights are parallel too; the detail names the first two
-    # parallel weights in edge order
-    assert [(name, detail) for name, ok, detail in run_checks(doc) if not ok] == [
+    assert _failed_checks(doc) == [
+        ("gkm-independence", "vertex b: dependent weights on edge 0 (a-b) and edge 1 (b-c)")]
+
+
+def test_parse_rejects_opposite_weights_as_dependent():
+    # b is the first endpoint of both edges, and opposite weights are parallel
+    # too; the detail names the first two parallel weights in edge order
+    doc = _dependent_weights_doc({"v": "b", "w": "a", "weight": [-1, 0]})
+    with pytest.raises(GkmValidationError, match="gkm-independence"):
+        parse_gkm(json.dumps(doc))
+    assert _failed_checks(doc) == [
         ("gkm-independence", "vertex b: dependent weights on edge 0 (b-a) and edge 1 (b-c)")]
 
 
@@ -232,8 +250,7 @@ def test_a_position_with_a_non_ascii_digit_names_its_vertex(literal):
     doc = json.loads(catalog.get("cp1").document)
     vid = doc["vertices"][1]["id"]
     doc["vertices"][1]["position"][0] = literal
-    failed = [(name, detail) for name, ok, detail in run_checks(doc) if not ok]
-    assert failed == [("vertex-positions", "vertex %s: not a rational literal: %r" % (vid, literal))]
+    assert _failed_checks(doc) == [("vertex-positions", "vertex %s: not a rational literal: %r" % (vid, literal))]
     with pytest.raises(GkmValidationError, match="vertex-positions: vertex %s" % vid):
         parse_gkm(json.dumps(doc))
 
@@ -557,15 +574,36 @@ def test_report_and_document_writers_are_the_stdlib(case):
                              for fid in basis.order}
 
 
-@pytest.mark.parametrize("name, code", [("sphere_product3", 0), ("hirzebruch1", 2)])
-def test_report_json_writes_the_classes_from_the_basis(name, code, monkeypatch):
+# every catalog entry at its default circle, and the homogeneous spaces of
+# tests/conftest.py at theirs, named builder_arg_arg
+_CLASSES_CASES = [
+    ("su3", 0), ("so5", 0), ("cp1", 0), ("cp2", 0), ("cp3", 0), ("sphere_product1", 0),
+    ("sphere_product2", 0), ("sphere_product3", 0), ("hirzebruch1", 2),
+    ("grassmannian_2_4", 0), ("grassmannian_2_5", 0), ("grassmannian_3_6", 0),
+    ("flag_3", 0), ("flag_4", 2)]
+
+
+def test_the_classes_cases_cover_the_catalog():
+    assert set(catalog.names()) <= {name for name, _ in _CLASSES_CASES}
+
+
+@pytest.mark.parametrize("name, code", _CLASSES_CASES)
+def test_report_json_writes_the_classes_from_the_basis(name, code, homogeneous, monkeypatch):
+    # after the sweep, analyze and report_to_json read integer_beta alone:
+    # neither _ascending nor a Fraction view is used; json.dumps through the
+    # views is the byte reference
     def refuse(*args):
-        raise AssertionError("_ascending called")
-    entry = catalog.get(name)
-    graph = parse_gkm(entry.document)
+        raise AssertionError("_ascending or a Fraction view used")
+    if name in catalog.names():
+        document, xi = catalog.get(name).document, catalog.get(name).default_xi
+    else:
+        builder, *args = name.split("_")
+        document, xi = homogeneous[builder](*map(int, args))
+    graph = parse_gkm(document)
     monkeypatch.setattr(analysis, "_ascending", refuse)
-    report, got = analyze(graph, entry.default_xi, name=name,
-                          source_bytes=entry.document.encode())
+    monkeypatch.setattr(CanonicalBasis, "alpha", property(refuse))
+    monkeypatch.setattr(CanonicalBasis, "beta", property(refuse))
+    report, got = analyze(graph, xi, name=name, source_bytes=document.encode())
     text = report_to_json(report)
     monkeypatch.undo()
     assert got == code
@@ -573,34 +611,6 @@ def test_report_json_writes_the_classes_from_the_basis(name, code, monkeypatch):
     fid = report["canonical_basis"]["order"][-1]
     assert classes[fid]["degree"] == 2 * graph.n
     assert fid in classes and "no such vertex" not in classes
-    assert text == json.dumps(report, indent=2, default=dict) + "\n"
-
-
-# every catalog entry at its default circle, and the homogeneous spaces of
-# tests/conftest.py at theirs
-_VIEW_CASES = [(name, None) for name in catalog.names()] + [
-    ("grassmannian", (2, 4)), ("grassmannian", (2, 5)), ("grassmannian", (3, 6)),
-    ("flag", (3,)), ("flag", (4,))]
-
-
-@pytest.mark.parametrize("source, args", _VIEW_CASES,
-                         ids=[s + "".join(map(str, a or ())) for s, a in _VIEW_CASES])
-def test_analyze_and_the_json_writer_build_no_fraction_view(source, args, homogeneous,
-                                                            monkeypatch):
-    # after the sweep, analyze and report_to_json read integer_beta alone;
-    # json.dumps through the views is the byte reference
-    def refuse(basis):
-        raise AssertionError("a Fraction view was built")
-    if args is None:
-        document, xi = catalog.get(source).document, catalog.get(source).default_xi
-    else:
-        document, xi = homogeneous[source](*args)
-    graph = parse_gkm(document)
-    monkeypatch.setattr(CanonicalBasis, "alpha", property(refuse))
-    monkeypatch.setattr(CanonicalBasis, "beta", property(refuse))
-    report, _ = analyze(graph, xi, source_bytes=document.encode())
-    text = report_to_json(report)
-    monkeypatch.undo()
     assert text == json.dumps(report, indent=2, default=dict) + "\n"
 
 
