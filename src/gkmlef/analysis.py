@@ -129,10 +129,10 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     distinct = lefschetz.verify_distinct(profile)
     lemmas.append(distinct)
     for k in range(n + 1):
-        lemmas.extend(lefschetz.verify_zeroclass(basis, k, pairing_invertible))
+        lemmas.extend(lefschetz.verify_zeroclass(ring, k, pairing_invertible))
     # hard Lefschetz by the paper's proof where the ledger holds it
     hl = lefschetz.hard_lefschetz_check(
-        ring, lefschetz.proof_chain(hyp, distinct, basis, pairing_invertible))
+        ring, lefschetz.proof_chain(hyp, distinct, pairing_invertible))
     certificates = lefschetz.delta_certificates(basis, profile) \
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)

@@ -178,23 +178,6 @@ class CanonicalBasis:
         return {f: CircleClass(graph, index[f], {v: Fraction(c * w, s) for v, c in values.items()})
                 for f, (values, s) in self.integer_beta.items() for w in (factor(f),)}
 
-    @cached_property
-    def support_violation(self):
-        """The first (F, v) in basis order where beta_F breaks the support of a
-        canonical class: (F, F) if beta_F(F) is not 1 (a_F(F) != s_F), else a
-        vertex v other than F of index <= index(F) where beta_F is nonzero;
-        None when every class has canonical support.  O(nnz), once per basis."""
-        index, integer_beta = self.profile.index, self.integer_beta
-        for f in self.order:
-            values, scale = integer_beta[f]
-            if values.get(f) != scale:
-                return f, f
-            v = next((v for v, c in values.items()
-                      if c and v != f and index[v] <= index[f]), None)
-            if v is not None:
-                return f, v
-        return None
-
 
 def basis_order(profile):
     """Vertex ids ascending by (moment value, index, id), the moment value
@@ -379,9 +362,9 @@ def canonical_classes(graph, profile):
     F; at F it is the product of F's projected down lines at (1, 0), L; at
     any later q of index <= index(F) it is the interpolant times a power of
     y, 0 at (1, 0).  Those are the defining conditions of alpha_F, so no
-    substitution is needed; kirwan_reduce certifies the support again
-    (basis.support_violation).  The basis order is the flow-up classes'
-    order, sorted once.  If they are not certified, a DEBUG line names the
+    substitution is needed; kirwan_reduce, the one place that checks
+    canonical support, certifies it again.  The basis order is the flow-up
+    classes' order, sorted once.  If they are not certified, a DEBUG line names the
     reason and the oracle canonical_classes_global is returned."""
     try:
         classes = flow_up_classes(graph, profile)
@@ -548,23 +531,27 @@ def kirwan_reduce(basis):
     lcm of the reduced denominators, the ring's scale.
 
     X = beta_F w - w(F) u beta_F has the Kirwan image of beta_F w, u going to
-    0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When every beta has canonical
-    support (basis.support_violation), X vanishes at each vertex of index <=
-    index(F), so X minus the sum above vanishes at each vertex of index <= its
-    degree, and such a class is 0.  The support is checked first; a violation
-    raises ExpansionError.  omega is L of the unit, beta at the minimum.
+    0, and X(v) = (mu(F) - mu(v)) beta_F(v).  When beta_F has canonical
+    support, 1 at F (a_F(F) = s_F) and 0 at every other vertex of index <=
+    index(F), X vanishes at each vertex of index <= index(F), so X minus the
+    sum above vanishes at each vertex of index <= its degree, and such a
+    class is 0.  Each beta_F is checked as its row is built, in basis order;
+    the first vertex that breaks the support raises ExpansionError.  This is
+    the one check of canonical support: a ring exists only for a basis that
+    has it, which the ledger reads off the ring (lefschetz.verify_zeroclass,
+    lefschetz.proof_chain).  omega is L of the unit, beta at the minimum.
     """
     profile = basis.profile
     labels, scaled, index, d = basis.order, profile.scaled_mu, profile.index, profile.mu_scale
-    if basis.support_violation is not None:
-        f, bad = basis.support_violation
-        values, s = basis.integer_beta[f]
-        raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
-                             % (f, Fraction(values.get(bad, 0), s), bad))
     scale = d * lcm(*(s for _, s in basis.integer_beta.values()))
     lefschetz = {}
     for f in labels:
         values, s = basis.integer_beta[f]
+        bad = f if values.get(f) != s else next(
+            (v for v, c in values.items() if c and v != f and index[v] <= index[f]), None)
+        if bad is not None:
+            raise ExpansionError("beta_%s does not have canonical support: value %s at %s"
+                                 % (f, Fraction(values.get(bad, 0), s), bad))
         m, target, factor = scaled[f], index[f] + 2, scale // (d * s)
         lefschetz[f] = {h: x * factor for h, c in values.items()
                         if index[h] == target and (x := (m - scaled[h]) * c)}
@@ -580,14 +567,13 @@ def localization_pairing_integers(basis, k):
     times the integral of beta_F beta_G: s_F the lcm of the denominators of
     beta_F, E the lcm of the Euler classes e(v).  Each product has the top
     degree, so its integral is the sum of beta_F(v) beta_G(v) / e(v), and
-    mat[F][G] the sum of a_F(v) a_G(v) (E / e(v)), a_F = s_F beta_F.  The
+    mat[F][G] the sum of a_F(v) a_G(v) (E / e(v)), a_F = s_F beta_F, the
+    cofactors E / e(v) read from profile.euler_scale.  The
     high classes' values are indexed by vertex, then each low class's
     support is walked once; a_F is basis.integer_beta's.  Every scale is
     nonzero, so the rank is the pairing's."""
     profile, top = basis.profile, 2 * basis.profile.n
-    euler = {v: profile.full_weight_product(v) for v in profile.index}
-    scale = lcm(*euler.values())
-    cofactor = {v: scale // e for v, e in euler.items()}
+    cofactor = profile.euler_scale[1]
     values = {l: basis.integer_beta[l][0] for l in basis.order
               if profile.index[l] in (k, top - k)}
     low = [l for l in values if profile.index[l] == k]

@@ -7,7 +7,6 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 
 from .exact import format_rational, matrix_rank
@@ -55,7 +54,9 @@ def hard_lefschetz_check(ring, proved=False):
     """Rank of omega^(n-k): H^k -> H^(2n-k) for k = 0..n.
 
     proved says that the paper's proof of hard Lefschetz applies
-    (proof_chain): omega^(n-k) is then injective on H^k, so where dim H^k =
+    (proof_chain's verdict; its canonical-support premise holds for every
+    ring, since kirwan_reduce builds one only from a basis that has it):
+    omega^(n-k) is then injective on H^k, so where dim H^k =
     dim H^(2n-k) its rank is dim H^k and no matrix is built.  Every other
     degree, and every degree when proved is False, the default, takes the
     exact rank of the stored operator's matrix, D L with D = ring.scale:
@@ -91,7 +92,7 @@ def hard_lefschetz_check(ring, proved=False):
     return HLReport(2 * n, tuple(entries))
 
 
-def proof_chain(hyp, distinct, basis, pairing_invertible):
+def proof_chain(hyp, distinct, pairing_invertible):
     """Whether the paper's proof of hard Lefschetz applies, read off the
     ledger: hyp is model.check_hypothesis's, distinct verify_distinct's entry
     and pairing_invertible cohomology.localization_pairing_invertible's.
@@ -104,18 +105,16 @@ def proof_chain(hyp, distinct, basis, pairing_invertible):
     constants, so x~ vanishes there and zero-class(j, high) gives x = 0.
     Both zero-class sides are certified by canonical support and invertible
     pairings (verify_zeroclass).  So the proof needs the hypothesis, a
-    passing distinct-level-constants, basis.support_violation None and every
-    pairing invertible; when one fails, one DEBUG line names the first.
-    The support premise is cached on the basis and costs nothing more here.
-    analyze never sees it fail: kirwan_reduce, which analyze runs first,
-    raises ExpansionError on a support violation.  The premise is kept so
-    that the chain is sound when it is called on any basis."""
+    passing distinct-level-constants, canonical support and every pairing
+    invertible.  The chain checks all but canonical support; when one
+    fails, one DEBUG line names the first.  Canonical support needs no check
+    here: the verdict is read only by hard_lefschetz_check(ring, proved),
+    and only cohomology.kirwan_reduce builds a ring, only from a basis with
+    canonical support (it raises ExpansionError on any other)."""
     if not hyp["constant_on_levels"]:
         reason = "the moment map is not constant on every level"
     elif not distinct["pass"]:
         reason = "distinct-level-constants does not pass"
-    elif basis.support_violation is not None:
-        reason = "beta_%s breaks canonical support at %s" % basis.support_violation
     elif not all(pairing_invertible):
         reason = "the degree-%d localization pairing is singular" % (
             2 * pairing_invertible.index(False))
@@ -171,22 +170,20 @@ def _scaled_top_products(profile, shifts, scale):
     the i-th omitting c_i, as (integer sums, common denominator); the class
     shifted by c restricts to (c - mu(v)) u at v.  shifts are ints and scale
     is a multiple of profile.mu_scale.  With mu scaled to the same ints M
-    and E the lcm of the Euler classes e(v), the sum of the products of the
-    shifts[j] - M(v), j != i, times E / e(v) is an integer, scale^n E times
-    the i-th integral.  The products omitting one factor come from prefix
-    and suffix products at each vertex."""
+    and E the lcm of the Euler classes e(v) (profile.euler_scale), the sum
+    of the products of the shifts[j] - M(v), j != i, times E / e(v) is an
+    integer, scale^n E times the i-th integral.  The products omitting one
+    factor come from prefix and suffix products at each vertex."""
     n, factor = profile.n, scale // profile.mu_scale
-    euler = {v: profile.full_weight_product(v) for v in profile.weights}
-    top = lcm(*euler.values())
+    top, cofactor = profile.euler_scale
     sums = [0] * (n + 1)
     for v, x in profile.scaled_mu.items():
         m = x * factor
         factors = [c - m for c in shifts]
         prefix = list(accumulate(factors, mul, initial=1))  # prefix[i]: factors before i
         suffix = list(accumulate(reversed(factors), mul, initial=1))  # suffix[i]: the last i
-        cofactor = top // euler[v]
         for i in range(n + 1):
-            sums[i] += prefix[i] * suffix[n - i] * cofactor
+            sums[i] += prefix[i] * suffix[n - i] * cofactor[v]
     return sums, scale ** n * top
 
 
@@ -211,7 +208,7 @@ def verify_distinct(profile):
     return _entry(name, True, distinct and witness_ok, detail)
 
 
-def verify_zeroclass(basis, k, pairing_invertible):
+def verify_zeroclass(ring, k, pairing_invertible):
     """Only the zero class of degree 2k vanishes on all fixed points of index
     <= 2k (low) or of index >= 2(n-k) (high); returns the low entry, then the
     high one.  pairing_invertible[j] says whether the localization pairing
@@ -220,10 +217,10 @@ def verify_zeroclass(basis, k, pairing_invertible):
 
     The degree-2k space is spanned by u^(k-i) beta_F over the index-2i points,
     i <= k, and each condition is a row [beta_F(v)], or in integers [a_F(v)],
-    a_F = s_F beta_F as basis.integer_beta stores it: the same rank.  Both sides are
-    certified to have full rank when the basis has canonical support
-    (basis.support_violation is None), the high side also needing
-    pairing_invertible[j] for every j <= k:
+    a_F = s_F beta_F as ring.basis.integer_beta stores it: the same rank.
+    ring.basis has canonical support, since kirwan_reduce built the ring
+    from it.  So both sides have full rank, the high side when
+    pairing_invertible[j] holds for every j <= k:
 
     - low: the rows are the columns' own vertices; grouped by index, the
       matrix is block triangular with identity blocks on the diagonal.
@@ -235,32 +232,23 @@ def verify_zeroclass(basis, k, pairing_invertible):
       kernel of the degree-2k pairing, which is 0.  Then x = u x', x'
       vanishes where x does, and the argument repeats down to k = 0.
 
-    A side that is not certified logs one DEBUG line with the reason and
-    takes the exact matrix_rank of the integer rows."""
+    When a pairing is singular, the high side logs one DEBUG line naming it
+    and takes the exact matrix_rank of the integer rows."""
+    basis = ring.basis
     index, n = basis.profile.index, basis.profile.n
     columns = [fid for fid in basis.order if index[fid] <= 2 * k]
-    high = [v for v in basis.order if index[v] >= 2 * (n - k)]
-    if basis.support_violation is not None:
-        reason = "beta_%s breaks canonical support at %s" % basis.support_violation
-        reasons = {"low": reason, "high": reason}
-    else:
-        singular = next((j for j in range(k + 1) if not pairing_invertible[j]), None)
-        reasons = {"low": None, "high": None if singular is None else
-                   "the degree-%d localization pairing is singular" % (2 * singular)}
-    entries = []
-    for side, constrained in (("low", columns), ("high", high)):
-        if reasons[side] is None:
-            rank = len(columns)
-        else:
-            _log.debug("zero-class(k=%d,%s) not certified (%s); taking the exact rank",
-                       k, side, reasons[side])
-            # the rows [a_F(v)]: beta_F's column scaled by s_F, of the same rank
-            values = [basis.integer_beta[fid][0] for fid in columns]
-            rank = matrix_rank([[a.get(v, 0) for a in values] for v in constrained])
-        entries.append(_entry("zero-class(k=%d,%s)" % (k, side), True, rank == len(columns),
-                              "space dimension %d, independent vanishing conditions %d"
-                              % (len(columns), rank)))
-    return entries
+    ranks = {"low": len(columns), "high": len(columns)}
+    singular = next((j for j in range(k + 1) if not pairing_invertible[j]), None)
+    if singular is not None:
+        _log.debug("zero-class(k=%d,high) not certified (the degree-%d localization "
+                   "pairing is singular); taking the exact rank", k, 2 * singular)
+        # the rows [a_F(v)]: beta_F's column scaled by s_F, of the same rank
+        values = [basis.integer_beta[fid][0] for fid in columns]
+        ranks["high"] = matrix_rank([[a.get(v, 0) for a in values]
+                                     for v in basis.order if index[v] >= 2 * (n - k)])
+    return [_entry("zero-class(k=%d,%s)" % (k, side), True, rank == len(columns),
+                   "space dimension %d, independent vanishing conditions %d"
+                   % (len(columns), rank)) for side, rank in ranks.items()]
 
 
 def delta_certificate(basis, profile, gamma, k):

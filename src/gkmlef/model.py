@@ -326,6 +326,13 @@ class CircleProfile:
         """{vertex id: (product of the negative weights, product of all)}, ints."""
         return {v: (prod(w for w in ws if w < 0), prod(ws)) for v, ws in self.weights.items()}
 
+    @cached_property
+    def euler_scale(self):
+        """(E, {vertex id: E / e(v)}): E the lcm of the Euler classes e(v),
+        the products of all the circle weights at v, and its cofactors, ints."""
+        top = lcm(*(e for _, e in self._weight_products.values()))
+        return top, {v: top // e for v, (_, e) in self._weight_products.items()}
+
     def level(self, k):
         """Vertex ids of Morse index 2k, sorted by id."""
         return self._levels.get(2 * k, ((), ()))[0]

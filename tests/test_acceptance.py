@@ -80,12 +80,13 @@ def test_criterion_4_lemma_suite(capsys):
     for name in HYPOTHESIS_CATALOG:
         _, graph, profile = _pipeline(name)
         basis = canonical_classes(graph, profile)
-        entries = [verify_symp_expansion(profile, kirwan_reduce(basis)), verify_distinct(profile)]
+        ring = kirwan_reduce(basis)
+        entries = [verify_symp_expansion(profile, ring), verify_distinct(profile)]
         for k in range(1, profile.n + 1):
             entries.append(verify_vanish(profile, k))
         pairings = localization_pairing_invertible(basis)
         for k in range(profile.n + 1):
-            entries.extend(verify_zeroclass(basis, k, pairings))
+            entries.extend(verify_zeroclass(ring, k, pairings))
         ok = ok and all(e["applicable"] and e["pass"] for e in entries)
     with capsys.disabled():
         _report("4 lemma suite on hypothesis catalog", ok)

@@ -17,6 +17,7 @@ from gkmlef import (abbv_integrate, analysis, betti, canonical_classes,
                     canonical_classes_global, catalog, cohomology, cup, cup_power,
                     equivariant_symplectic_class, exact, expand_in_basis,
                     kirwan_reduce, parse_gkm, restrict_to_circle)
+from gkmlef.cli import main
 from gkmlef.cohomology import (CircleClass, ExpansionError,
                                NonPolynomialError, circle_annihilator,
                                congruence_space, constant_class,
@@ -988,11 +989,20 @@ def _doctored(basis, fid, values):
     ("B", {"B": F(2)}, "B"),  # not 1 at its own vertex
 ])
 def test_kirwan_reduce_checks_the_canonical_support(su3_basis, fid, values, named):
-    assert su3_basis.support_violation is None
-    doctored = _doctored(su3_basis, fid, values)
-    assert doctored.support_violation == (fid, named)
+    kirwan_reduce(su3_basis)
     with pytest.raises(ExpansionError, match="beta_%s .* at %s$" % (fid, named)):
-        kirwan_reduce(doctored)
+        kirwan_reduce(_doctored(su3_basis, fid, values))
+
+
+def test_analyze_refuses_a_basis_without_canonical_support(su3_basis, monkeypatch, capsys):
+    # kirwan_reduce's guard is the one check of canonical support, and the
+    # command line reports it as an input error
+    doctored = _doctored(su3_basis, "B", {"C": F(2)})
+    monkeypatch.setattr(analysis, "canonical_classes", lambda graph, profile: doctored)
+    assert main(["analyze", "--example", "su3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: beta_B does not have canonical support: value 2 at C\n"
 
 
 def test_structure_table_is_built_on_first_read(monkeypatch):

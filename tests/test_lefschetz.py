@@ -1,7 +1,6 @@
 import dataclasses
 import logging
 from fractions import Fraction
-from functools import cached_property
 from math import lcm, prod
 
 import pytest
@@ -13,9 +12,8 @@ from gkmlef import (abbv_integrate, analysis, canonical_classes, catalog, check_
                     restrict_to_circle, semifree_monotone_analysis,
                     verify_distinct, verify_symp_expansion, verify_vanish,
                     verify_zeroclass)
-from gkmlef.cohomology import (CanonicalBasis, CircleClass,
-                               localization_pairing_invertible)
-from gkmlef.exact import integer_form, matrix_rank
+from gkmlef.cohomology import CircleClass, localization_pairing_invertible
+from gkmlef.exact import matrix_rank
 from gkmlef.lefschetz import (_scaled_top_products, delta_certificate, delta_certificates,
                               multiplication_matrix, proof_chain)
 
@@ -139,14 +137,14 @@ def test_lemma_distinct_flags_synthetic_equality(so5):
     assert "cannot arise" in entry["detail"]
 
 
-def test_lemma_zeroclass(su3_basis, so5):
-    entry, _ = verify_zeroclass(su3_basis, 1, localization_pairing_invertible(su3_basis))
+def test_lemma_zeroclass(su3_basis, su3_ring, so5):
+    entry, _ = verify_zeroclass(su3_ring, 1, localization_pairing_invertible(su3_basis))
     assert entry["name"] == "zero-class(k=1,low)" and entry["pass"]
     assert "dimension 3" in entry["detail"]
-    assert verify_zeroclass(su3_basis, 0, localization_pairing_invertible(su3_basis))[0]["pass"]
+    assert verify_zeroclass(su3_ring, 0, localization_pairing_invertible(su3_basis))[0]["pass"]
     _, graph, profile = so5
     basis = canonical_classes(graph, profile)
-    _, entry = verify_zeroclass(basis, 2, localization_pairing_invertible(basis))
+    _, entry = verify_zeroclass(kirwan_reduce(basis), 2, localization_pairing_invertible(basis))
     assert entry["name"] == "zero-class(k=2,high)" and entry["pass"]
 
 
@@ -194,12 +192,12 @@ def test_zeroclass_low_side_certified_by_support(name, monkeypatch, caplog,
                                                  zeroclass_by_rank):
     # every entry equals the one the rank of the whole matrix gives; support
     # certifies the low side, support and the pairings the high side
-    profile, basis, _ = pipeline(name)
+    profile, basis, ring = pipeline(name)
     expected = [zeroclass_by_rank(basis, k) for k in range(profile.n + 1)]
     pairings = localization_pairing_invertible(basis)
     ranks = _counting_ranks(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
-    assert [verify_zeroclass(basis, k, pairings) for k in range(profile.n + 1)] == expected
+    assert [verify_zeroclass(ring, k, pairings) for k in range(profile.n + 1)] == expected
     assert len(ranks) == 0 and caplog.records == []
 
 
@@ -207,7 +205,7 @@ def test_zeroclass_low_side_certified_by_support(name, monkeypatch, caplog,
 def test_zeroclass_high_side_falls_back_from_a_singular_pairing(name, monkeypatch, caplog,
                                                                zeroclass_by_rank):
     # a singular degree-2j pairing uncertifies the high sides of k >= j only
-    profile, basis, _ = pipeline(name)
+    profile, basis, ring = pipeline(name)
     n = profile.n
     expected = [zeroclass_by_rank(basis, k) for k in range(n + 1)]
     invertible = localization_pairing_invertible(basis)
@@ -220,37 +218,11 @@ def test_zeroclass_high_side_falls_back_from_a_singular_pairing(name, monkeypatc
         for k in range(n + 1):
             ranks.clear()
             caplog.clear()
-            assert verify_zeroclass(basis, k, pairings) == expected[k]
+            assert verify_zeroclass(ring, k, pairings) == expected[k]
             assert len(ranks) == (k >= j), (j, k)
             assert [r.getMessage() for r in caplog.records] == (
                 ["zero-class(k=%d,high) not certified (the degree-%d localization "
                  "pairing is singular); taking the exact rank" % (k, 2 * j)] if k >= j else [])
-
-
-@pytest.mark.parametrize("values, passed, rank", [
-    ({"B": {"C": F(2)}}, True, 3),  # block [[1, 0], [2, 1]]: still invertible
-    ({"B": {"C": F(1)}, "C": {"B": F(1)}}, False, 2),  # block [[1, 1], [1, 1]]
-])
-def test_zeroclass_low_side_falls_back_without_support(su3_basis, monkeypatch, caplog,
-                                                       zeroclass_by_rank,
-                                                       values, passed, rank):
-    integer_beta = dict(su3_basis.integer_beta)
-    for fid, extra in values.items():
-        integer_beta[fid] = integer_form({**su3_basis.beta[fid].values, **extra})
-    doctored = dataclasses.replace(su3_basis, integer_beta=integer_beta)
-    assert doctored.support_violation == ("B", "C")
-    pairings = localization_pairing_invertible(su3_basis)
-    assert all(pairings)
-    ranks = _counting_ranks(monkeypatch)
-    caplog.set_level(logging.DEBUG, logger="gkmlef")
-    entry, _ = verify_zeroclass(doctored, 1, pairings)
-    assert len(ranks) == 2  # the low side falls back, and the high side
-    assert [r.getMessage() for r in caplog.records] == [
-        "zero-class(k=1,%s) not certified (beta_B breaks canonical support at C); "
-        "taking the exact rank" % side for side in ("low", "high")]
-    assert verify_zeroclass(doctored, 1, pairings) == zeroclass_by_rank(doctored, 1)
-    assert entry == {"name": "zero-class(k=1,low)", "applicable": True, "pass": passed,
-                     "detail": "space dimension 3, independent vanishing conditions %d" % rank}
 
 
 def _delta_by_cup(basis, profile, gamma, k):
@@ -295,27 +267,19 @@ def test_delta_certificates_build_each_shifted_class_once(monkeypatch):
     ("sphere_product3", 1), ("sphere_product8", 1),
     ("hirzebruch1", 0),  # exit 2: c_2 is undefined, so the expansion lemma is n/a
 ])
-def test_analyze_builds_the_shifted_classes_and_the_support_certificate_once(
-        name, applicable, monkeypatch):
-    # no symplectic class is built and nothing is expanded: the expansion
-    # lemma reads ring.omega; and the support certificate is computed once
-    certified = []
+def test_analyze_builds_no_symplectic_class_and_expands_nothing(name, applicable, monkeypatch):
+    # the expansion lemma reads ring.omega
     for module in (analysis, cohomology, lefschetz):
         for attr in ("equivariant_symplectic_class", "expand_in_basis"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, lambda *args, attr=attr, **kwargs:
                                     pytest.fail("analyze called " + attr))
-    certificate = CanonicalBasis.support_violation.func
-    counted = cached_property(lambda basis: certified.append(basis) or certificate(basis))
-    counted.__set_name__(CanonicalBasis, "support_violation")
-    monkeypatch.setattr(CanonicalBasis, "support_violation", counted)
     entry = catalog.get(name)
     graph = parse_gkm(entry.document)
     report, _ = analysis.analyze(graph, entry.default_xi)
     (expansion,) = [e for e in report["lemmas"] if e["name"] == "symplectic-expansion"]
     assert (expansion["applicable"], expansion["pass"]) == \
         ((True, True) if applicable else (False, None))
-    assert len(certified) == 1
 
 
 def test_delta_certificate_zero_candidate(su3, su3_basis):
@@ -383,7 +347,7 @@ def _proved_and_ranked(graph, xi):
     profile = restrict_to_circle(graph, xi)
     basis = canonical_classes(graph, profile)
     ring = kirwan_reduce(basis)
-    proved = proof_chain(check_hypothesis(profile), verify_distinct(profile), basis,
+    proved = proof_chain(check_hypothesis(profile), verify_distinct(profile),
                          localization_pairing_invertible(basis))
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -488,27 +452,13 @@ def test_analyze_ranks_hard_lefschetz_after_a_singular_pairing(name, monkeypatch
     assert report["hard_lefschetz"] == _hl_section(pipeline(name)[2])
 
 
-def test_proof_chain_fails_on_a_support_violation(su3, su3_basis, su3_ring, caplog):
-    # the doctored basis of test_zeroclass_low_side_falls_back_without_support
-    _, _, profile = su3
-    integer_beta = dict(su3_basis.integer_beta)
-    integer_beta["B"] = integer_form({**su3_basis.beta["B"].values, "C": F(2)})
-    doctored = dataclasses.replace(su3_basis, integer_beta=integer_beta)
-    caplog.set_level(logging.DEBUG, logger="gkmlef")
-    assert not proof_chain(check_hypothesis(profile), verify_distinct(profile), doctored,
-                           localization_pairing_invertible(su3_basis))
-    assert [r.getMessage() for r in caplog.records] == [
-        "hard Lefschetz not proved (beta_B breaks canonical support at C); "
-        "taking the exact ranks"]
-
-
 def test_proof_chain_fails_on_equal_level_constants(so5, caplog):
     # the equal constants of test_lemma_distinct_flags_synthetic_equality
     _, _, profile = so5
     basis = canonical_classes(profile.graph, profile)
     caplog.set_level(logging.DEBUG, logger="gkmlef")
     distinct = dict(verify_distinct(profile), **{"pass": False})
-    assert not proof_chain(check_hypothesis(profile), distinct, basis,
+    assert not proof_chain(check_hypothesis(profile), distinct,
                            localization_pairing_invertible(basis))
     assert [r.getMessage() for r in caplog.records] == [
         "hard Lefschetz not proved (distinct-level-constants does not pass); "

@@ -2,7 +2,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -615,8 +615,8 @@ def test_report_json_writes_the_classes_from_the_basis(name, code, homogeneous, 
 
 
 def test_profile_caches_follow_dataclasses_replace(su3):
-    # levels and weight products are computed once per profile, and a
-    # replaced profile computes its own
+    # levels, weight products and the Euler scale are computed once per
+    # profile, and a replaced profile computes its own
     _, _, profile = su3
     assert profile.level(1) == tuple(sorted(v for v, ix in profile.index.items() if ix == 2))
     assert profile.level(1) is profile.level(1)
@@ -627,6 +627,9 @@ def test_profile_caches_follow_dataclasses_replace(su3):
     assert moved.scaled_level_constants[1] is None and not moved.constant_on_levels
     assert profile.scaled_level_constants[1] is not None and profile.constant_on_levels
     assert moved.negative_weight_product(top) == -2 and moved.full_weight_product(top) == -30
+    scale, cofactor = moved.euler_scale
+    assert scale == lcm(*(prod(ws) for ws in moved.weights.values())) != profile.euler_scale[0]
+    assert cofactor == {v: scale // prod(ws) for v, ws in moved.weights.items()}
     assert profile.level(profile.n) == (top,)
     assert profile.full_weight_product(top) == prod(profile.weights[top])
     # a replaced moment map gives its own mu and level constants
