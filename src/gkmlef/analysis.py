@@ -11,21 +11,16 @@ from __future__ import annotations
 import hashlib
 import time
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd
 
 from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
                          localization_pairing_invertible)
-from .exact import format_rational
+from .exact import format_ratio, format_rational
 from .model import (_string, betti, check_hypothesis, dumps_indented,
                     restrict_to_circle, self_indexing_normalizer, shift_moment_map)
 
 SCHEMA_VERSION = 1
-
-
-def _rat(x):
-    return None if x is None else format_rational(x)
 
 
 def _ascending(cls, vids):
@@ -106,10 +101,10 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     """Run the whole pipeline; returns (report, exit_code)."""
     t0 = time.monotonic()
     profile = restrict_to_circle(graph, xi)
-    min_shift = 0
+    min_shift = "0"
     if shift_min:  # every stage reads mu - min(mu)
         low = min(profile.scaled_mu.values())
-        min_shift = Fraction(low, profile.mu_scale)
+        min_shift = format_ratio(low, profile.mu_scale)
         profile = shift_moment_map(profile, low)
     hyp = check_hypothesis(profile)
     n = profile.n
@@ -137,6 +132,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
     vids = sorted(profile.index)
+    scaled_mu, d = profile.scaled_mu, profile.mu_scale
 
     digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes else None
     report = {
@@ -154,7 +150,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
                 {
                     "id": v.id,
                     "position": [format_rational(x) for x in v.position],
-                    "mu": _rat(profile.mu[v.id]),
+                    "mu": format_ratio(scaled_mu[v.id], d),
                     "index": profile.index[v.id],
                     "circle_weights": list(profile.weights[v.id]),
                 }
@@ -162,8 +158,9 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
             ],
             "levels": {str(2 * k): list(profile.level(k)) for k in range(n + 1)},
             "betti": betti(profile),
-            "level_constants": [_rat(c) for c in hyp["c"]],
-            "min_shift": _rat(min_shift),
+            "level_constants": [None if c is None else format_ratio(c, d)
+                                for c in profile.scaled_level_constants],
+            "min_shift": min_shift,
             "warnings": list(profile.warnings),
         },
         "hypothesis": {
@@ -173,7 +170,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
                                      else "not applicable",
         },
         "self_indexing_normalizer":
-            None if normalizer is None else [_rat(normalizer[0]), _rat(normalizer[1])],
+            None if normalizer is None else list(map(format_rational, normalizer)),
         "canonical_basis": {
             "order": list(basis.order),
             "classes": ClassesView(basis, vids),
@@ -197,7 +194,7 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         "semifree": {
             "semifree": semifree["semifree"],
             "monotone_mu": None if semifree["monotone_mu"] is None else {
-                vid: _rat(val) for vid, val in sorted(semifree["monotone_mu"].items())
+                vid: format_rational(val) for vid, val in sorted(semifree["monotone_mu"].items())
             },
             "self_indexing": semifree["self_indexing"],
         },

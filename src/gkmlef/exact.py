@@ -38,6 +38,12 @@ def format_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def format_ratio(n, d):
+    """format_rational(Fraction(n, d)) for ints n and d > 0, reduced by one gcd."""
+    g = gcd(n, d)  # d > 0, so the sign stays on n
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+
+
 def integer_form(values):
     """({key: int}, D): the dict of ints and Fractions `values` times D, the
     lcm of their denominators (1 for no values)."""

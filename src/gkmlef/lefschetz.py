@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .exact import format_rational, matrix_rank
+from .exact import format_ratio, matrix_rank
 
 _log = logging.getLogger("gkmlef")
 
@@ -136,17 +135,19 @@ def verify_symp_expansion(profile, ring):
     """The symplectic class shifted by c_0, the minimum-normalized one,
     expands with no u-term at the minimum and equal coefficient -c_2 on every
     index-2 class.  kirwan_reduce checked canonical support, so the expansion
-    is ring.omega / ring.scale, with u-term c_0 - mu(min) = 0 at the minimum."""
-    name, d = "symplectic-expansion", profile.mu_scale
+    is ring.omega / ring.scale, with u-term c_0 - mu(min) = 0 at the minimum.
+    Each index-2 coefficient a / S (S = ring.scale) is tested against
+    (C_0 - C_2) / D in ints, as a D == (C_0 - C_2) S."""
+    name, d, s = "symplectic-expansion", profile.mu_scale, ring.scale
     c0, c2 = profile.scaled_level_constants[:2]
     if profile.n >= 1 and c2 is None and profile.level(1):
         return _entry(name, False, None, "moment map not constant on the index-2 level")
-    expected = Fraction(c0 - c2, d) if c2 is not None else None
-    a2 = {v: Fraction(ring.omega.get(v, 0), ring.scale) for v in profile.level(1)}
-    ok = all(a == expected for a in a2.values())
+    # the level is sorted by id; c2 is None only when it is empty
+    a2 = [(v, ring.omega.get(v, 0)) for v in profile.level(1)]
+    ok = all(a * d == (c0 - c2) * s for _, a in a2)
     detail = ("a0 = 0; index-2 coefficients %s, expected %s each"
-              % ({v: format_rational(a) for v, a in sorted(a2.items())},
-                 format_rational(expected) if expected is not None else "n/a"))
+              % ({v: format_ratio(a, s) for v, a in a2},
+                 format_ratio(c0 - c2, d) if c2 is not None else "n/a"))
     return _entry(name, True, ok, detail)
 
 
@@ -197,14 +198,15 @@ def verify_distinct(profile):
     if any(c is None for c in cs):
         return _entry(name, False, None, "some level is empty or non-constant")
     distinct = len(set(cs)) == len(cs)
-    detail = "c = (%s)" % ", ".join(format_rational(c) for c in profile.level_constants())
+    d = profile.mu_scale
+    detail = "c = (%s)" % ", ".join(format_ratio(c, d) for c in cs)
     if not distinct:
         return _entry(name, True, False,
                       detail + "; equal constants cannot arise from a genuine "
                       "symplectic manifold")
-    sums, den = _scaled_top_products(profile, cs, profile.mu_scale)
+    sums, den = _scaled_top_products(profile, cs, d)
     witness_ok = len(set(sums)) == 1 and sums[0] != 0
-    detail += "; top-product integral %s" % format_rational(Fraction(sums[0], den))
+    detail += "; top-product integral %s" % format_ratio(sums[0], den)
     return _entry(name, True, distinct and witness_ok, detail)
 
 

@@ -67,60 +67,68 @@ def run_checks(doc):
     return _checks_and_positions(doc)[0]
 
 
+_EDGE_FIELDS = frozenset(("v", "w", "weight"))
+
+
 def _checks_and_positions(doc):
     """run_checks(doc), the parsed positions {vertex id: tuple of Fractions}
     of the vertices whose positions passed their checks, those positions as
     _integer_positions gives them (None when the structure check fails),
     and the Edges of the edges that reached every edge check, in document
-    order: when every check passes, the graph's edges."""
+    order: when every check passes, the graph's edges.  Each distinct
+    position string is parsed once per call."""
     checks = []
     positions = {}
     edges = []
-
-    def add(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-
     if not isinstance(doc, dict):
-        add("document-structure", False, "expected a JSON object")
+        checks.append(("document-structure", False, "expected a JSON object"))
         return checks, positions, None, edges
     rank, dim = doc.get("rank"), doc.get("dimension")
     raw_vertices, raw_edges = doc.get("vertices"), doc.get("edges")
     if not (_is_int(rank) and _is_int(dim) and isinstance(raw_vertices, list)
             and isinstance(raw_edges, list)):
-        add("document-structure", False,
-            "missing or malformed field: rank and dimension must be integers, "
-            "vertices and edges lists")
+        checks.append(("document-structure", False,
+                       "missing or malformed field: rank and dimension must be integers, "
+                       "vertices and edges lists"))
         return checks, positions, None, edges
-    add("document-structure", True)
-    add("rank-positive", rank >= 1, "rank = %d" % rank)
-    add("dimension-even", dim % 2 == 0 and dim >= 2, "dimension = %d" % dim)
+    checks += [("document-structure", True, ""),
+               ("rank-positive", rank >= 1, "rank = %d" % rank),
+               ("dimension-even", dim % 2 == 0 and dim >= 2, "dimension = %d" % dim)]
     n = dim // 2
 
     ids = []
     ok_vertices = True
+    parsed = {}  # position string -> Fraction; other literals are not kept
     for i, rv in enumerate(raw_vertices):
         if not isinstance(rv, dict) or "id" not in rv:
-            add("vertex-fields", False, "vertex %d: expected an object with an id" % i)
+            checks.append(("vertex-fields", False, "vertex %d: expected an object with an id" % i))
             continue
         vid = str(rv["id"])
         ids.append(vid)
+        raw = rv.get("position")
         try:
-            if not isinstance(rv.get("position"), list):
+            if not isinstance(raw, list):
                 raise ValueError("missing position list")
-            pos = tuple(parse_rational(x) for x in rv["position"])
+            pos = []
+            for x in raw:
+                if type(x) is not str:
+                    q = parse_rational(x)
+                elif (q := parsed.get(x)) is None:
+                    q = parsed[x] = parse_rational(x)
+                pos.append(q)
         except ValueError as exc:
-            add("vertex-positions", False, "vertex %s: %s" % (vid, exc))
+            checks.append(("vertex-positions", False, "vertex %s: %s" % (vid, exc)))
             ok_vertices = False
             continue
         if len(pos) != rank:
-            add("vertex-positions", False,
-                "vertex %s: position length %d != rank %d" % (vid, len(pos), rank))
+            checks.append(("vertex-positions", False, "vertex %s: position length %d != rank %d"
+                           % (vid, len(pos), rank)))
             ok_vertices = False
             continue
-        positions[vid] = pos
+        positions[vid] = tuple(pos)
     if ok_vertices:
-        add("vertex-positions", True)
-    add("vertex-ids-unique", len(set(ids)) == len(ids))
+        checks.append(("vertex-positions", True, ""))
+    checks.append(("vertex-ids-unique", len(set(ids)) == len(ids), ""))
     integer_positions = _integer_positions(positions)
     scaled = integer_positions[0]
 
@@ -131,50 +139,59 @@ def _checks_and_positions(doc):
     lines = {vid: [] for vid in ids}
     label = "edge %d (%s-%s)"  # formatted only for a check that fails
     for i, re_ in enumerate(raw_edges):
-        if not isinstance(re_, dict) or not {"v", "w", "weight"} <= re_.keys():
-            add("edge-fields", False, "edge %d: expected an object with v, w and weight" % i)
+        if not isinstance(re_, dict) or not re_.keys() >= _EDGE_FIELDS:
+            checks.append(("edge-fields", False,
+                           "edge %d: expected an object with v, w and weight" % i))
             continue
-        v, w = str(re_["v"]), str(re_["w"])
-        if not (isinstance(re_["weight"], list) and all(map(_is_int, re_["weight"]))):
-            add("edge-weight-integer", False,
-                label % (i, v, w) + ": weight must be a list of integers")
+        v, w, weight = str(re_["v"]), str(re_["w"]), re_["weight"]
+        if not (isinstance(weight, list) and all(map(_is_int, weight))):
+            checks.append(("edge-weight-integer", False,
+                           label % (i, v, w) + ": weight must be a list of integers"))
             continue
-        weight = tuple(re_["weight"])
+        weight = tuple(weight)
         if v == w:
-            add("edge-self-loop", False, label % (i, v, w))
+            checks.append(("edge-self-loop", False, label % (i, v, w)))
             continue
         if v not in adjacency or w not in adjacency:
-            add("edge-endpoints", False, label % (i, v, w) + ": unknown endpoint")
+            checks.append(("edge-endpoints", False, label % (i, v, w) + ": unknown endpoint"))
             continue
         if len(weight) != rank:
-            add("edge-weight-rank", False, label % (i, v, w))
+            checks.append(("edge-weight-rank", False, label % (i, v, w)))
             continue
-        if all(a == 0 for a in weight):
-            add("edge-weight-nonzero", False, label % (i, v, w))
+        if not any(weight):
+            checks.append(("edge-weight-nonzero", False, label % (i, v, w)))
             continue
         ok = gcd(*weight) == 1
-        add("edge-weight-primitive", ok, "" if ok else label % (i, v, w))
-        p = next(k for k, a in enumerate(weight) if a != 0)
+        checks.append(("edge-weight-primitive", ok, "" if ok else label % (i, v, w)))
+        p = 0
+        while not weight[p]:
+            p += 1
+        wp = weight[p]
         if v in scaled and w in scaled:
             # diff = lam * weight with lam > 0, in integers: with pivot p,
             # lam = diff_p / weight_p, so diff_p weight_p > 0 and
             # diff_i weight_p = diff_p weight_i for every i
-            diff = [pw - pv for pv, pw in zip(scaled[v], scaled[w])]
-            dp, wp = diff[p], weight[p]
-            ok = dp * wp > 0 and all(d * wp == dp * a for d, a in zip(diff, weight))
-            add("edge-parallel-to-positions", ok, "" if ok else label % (i, v, w)
-                + ": position difference must be a positive multiple of the weight")
+            sv, sw = scaled[v], scaled[w]
+            dp = sw[p] - sv[p]
+            ok = dp * wp > 0
+            if ok:
+                for pv, pw, a in zip(sv, sw, weight):
+                    if (pw - pv) * wp != dp * a:
+                        ok = False
+                        break
+            checks.append(("edge-parallel-to-positions", ok, "" if ok else label % (i, v, w)
+                           + ": position difference must be a positive multiple of the weight"))
         adjacency[v].append(w)
         adjacency[w].append(v)
-        line = (weight if weight[p] > 0 else tuple(-a for a in weight)), (i, v, w)
+        line = (weight if wp > 0 else tuple([-a for a in weight])), (i, v, w)
         lines[v].append(line)
         lines[w].append(line)
         edges.append(Edge(v, w, weight))
 
     for vid in ids:
         degree = len(adjacency[vid])
-        add("vertex-degree", degree == n, "" if degree == n else
-            "vertex %s has %d incident edges, expected n = %d" % (vid, degree, n))
+        checks.append(("vertex-degree", degree == n, "" if degree == n else
+                       "vertex %s has %d incident edges, expected n = %d" % (vid, degree, n)))
 
     for vid in ids:
         # the pairs are walked only to name the first two parallel weights
@@ -182,7 +199,7 @@ def _checks_and_positions(doc):
         if len({key for key, _ in lines[vid]}) < len(lines[vid]):
             (_, a), (_, b) = next((x, y) for x, y in combinations(lines[vid], 2) if x[0] == y[0])
             detail = "vertex %s: dependent weights on %s and %s" % (vid, label % a, label % b)
-        add("gkm-independence", not detail, detail)
+        checks.append(("gkm-independence", not detail, detail))
 
     seen, stack = set(ids[:1]), ids[:1]
     while stack:
@@ -190,8 +207,8 @@ def _checks_and_positions(doc):
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    add("graph-connected", ids and len(seen) == len(ids),
-        "" if ids else "the document has no vertices")
+    checks.append(("graph-connected", bool(ids) and len(seen) == len(ids),
+                   "" if ids else "the document has no vertices"))
     return checks, positions, integer_positions, edges
 
 
@@ -290,8 +307,8 @@ class CircleProfile:
 
     The moment map is held in integers: M(v) = D mu(v) (scaled_mu), with
     D > 0 the lcm of the reduced denominators of mu (mu_scale).  Level sets,
-    their constants and every test on them compare and hash ints; mu is the
-    Fraction view that the report reads.
+    their constants and every test on them compare and hash ints, and the
+    report is written from them; mu is the Fraction view.
     """
     graph: GkmGraph
     xi: tuple
@@ -436,8 +453,7 @@ def check_hypothesis(profile):
     constant = profile.constant_on_levels
     defined = [x for x in profile.scaled_level_constants if x is not None]
     all_distinct = constant and len(set(defined)) == len(defined)
-    return {"constant_on_levels": constant, "c": profile.level_constants(),
-            "all_distinct": all_distinct}
+    return {"constant_on_levels": constant, "all_distinct": all_distinct}
 
 
 def self_indexing_normalizer(profile):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gkmlef import exact
-from gkmlef.exact import (format_rational, mat_vec, matrix_rank, monomial_exponents,
+from gkmlef.exact import (format_ratio, format_rational, mat_vec, matrix_rank, monomial_exponents,
                           monomial_residue, parse_rational, solve, sparse_nullspace)
 
 F = Fraction
@@ -33,6 +33,18 @@ def test_parse_rational_is_fraction_of_the_literal(q, pad):
 def test_format_rational_takes_ints_fractions_and_what_fraction_takes():
     assert [format_rational(x) for x in (7, -3, F(6, -8), "6/8", 0.5, True)] == \
         ["7", "-3", "-3/4", "3/4", "1/2", "1"]
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(-50, 50))
+def test_format_ratio_writes_the_fraction_of_its_ints(n, d, k):
+    # k * d is a multiple of d, 0 when k is 0
+    for num, den in ((n, d), (n, 1), (0, d), (k * d, d), (-abs(n), d)):
+        assert format_ratio(num, den) == format_rational(Fraction(num, den)), (num, den)
+
+
+def test_format_ratio_reduces_and_keeps_the_sign_on_the_numerator():
+    assert [format_ratio(n, d) for n, d in ((0, 7), (-6, 8), (6, 3), (-9, 3), (5, 1), (4, 6))] \
+        == ["0", "-3/4", "2", "-3", "5", "2/3"]
 
 
 def test_integer_form_scales_by_the_lcm_of_the_denominators():

@@ -35,6 +35,8 @@ def test_parse_so5(so5):
 
 
 def test_parse_reads_each_coordinate_once(monkeypatch):
+    # one parse per distinct literal of the document: cp3's twelve
+    # coordinates are the strings "0" and "1"
     calls = []
 
     def counting(x):
@@ -44,7 +46,8 @@ def test_parse_reads_each_coordinate_once(monkeypatch):
     monkeypatch.setattr(model, "parse_rational", counting)
     document = catalog.get("cp3").document
     graph = parse_gkm(document)
-    assert len(calls) == graph.rank * len(graph.vertices)
+    literals = [x for rv in json.loads(document)["vertices"] for x in rv["position"]]
+    assert sorted(calls) == sorted(set(literals)) == ["0", "1"]
     assert [v.position for v in graph.vertices] == [
         tuple(map(F, rv["position"])) for rv in json.loads(document)["vertices"]]
 
@@ -241,6 +244,284 @@ def test_malformed_document_named_failure(case, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "FAIL %s" % check in out
     assert out.endswith("verdict: invalid\n")
+
+
+def _second_component(doc):
+    # a copy of cp1 on new ids: every check passes but graph-connected
+    doc["vertices"] += [{"id": "q0", "position": ["2"]}, {"id": "q1", "position": ["3"]}]
+    doc["edges"].append({"v": "q0", "w": "q1", "weight": [1]})
+
+
+def _on(name, mutate):
+    def document():
+        doc = json.loads(catalog.get(name).document)
+        mutate(doc)
+        return doc
+    return document
+
+
+PINNED_DOCUMENTS = {
+    **{case: _on("cp1", mutate) for case, (mutate, _) in MALFORMED.items()},
+    "unknown-endpoint": _on("cp1", _set(["edges", 0, "w"], "p9")),
+    "duplicate-id": _on("cp1", _set(["vertices", 1, "id"], "p0")),
+    "weight-of-wrong-rank": _on("cp1", _set(["edges", 0, "weight"], [1, 0])),
+    "edge-not-parallel": _on("cp1", _set(["edges", 0, "weight"], [-1])),
+    "edge-not-parallel-past-a-zero": _on("cp2", _set(["edges", 1, "weight"], [0, -1])),
+    "disconnected": _on("cp1", _second_component),
+    "dependent-weights": lambda: _dependent_weights_doc({"v": "a", "w": "b", "weight": [1, 0]}),
+}
+
+# run_checks on each document as the earlier, closure-based checks gave it,
+# one triple a line: PASS or FAIL, the check, and after ": " its detail
+PINNED_CHECKS = {
+    "boolean-weight": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-weight-integer: edge 0 (p0-p1): weight must be a list of integers
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "dependent-weights": """
+        PASS document-structure
+        PASS rank-positive: rank = 2
+        PASS dimension-even: dimension = 4
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        FAIL gkm-independence: vertex b: dependent weights on edge 0 (a-b) and edge 1 (b-c)
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS graph-connected
+    """,
+    "disconnected": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "duplicate-id": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        FAIL vertex-ids-unique
+        FAIL edge-endpoints: edge 0 (p0-p1): unknown endpoint
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "edge-not-parallel": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        FAIL edge-parallel-to-positions: edge 0 (p0-p1): position difference must be a positive multiple of the weight
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS graph-connected
+    """,
+    "edge-not-parallel-past-a-zero": """
+        PASS document-structure
+        PASS rank-positive: rank = 2
+        PASS dimension-even: dimension = 4
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS edge-weight-primitive
+        FAIL edge-parallel-to-positions: edge 1 (p0-p2): position difference must be a positive multiple of the weight
+        PASS edge-weight-primitive
+        PASS edge-parallel-to-positions
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS graph-connected
+    """,
+    "edge-without-v": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-fields: edge 0: expected an object with v, w and weight
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "fractional-weight": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-weight-integer: edge 0 (p0-p1): weight must be a list of integers
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "self-loop": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-self-loop: edge 0 (p0-p0)
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "unknown-endpoint": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-endpoints: edge 0 (p0-p9): unknown endpoint
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "vertex-without-position": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        FAIL vertex-positions: vertex p0: missing position list
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS graph-connected
+    """,
+    "vertices-not-list": """
+        FAIL document-structure: missing or malformed field: rank and dimension must be integers, vertices and edges lists
+    """,
+    "weight-of-wrong-rank": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        PASS vertex-positions
+        PASS vertex-ids-unique
+        FAIL edge-weight-rank: edge 0 (p0-p1)
+        FAIL vertex-degree: vertex p0 has 0 incident edges, expected n = 1
+        FAIL vertex-degree: vertex p1 has 0 incident edges, expected n = 1
+        PASS gkm-independence
+        PASS gkm-independence
+        FAIL graph-connected
+    """,
+    "zero-denominator-position": """
+        PASS document-structure
+        PASS rank-positive: rank = 1
+        PASS dimension-even: dimension = 2
+        FAIL vertex-positions: vertex p0: not a rational literal: '1/0'
+        PASS vertex-ids-unique
+        PASS edge-weight-primitive
+        PASS vertex-degree
+        PASS vertex-degree
+        PASS gkm-independence
+        PASS gkm-independence
+        PASS graph-connected
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DOCUMENTS))
+def test_run_checks_reports_the_pinned_triples_in_order(case):
+    # every (check, ok, detail) triple, the passing ones included, in the
+    # order `gkmlef validate` prints them
+    expected = []
+    for line in PINNED_CHECKS[case].strip().splitlines():
+        status, _, rest = line.strip().partition(" ")
+        name, _, detail = rest.partition(": ")
+        expected.append((name, status == "PASS", detail))
+    assert run_checks(PINNED_DOCUMENTS[case]()) == expected
+
+
+def test_a_bad_literal_shared_by_two_vertices_fails_on_each():
+    # a literal that failed to parse is not kept, so the second vertex fails too
+    doc = json.loads(catalog.get("cp1").document)
+    for rv in doc["vertices"]:
+        rv["position"] = ["1/0"]
+    assert _failed_checks(doc) == [
+        ("vertex-positions", "vertex p0: not a rational literal: '1/0'"),
+        ("vertex-positions", "vertex p1: not a rational literal: '1/0'")]
+
+
+@pytest.mark.parametrize("bad", [False, 0.0])
+def test_a_literal_equal_to_a_parsed_int_still_fails(bad):
+    # False and 0.0 equal 0 as dict keys; only strings are kept once parsed
+    doc = json.loads(catalog.get("cp1").document)
+    doc["vertices"][0]["position"] = [0]
+    doc["vertices"][1]["position"] = [bad]
+    assert ("vertex-positions", "vertex p1: not a rational literal: %r" % str(bad)) \
+        in _failed_checks(doc)
+
+
+def test_shared_and_padded_literals_parse_to_their_values():
+    # "0" is shared by three vertices and two coordinates, "3/4" by two
+    # vertices; " 3/4 " is the same value under another string
+    positions = [["0", "0"], [" 3/4 ", "0"], ["0", "3/4"], ["3/4", "3/4"]]
+    doc = {"rank": 2, "dimension": 4,
+           "vertices": [{"id": "p%d" % i, "position": pos} for i, pos in enumerate(positions)],
+           "edges": [{"v": "p0", "w": "p1", "weight": [1, 0]},
+                     {"v": "p0", "w": "p2", "weight": [0, 1]},
+                     {"v": "p1", "w": "p3", "weight": [0, 1]},
+                     {"v": "p2", "w": "p3", "weight": [1, 0]}]}
+    graph = parse_gkm(json.dumps(doc))
+    assert [v.position for v in graph.vertices] == [
+        (F(0), F(0)), (F(3, 4), F(0)), (F(0), F(3, 4)), (F(3, 4), F(3, 4))]
+    assert graph.integer_positions == (
+        {"p0": (0, 0), "p1": (3, 0), "p2": (0, 3), "p3": (3, 3)}, 4)
 
 
 @pytest.mark.parametrize("literal", ["\u0661", "1/\u0663", "\uff13", "-\u0967/2"])
