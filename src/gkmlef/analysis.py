@@ -2,15 +2,19 @@
 
 The report is a dict with deterministic key and list ordering, so identical
 input bytes and flags always serialize to identical report bytes.  Every
-node is a plain JSON value except canonical_basis.classes, a read-only
-Mapping over the canonical basis that prints itself (ClassesView), so
-json.dumps(report, default=dict) gives the tree report_to_json prints.
+node is a plain JSON value except two views that print themselves:
+profile.vertices, a read-only Sequence over the vertices (VerticesView),
+and canonical_basis.classes, a read-only Mapping over the canonical basis
+(ClassesView).  Each prints from integers and builds its plain value from
+the Fraction views when read, so json.dumps(report, default=json_default)
+gives the tree report_to_json prints.
 """
 from __future__ import annotations
 
 import hashlib
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 from math import gcd
 
 from . import lefschetz
@@ -21,6 +25,66 @@ from .model import (_string, betti, check_hypothesis, dumps_indented,
                     restrict_to_circle, self_indexing_normalizer, shift_moment_map)
 
 SCHEMA_VERSION = 1
+
+
+def json_default(view):
+    """The plain value json.dumps prints for a view of the report: the list
+    of a Sequence, the dict of a Mapping."""
+    return list(view) if isinstance(view, Sequence) else dict(view)
+
+
+class VerticesView(Sequence):
+    """The report's profile.vertices: one {"id", "position", "mu", "index",
+    "circle_weights"} per vertex id of vids, in that order, read from
+    Vertex.position and profile.mu, the Fraction views, when indexed by an
+    int.  indented(newline) prints it as model.dumps_indented prints that
+    list, from graph.integer_positions and profile.scaled_mu over mu_scale,
+    each written by format_ratio, and the profile's index and weights."""
+
+    def __init__(self, graph, profile, vids):
+        self._graph, self._profile, self._vids = graph, profile, vids
+
+    @cached_property
+    def _positions(self):
+        return {v.id: v.position for v in self._graph.vertices}
+
+    def __getitem__(self, i):
+        vid, profile = self._vids[i], self._profile
+        return {"id": vid,
+                "position": [format_rational(x) for x in self._positions[vid]],
+                "mu": format_rational(profile.mu[vid]),
+                "index": profile.index[vid],
+                "circle_weights": list(profile.weights[vid])}
+
+    def __len__(self):
+        return len(self._vids)
+
+    def indented(self, newline):
+        """json.dumps(list(self), indent=2) at the depth whose line breaks
+        are `newline`: one template per row, filled with the ints' text."""
+        vids, profile = self._vids, self._profile
+        if not vids:
+            return "[]"
+        row_break = newline + "  "
+        key_break = row_break + "  "
+        value_break = key_break + "  "
+        values = "[" + value_break + "%s" + key_break + "]"
+        row = ("{" + key_break + '"id": %s,' + key_break + '"position": %s,' + key_break
+               + '"mu": "%s",' + key_break + '"index": %d,' + key_break
+               + '"circle_weights": %s' + row_break + "}")
+        sep = "," + value_break
+        positions, scale = self._graph.integer_positions
+        text = {x: '"' + format_ratio(x, scale) + '"'  # each distinct coordinate once
+                for x in set().union(*positions.values())}.__getitem__
+        scaled_mu, d = profile.scaled_mu, profile.mu_scale
+        index, weights = profile.index, profile.weights
+        rows = []
+        for vid in vids:
+            pos, ws = positions[vid], weights[vid]
+            rows.append(row % (_string(vid), values % sep.join(map(text, pos)) if pos else "[]",
+                               format_ratio(scaled_mu[vid], d), index[vid],
+                               values % sep.join(map(str, ws)) if ws else "[]"))
+        return "[" + row_break + ("," + row_break).join(rows) + newline + "]"
 
 
 def _ascending(cls, vids):
@@ -132,7 +196,6 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         if hyp["constant_on_levels"] else []
     semifree = lefschetz.semifree_monotone_analysis(profile)
     vids = sorted(profile.index)
-    scaled_mu, d = profile.scaled_mu, profile.mu_scale
 
     digest = hashlib.sha256(source_bytes).hexdigest() if source_bytes else None
     report = {
@@ -146,19 +209,10 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
         "profile": {
             "rank": graph.rank,
             "dimension": graph.dimension,
-            "vertices": [
-                {
-                    "id": v.id,
-                    "position": [format_rational(x) for x in v.position],
-                    "mu": format_ratio(scaled_mu[v.id], d),
-                    "index": profile.index[v.id],
-                    "circle_weights": list(profile.weights[v.id]),
-                }
-                for v in sorted(graph.vertices, key=lambda v: v.id)
-            ],
+            "vertices": VerticesView(graph, profile, vids),
             "levels": {str(2 * k): list(profile.level(k)) for k in range(n + 1)},
             "betti": betti(profile),
-            "level_constants": [None if c is None else format_ratio(c, d)
+            "level_constants": [None if c is None else format_ratio(c, profile.mu_scale)
                                 for c in profile.scaled_level_constants],
             "min_shift": min_shift,
             "warnings": list(profile.warnings),

@@ -285,9 +285,10 @@ def flow_up_classes(graph, profile):
     d + 1) of q's k carried values, times (y / y_j)^(d + 1 - n).  Its value
     at the other k - n down points (the checks), at q's up-edge points and
     at (1, 0) is one integer dot product each, with weights built once per
-    (q, d).  A class of degree 0 is a constant: its value on slot 0 is its
-    value at every target, with no weights.  tau_q(q) is the product of q's
-    down lines.  So every projected edge congruence is certified at its
+    (q, d).  The unit, the class of the first vertex, is 1 at every vertex
+    and is not carried: restrict_to_circle admits one vertex of index 0,
+    and the degree check makes it the first.  tau_q(q) is the product of
+    q's down lines.  So every projected edge congruence is certified at its
     later end: at the n interpolated points by definition, at the k - n
     others by the check, for every p before q that is nonzero at a down
     point of q (tau_p(q) = 0 included), and for tau_q at its own down
@@ -313,8 +314,8 @@ def flow_up_classes(graph, profile):
             raise FlowUpError("vertex %s has %d edges to earlier vertices and index %d"
                               % (q, len(down[q]), profile.index[q]))
     inbox = {v: {} for v in order}  # q -> {p: {down slot: tau_p there, (value, den)}}
-    circle = {}
-    for q in order:
+    circle = {order[0]: dict.fromkeys(order, (1, 1))}
+    for q in order[1:]:
         lines = [line for _, line in down[q]]
         points, k = [(-b, a) for a, b in lines], len(lines)
         circle[q] = {q: (prod(a for a, _ in lines), 1)}
@@ -322,18 +323,13 @@ def flow_up_classes(graph, profile):
             inbox[r].setdefault(q, {})[j] = (prod(a * x + b * y for a, b in lines), 1)
         weights = {}  # d -> (n, own, rows)
         for p, carried in inbox.pop(q).items():
-            if not (d := degree[p]):  # a constant: slot 0's value at every target
-                n, found = 1, carried.get(0)
-                if found:
-                    found = [found[0]] * (k + len(up[q])), found[1]
-            else:
-                if d not in weights:
-                    n = min(k, d + 1)
-                    targets = points[n:] + [t for *_, t in up[q]] + [(1, 0)]
-                    weights[d] = n, *_lagrange_weights(lines[:n], points[:n], d + 1 - n, targets)
-                n, own, rows = weights[d]
-                found = _interpolate(carried, own, rows)
-            if found is None:  # 0 (a constant: no slot 0), yet carried past n
+            if (d := degree[p]) not in weights:
+                n = min(k, d + 1)
+                targets = points[n:] + [t for *_, t in up[q]] + [(1, 0)]
+                weights[d] = n, *_lagrange_weights(lines[:n], points[:n], d + 1 - n, targets)
+            n, own, rows = weights[d]
+            found = _interpolate(carried, own, rows)
+            if found is None:  # 0, yet carried past n
                 raise _congruence_error(down[q][min(carried)][0], q, p)
             at, den = found
             for j in range(n, k):

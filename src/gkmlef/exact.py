@@ -183,12 +183,21 @@ def _particular(rows, pivots, b):
 
 
 def matrix_rank(mat):
-    """Rank over Q of a list of dense rows; a single row or column needs no
-    elimination."""
+    """Rank over Q of a list of dense rows.  One or two rows or columns need
+    no elimination: the rank is 2 exactly when some 2x2 minor is nonzero,
+    and once a row has a nonzero entry a_p, every minor is 0 exactly when
+    those with column p are."""
     if not mat:
         return 0
     if len(mat) == 1 or len(mat[0]) == 1:
         return int(any(map(any, mat)))
+    if len(mat) == 2 or len(mat[0]) == 2:
+        a, b = mat if len(mat) == 2 else zip(*mat)
+        p = next((p for p, x in enumerate(a) if x), None)
+        if p is None:
+            return int(any(b))
+        ap, bp = a[p], b[p]
+        return 2 if any(x * bp != y * ap for x, y in zip(a, b)) else 1
     return len(_rref(_sparse(mat), len(mat[0]))[1])
 
 

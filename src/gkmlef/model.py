@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exact import format_rational, parse_rational
+from .exact import format_rational, integer_form, parse_rational
 
 
 class GkmValidationError(ValueError):
@@ -49,7 +49,8 @@ class GkmGraph:
     def integer_positions(self):
         """({vertex id: position times D}, D), as _integer_positions gives
         them; parse_gkm stores the ones its edge checks computed."""
-        return _integer_positions({v.id: v.position for v in self.vertices})
+        positions = {v.id: v.position for v in self.vertices}
+        return _integer_positions({x: x for pos in positions.values() for x in pos}, positions)
 
 
 def _is_int(x):
@@ -68,6 +69,7 @@ def run_checks(doc):
 
 
 _EDGE_FIELDS = frozenset(("v", "w", "weight"))
+_INT = frozenset((int,))  # a weight entry's exact type, so no bool
 
 
 def _checks_and_positions(doc):
@@ -76,7 +78,7 @@ def _checks_and_positions(doc):
     _integer_positions gives them (None when the structure check fails),
     and the Edges of the edges that reached every edge check, in document
     order: when every check passes, the graph's edges.  Each distinct
-    position string is parsed once per call."""
+    position literal is parsed once per call."""
     checks = []
     positions = {}
     edges = []
@@ -98,7 +100,10 @@ def _checks_and_positions(doc):
 
     ids = []
     ok_vertices = True
-    parsed = {}  # position string -> Fraction; other literals are not kept
+    # position literal -> Fraction, for str and int literals only: no other
+    # type parses, and True, 1.0 and 1 are one dict key
+    parsed = {}
+    literals = {}  # vertex id -> its position's literals, once they parsed
     for i, rv in enumerate(raw_vertices):
         if not isinstance(rv, dict) or "id" not in rv:
             checks.append(("vertex-fields", False, "vertex %d: expected an object with an id" % i))
@@ -111,7 +116,7 @@ def _checks_and_positions(doc):
                 raise ValueError("missing position list")
             pos = []
             for x in raw:
-                if type(x) is not str:
+                if type(x) is not str and type(x) is not int:
                     q = parse_rational(x)
                 elif (q := parsed.get(x)) is None:
                     q = parsed[x] = parse_rational(x)
@@ -125,11 +130,12 @@ def _checks_and_positions(doc):
                            % (vid, len(pos), rank)))
             ok_vertices = False
             continue
-        positions[vid] = tuple(pos)
+        positions[vid], literals[vid] = tuple(pos), raw
     if ok_vertices:
         checks.append(("vertex-positions", True, ""))
     checks.append(("vertex-ids-unique", len(set(ids)) == len(ids), ""))
-    integer_positions = _integer_positions(positions)
+    # a literal of a vertex that failed may widen D: the same up to scale
+    integer_positions = _integer_positions(parsed, literals)
     scaled = integer_positions[0]
 
     adjacency = {vid: [] for vid in ids}
@@ -144,7 +150,7 @@ def _checks_and_positions(doc):
                            "edge %d: expected an object with v, w and weight" % i))
             continue
         v, w, weight = str(re_["v"]), str(re_["w"]), re_["weight"]
-        if not (isinstance(weight, list) and all(map(_is_int, weight))):
+        if not (isinstance(weight, list) and set(map(type, weight)) <= _INT):
             checks.append(("edge-weight-integer", False,
                            label % (i, v, w) + ": weight must be a list of integers"))
             continue
@@ -212,12 +218,13 @@ def _checks_and_positions(doc):
     return checks, positions, integer_positions, edges
 
 
-def _integer_positions(positions):
-    """{vertex id: position times D}, D the lcm of every coordinate's
-    denominator: integer tuples, the same up to one positive scale."""
-    scale = lcm(*(x.denominator for pos in positions.values() for x in pos))
-    return {vid: tuple(x.numerator * (scale // x.denominator) for x in pos)
-            for vid, pos in positions.items()}, scale
+def _integer_positions(values, positions):
+    """({vertex id: position times D}, D) for positions {vertex id: keys of
+    values}, values {key: int or Fraction} scaled by integer_form, D the lcm
+    of their denominators: integer tuples, the same up to one positive
+    scale.  Each value is scaled once, however many coordinates share it."""
+    scaled, scale = integer_form(values)
+    return {vid: tuple([scaled[key] for key in pos]) for vid, pos in positions.items()}, scale
 
 
 def parse_gkm(text):
@@ -285,7 +292,7 @@ def _indented(obj, newline):
                                       else _indented(x, inner) for x in obj])
                 + newline + "]")
     indented = getattr(obj, "indented", None)
-    if indented is not None:  # an object that prints itself, as analysis.ClassesView
+    if indented is not None:  # an object that prints itself, as the views of analysis
         return indented(newline)
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 

@@ -407,35 +407,20 @@ def test_canonical_classes_eliminate_only_in_the_sweep(name, xi, monkeypatch):
 
 
 def _add_one(carried, j):
-    v, e = carried[j]
+    v, e = carried.get(j, (0, 1))  # a slot not carried holds 0
     carried[j] = (v + e, e)
 
 
 @contextmanager
-def _corrupting_first_carried(slot, degrees, corrupt=_add_one):
-    """Corrupt one value in the inbox of the first vertex q that has a check
-    point, as the sweep reads that inbox: in the first class there whose
-    degree d is in degrees and that has a carried value past the n = min(k,
-    d + 1) interpolated down points, k = index(q) / 2.  slot(n, carried)
-    picks the down slot j, and corrupt(carried, j) changes its value (adds 1
-    to it by default).  The inbox is changed through a line tracer, on the
-    line of flow_up_classes that pops it, so the constant class and the
-    interpolated classes both see the change.  Yields the list of corrupted
-    slots."""
+def _at_inbox_reads(visit):
+    """Call visit(the sweep's locals) each time flow_up_classes reaches the
+    line that pops an inbox, through a line tracer."""
     lines, start = inspect.getsourcelines(cohomology.flow_up_classes)
     reads = start + next(i for i, line in enumerate(lines) if "inbox.pop(q)" in line)
-    done = []
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == reads and not done:
-            q, down, degree = frame.f_locals["q"], frame.f_locals["down"], frame.f_locals["degree"]
-            for p, carried in frame.f_locals["inbox"].get(q, {}).items():
-                n = min(len(down[q]), degree[p] + 1)
-                if degree[p] in degrees and max(carried) >= n:
-                    j = slot(n, carried)
-                    corrupt(carried, j)
-                    done.append(j)
-                    break
+        if event == "line" and frame.f_lineno == reads:
+            visit(frame.f_locals)
         return local
 
     def calls(frame, event, arg):
@@ -444,33 +429,54 @@ def _corrupting_first_carried(slot, degrees, corrupt=_add_one):
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
-        yield done
+        yield
     finally:
         sys.settrace(previous)
 
 
+@contextmanager
+def _corrupting_first_carried(slot, degrees):
+    """Corrupt one value in the inbox of the first vertex q that has a check
+    point, as the sweep reads that inbox: in the first class there whose
+    degree d is in degrees and whose n = min(k, d + 1) interpolated down
+    points leave a check point, k = index(q) / 2.  slot(n, carried) picks
+    the down slot j, and 1 is added to its value, 0 if it is not carried.
+    Yields the list of corrupted slots."""
+    done = []
+
+    def visit(sweep):
+        q, down, degree = sweep["q"], sweep["down"], sweep["degree"]
+        for p, carried in sweep["inbox"].get(q, {}).items():
+            n = min(len(down[q]), degree[p] + 1)
+            if not done and degree[p] in degrees and len(down[q]) > n:
+                j = slot(n, carried)
+                _add_one(carried, j)
+                done.append(j)
+
+    with _at_inbox_reads(visit):
+        yield done
+
+
 def _interpolated(n, carried):
-    # an interpolated value (for the constant, its value on slot 0): the
-    # interpolant changes at every check point
+    # an interpolated value: the interpolant changes at every check point
     return min(j for j in carried if j < n)
 
 
 def _checked(n, carried):
-    # a value at a check point, past the interpolated prefix
-    return max(carried)
+    # the value at the first check point, past the interpolated prefix
+    return n
 
 
 @pytest.mark.parametrize("name, slot, degrees", [
     ("su3", _interpolated, None), ("cp3", _interpolated, None), ("su3", _checked, None),
-    ("cp3", _checked, None), ("sphere_product3", _checked, [0]), ("cp3", _interpolated, [1, 2]),
+    ("cp3", _checked, None), ("cp3", _interpolated, [1, 2]),
 ], ids=["su3-inconsistent", "cp3-inconsistent", "su3-edge-check", "cp3-edge-check",
-        "sphere_product3-constant-edge-check", "cp3-positive-degree-inconsistent"])
+        "cp3-positive-degree-inconsistent"])
 def test_uncertified_flow_up_falls_back(name, slot, degrees, caplog):
     # a wrong value carried along one edge fails the edge check at its later
     # end: interpolated there, it leaves the local system inconsistent, and
     # checked there, it differs from the interpolant; one DEBUG line, then
-    # the oracle's classes.  The constant class takes its value from slot 0
-    # and checks every other slot, so it fails the same way
+    # the oracle's classes
     graph, profile = _flow_up_case(name, None)
     degrees = degrees or range(graph.n + 1)
     certified = canonical_classes(graph, profile)
@@ -487,16 +493,18 @@ def test_uncertified_flow_up_falls_back(name, slot, degrees, caplog):
     assert "fails its congruence in the class of" in caplog.records[0].getMessage()
 
 
-def test_a_constant_without_its_first_slot_fails_its_congruence():
-    # the unit class reaches every later point on every down slot; with its
-    # value on slot 0 dropped it has no value at q, and the first slot that
-    # still carries it names the edge, as for an interpolant that is 0
-    graph, profile = _flow_up_case("su3", None)
-    with _corrupting_first_carried(_interpolated, [0], dict.pop) as done:
-        with pytest.raises(cohomology.FlowUpError,
-                           match="^edge C-D fails its congruence in the class of A$"):
-            flow_up_classes(graph, profile)
-    assert done == [0]
+@pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
+def test_the_unit_is_one_everywhere_and_never_carried(name, xi):
+    # the class of the first vertex is 1 at every vertex, in basis order,
+    # and no inbox ever holds it
+    graph, profile = _flow_up_case(name, xi)
+    order = cohomology.basis_order(profile)
+    unit, held = order[0], set()
+    with _at_inbox_reads(lambda sweep: held.update(*sweep["inbox"].values())):
+        circle = flow_up_classes(graph, profile)
+    assert held and unit not in held
+    assert list(circle[unit].items()) == [(q, (1, 1)) for q in order]
+    assert canonical_classes(graph, profile).integer_beta[unit] == (dict.fromkeys(order, 1), 1)
 
 
 def test_flow_up_certificate_needs_one_down_edge_per_negative_weight(su3):
@@ -542,8 +550,8 @@ def test_a_class_that_interpolates_to_zero_must_vanish_at_every_down_point():
 @pytest.mark.parametrize("name, xi", FLOW_UP_CASES)
 def test_flow_up_builds_each_interpolation_basis_once(name, xi, monkeypatch):
     # one set of Lagrange weights per (q, d), shared by every class of
-    # degree d > 0 that reaches q; the constant class (d = 0) takes its value
-    # from slot 0 and builds none.  A call for degree d interpolates through
+    # degree d > 0 that reaches q; the unit (d = 0) is never carried, so
+    # builds none.  A call for degree d interpolates through
     # n = len(lines) points with pad d + 1 - n, so d = n + pad - 1
     graph, profile = _flow_up_case(name, xi)
     calls = []

@@ -266,6 +266,24 @@ def test_rank_of_a_single_row_or_column_needs_no_elimination(m, column, zero, da
         assert matrix_rank(mat) == expected == int(any(cells))
 
 
+@given(st.integers(0, 6), st.booleans(), st.sampled_from(["drawn", "zero", "multiple"]),
+       st.data())
+def test_rank_of_two_rows_or_columns_needs_no_elimination(m, column, second, data):
+    # m entries per row, m = 0 included; the second row drawn, all zeros or
+    # a multiple of the first, and the first one all zeros now and then
+    cells = st.lists(sparse_entries, min_size=m, max_size=m)
+    first = data.draw(st.just([0] * m) | cells, label="first")
+    if second == "drawn":
+        other = data.draw(cells, label="second")
+    else:
+        factor = 0 if second == "zero" else data.draw(rationals, label="factor")
+        other = [factor * x for x in first]
+    mat = [list(row) for row in zip(first, other)] if column else [first, other]
+    expected = len(exact._rref(exact._sparse(mat), 2 if column else m)[1])
+    with mock.patch.object(exact, "_rref", side_effect=AssertionError("eliminated")):
+        assert matrix_rank(mat) == expected
+
+
 # Systems on which an elimination mod P cannot be certified, labelled by the
 # reason it fails there; the integer elimination solves each exactly.
 @pytest.mark.parametrize("call,expected,reason", [

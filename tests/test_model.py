@@ -5,12 +5,12 @@ from itertools import permutations
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmlef import (GkmValidationError, analysis, betti, canonical_classes, catalog,
                     check_hypothesis, emit_gkm, model, parse_gkm, restrict_to_circle,
                     self_indexing_normalizer)
-from gkmlef.analysis import _ascending, analyze, report_to_json
+from gkmlef.analysis import _ascending, analyze, json_default, report_to_json
 from gkmlef.cohomology import CanonicalBasis
 from gkmlef.cli import main
 from gkmlef.exact import parse_rational
@@ -58,7 +58,7 @@ def test_positions_are_scaled_to_integers_once_per_graph(monkeypatch):
     calls = []
     scale = model._integer_positions
     monkeypatch.setattr(model, "_integer_positions",
-                        lambda positions: calls.append(1) or scale(positions))
+                        lambda *args: calls.append(1) or scale(*args))
     entry = catalog.get("so5", scale=F(3, 7))
     graph = parse_gkm(entry.document)
     profiles = [restrict_to_circle(graph, xi) for xi in (entry.default_xi, (2, 1))]
@@ -509,8 +509,8 @@ def test_a_literal_equal_to_a_parsed_int_still_fails(bad):
 
 def test_shared_and_padded_literals_parse_to_their_values():
     # "0" is shared by three vertices and two coordinates, "3/4" by two
-    # vertices; " 3/4 " is the same value under another string
-    positions = [["0", "0"], [" 3/4 ", "0"], ["0", "3/4"], ["3/4", "3/4"]]
+    # vertices; " 3/4 " and the int 0 are the same values under other literals
+    positions = [[0, "0"], [" 3/4 ", "0"], ["0", "3/4"], ["3/4", "3/4"]]
     doc = {"rank": 2, "dimension": 4,
            "vertices": [{"id": "p%d" % i, "position": pos} for i, pos in enumerate(positions)],
            "edges": [{"v": "p0", "w": "p1", "weight": [1, 0]},
@@ -705,17 +705,17 @@ def test_affine_reparametrization_invariance(su3):
 
 
 def _without(report, *paths):
-    """report with the fields at each "a/b/c" path dropped, and every
-    vertex position: a plain copy, the argument is left as it is."""
-    report = json.loads(json.dumps(report, default=dict))
-    for path in paths:
+    """report with the fields at each "a/b/c" path dropped, a "*" standing
+    for every item of a list, and every vertex position: a plain copy, the
+    argument is left as it is."""
+    report = json.loads(json.dumps(report, default=json_default))
+    for path in paths + ("profile/vertices/*/position",):
         *parents, key = path.split("/")
-        node = report
+        nodes = [report]
         for p in parents:
-            node = node[p]
-        del node[key]
-    for v in report["profile"]["vertices"]:
-        del v["position"]
+            nodes = [x for node in nodes for x in (node if p == "*" else [node[p]])]
+        for node in nodes:
+            del node[key]
     return report
 
 
@@ -753,14 +753,12 @@ def test_reports_are_translation_invariant(data):
         assert all(a * F(c) + b == 2 * k
                    for k, c in enumerate(report["profile"]["level_constants"]))
     mu_valued = ("input/digest", "profile/min_shift", "profile/level_constants",
-                 "self_indexing_normalizer")
-    (report, _), (moved_report, _) = reports[False]
-    for r in (report, moved_report):
-        for v in r["profile"]["vertices"]:
-            del v["mu"]
-        (distinct,) = [e for e in r["lemmas"] if e["name"] == "distinct-level-constants"]
+                 "self_indexing_normalizer", "profile/vertices/*/mu")
+    copies = [_without(r, *mu_valued) for r, _ in reports[False]]
+    for copy in copies:
+        (distinct,) = [e for e in copy["lemmas"] if e["name"] == "distinct-level-constants"]
         distinct["detail"] = distinct["detail"].split("; ", 1)[-1]
-    assert _without(moved_report, *mu_valued) == _without(report, *mu_valued)
+    assert copies[0] == copies[1]
 
 
 def test_roundtrip(su3):
@@ -837,13 +835,14 @@ _WRITER_CASES = _writer_cases()
 
 @pytest.mark.parametrize("case", list(_WRITER_CASES))
 def test_report_and_document_writers_are_the_stdlib(case):
-    # the report's classes print themselves; json.dumps reads them as the
-    # dict they stand for, built by the _ascending route
+    # the report's vertex table and classes print themselves; json.dumps
+    # reads them as the list and the dict they stand for, built from the
+    # Fraction positions and mu and by the _ascending route
     document, xi, emitted = _WRITER_CASES[case]
     graph = parse_gkm(document)
     assert emit_gkm(graph) == emitted == json.dumps(json.loads(emitted), indent=2) + "\n"
     report, _ = analyze(graph, xi, name=case, source_bytes=document.encode())
-    assert report_to_json(report) == json.dumps(report, indent=2, default=dict) + "\n"
+    assert report_to_json(report) == json.dumps(report, indent=2, default=json_default) + "\n"
     profile = restrict_to_circle(graph, xi)
     basis = canonical_classes(graph, profile)
     vids = sorted(profile.index)
@@ -853,6 +852,55 @@ def test_report_and_document_writers_are_the_stdlib(case):
                                    "alpha": _ascending(basis.alpha[fid], vids),
                                    "beta": _ascending(basis.beta[fid], vids)}
                              for fid in basis.order}
+    assert list(report["profile"]["vertices"]) == [
+        {"id": v.id, "position": [str(x) for x in v.position], "mu": str(profile.mu[v.id]),
+         "index": profile.index[v.id], "circle_weights": list(profile.weights[v.id])}
+        for v in sorted(graph.vertices, key=lambda v: v.id)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(catalog.names()), st.data())
+def test_report_json_is_the_stdlib_through_the_reference_views(name, data):
+    # translated positions, a random generic circle and --shift-min: the
+    # integer writers print what json.dumps prints through the views'
+    # Fraction routes
+    graph = parse_gkm(catalog.get(name).document)
+    t = data.draw(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * graph.rank), label="t")
+    document = emit_gkm(dataclasses.replace(graph, vertices=tuple(
+        Vertex(v.id, tuple(p + s for p, s in zip(v.position, t))) for v in graph.vertices)))
+    graph = parse_gkm(document)
+    xi = data.draw(st.tuples(*[st.integers(-6, 6)] * graph.rank), label="xi")
+    assume(all(sum(a * b for a, b in zip(e.weight, xi)) for e in graph.edges))
+    shift_min = data.draw(st.booleans(), label="shift_min")
+    report, _ = analyze(graph, xi, name=name, source_bytes=document.encode(),
+                        shift_min=shift_min)
+    assert report_to_json(report) == json.dumps(report, indent=2, default=json_default) + "\n"
+
+
+class _Unread(tuple):
+    """A position that refuses to be read coordinate by coordinate."""
+
+    def __iter__(self):
+        raise AssertionError("a vertex position was read as Fractions")
+
+
+@pytest.mark.parametrize("name", ["so5", "cp3", "hirzebruch1"])
+def test_the_vertex_table_is_written_from_the_integer_positions(name):
+    # the positions of a parsed graph are read only through
+    # graph.integer_positions, kept from parse
+    entry = catalog.get(name, **({"scale": F(3, 7)} if name == "so5" else {}))
+    graph = parse_gkm(entry.document)
+
+    def printed():
+        return [report_to_json(analyze(graph, entry.default_xi, shift_min=shift)[0])
+                for shift in (False, True)]
+    expected = printed()
+    object.__setattr__(graph, "vertices", tuple(Vertex(v.id, _Unread(v.position))
+                                                for v in graph.vertices))
+    assert printed() == expected
+    report, _ = analyze(graph, entry.default_xi)
+    with pytest.raises(AssertionError, match="read as Fractions"):
+        list(report["profile"]["vertices"])
 
 
 # every catalog entry at its default circle, and the homogeneous spaces of
@@ -892,7 +940,7 @@ def test_report_json_writes_the_classes_from_the_basis(name, code, homogeneous, 
     fid = report["canonical_basis"]["order"][-1]
     assert classes[fid]["degree"] == 2 * graph.n
     assert fid in classes and "no such vertex" not in classes
-    assert text == json.dumps(report, indent=2, default=dict) + "\n"
+    assert text == json.dumps(report, indent=2, default=json_default) + "\n"
 
 
 def test_profile_caches_follow_dataclasses_replace(su3):
