@@ -6,12 +6,16 @@ node is a plain JSON value except two views that print themselves:
 profile.vertices, a read-only Sequence over the vertices (VerticesView),
 and canonical_basis.classes, a read-only Mapping over the canonical basis
 (ClassesView).  Each prints from integers and builds its plain value from
-the Fraction views when read, so json.dumps(report, default=json_default)
-gives the tree report_to_json prints.
+the Fraction views when read, so json.dumps(report, indent=2,
+default=json_default) is the byte reference for report_to_json.  That
+writer fills one schema-1 template: the fixed skeleton of analyze's keys,
+one row template for the lemma and certificate ledger and one for the hard
+Lefschetz degrees, with the two views printing their own sections.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from collections.abc import Mapping, Sequence
 from functools import cached_property
@@ -21,7 +25,7 @@ from . import lefschetz
 from .cohomology import (canonical_classes, kirwan_reduce,
                          localization_pairing_invertible)
 from .exact import format_ratio, format_rational
-from .model import (_string, betti, check_hypothesis, dumps_indented,
+from .model import (_KEYWORDS, _indented, _string, betti, check_hypothesis,
                     restrict_to_circle, self_indexing_normalizer, shift_moment_map)
 
 SCHEMA_VERSION = 1
@@ -37,8 +41,8 @@ class VerticesView(Sequence):
     """The report's profile.vertices: one {"id", "position", "mu", "index",
     "circle_weights"} per vertex id of vids, in that order, read from
     Vertex.position and profile.mu, the Fraction views, when indexed by an
-    int.  indented(newline) prints it as model.dumps_indented prints that
-    list, from graph.integer_positions and profile.scaled_mu over mu_scale,
+    int.  indented(newline) prints it as json.dumps prints that list at
+    indent 2, from graph.integer_positions and profile.scaled_mu over mu_scale,
     each written by format_ratio, and the profile's index and weights."""
 
     def __init__(self, graph, profile, vids):
@@ -102,7 +106,7 @@ class ClassesView(Mapping):
     """The report's canonical_basis.classes: {F: {"degree", "alpha",
     "beta"}} over basis.order, each family as _ascending gives it from the
     Fraction views basis.alpha and basis.beta, built when read.
-    indented(newline) prints it as model.dumps_indented prints that dict,
+    indented(newline) prints it as json.dumps prints that dict at indent 2,
     from basis.integer_beta alone: beta_F(q) = a_F(q) / s_F and alpha_F(q) =
     L_F a_F(q) / s_F, L_F the product of the negative weights at F, each
     reduced by one gcd and written as str writes a Fraction."""
@@ -264,8 +268,109 @@ def analyze(graph, xi, *, name=None, source_bytes=None, shift_min=False,
     return report, exit_code
 
 
+def _template(tree, depth):
+    """tree, a dict whose leaves are None, as json.dumps(indent=2) prints it
+    at depth, with a %s for each leaf."""
+    return json.dumps(tree, indent=2).replace("null", "%s").replace("\n", "\n" + "  " * depth)
+
+
+# the schema-1 report: analyze's keys in analyze's order, and a %s at the
+# end for the optional timings tail
+_SCHEMA = {
+    "schema": None,
+    "input": dict.fromkeys(("name", "digest", "xi", "shift_min")),
+    "profile": dict.fromkeys(("rank", "dimension", "vertices", "levels", "betti",
+                              "level_constants", "min_shift", "warnings")),
+    "hypothesis": dict.fromkeys(("constant_on_levels", "all_distinct", "theorem_applicability")),
+    "self_indexing_normalizer": None,
+    "canonical_basis": dict.fromkeys(("order", "classes")),
+    "hard_lefschetz": dict.fromkeys(("holds", "degrees")),
+    "lemmas": None,
+    "delta_certificates": None,
+    "semifree": dict.fromkeys(("semifree", "monotone_mu", "self_indexing")),
+    "localization": {"pairing_invertible": None},
+}
+_SKELETON = _template(_SCHEMA, 0)[:-2] + "%s\n}\n"
+# an entry of lemmas or delta_certificates, with a %s for its candidate
+_LEDGER_ROW = _template(dict.fromkeys(("name", "applicable", "pass", "detail")), 2).replace(
+    '"detail": %s', '"detail": %s%s')
+_CANDIDATE = ',\n      "candidate": %s'
+_DEGREE_ROW = _template(dict.fromkeys(("degree", "source_dim", "target_dim", "rank", "vacuous",
+                                       "holds")), 3)
+
+
+def _list(texts, newline):
+    """The JSON list of the printed values texts, as json.dumps(indent=2)
+    prints it at the depth whose line breaks are newline."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[%s%s%s]" % (inner, ("," + inner).join(texts), newline)
+
+
+def _object(items, newline):
+    """The JSON object of the (str key, printed value) pairs items, likewise."""
+    if not items:
+        return "{}"
+    inner = newline + "  "
+    return "{%s%s%s}" % (inner, ("," + inner).join([_string(k) + ": " + v for k, v in items]),
+                         newline)
+
+
+def _text(x):
+    """A str or None as JSON."""
+    return "null" if x is None else _string(x)
+
+
+def _ledger(entries):
+    keyword = _KEYWORDS
+    return _list([_LEDGER_ROW % (_string(e["name"]), keyword[e["applicable"]], keyword[e["pass"]],
+                                 _string(e["detail"]),
+                                 _CANDIDATE % _string(e["candidate"]) if "candidate" in e else "")
+                  for e in entries], "\n  ")
+
+
 def report_to_json(report):
-    return dumps_indented(report)
+    """json.dumps(report, indent=2, default=json_default) + "\\n", byte for
+    byte, for a report as analyze returns it: _SKELETON, which holds
+    analyze's keys in analyze's order, filled with each section's text.  The
+    ledger and the hard Lefschetz degrees print from their row templates, the
+    two views through their indented methods, and only the optional timings
+    tail through model's generic writer.  A report whose top-level key set
+    is not analyze's raises ValueError naming a key missing or unknown."""
+    keys = report.keys()
+    if bad := (keys ^ _SCHEMA.keys()) - {"timings"}:
+        raise ValueError("report key %s is missing or unknown" % min(map(repr, bad)))
+    keyword = _KEYWORDS
+    inp, prof, hyp = report["input"], report["profile"], report["hypothesis"]
+    basis, hl, semifree = report["canonical_basis"], report["hard_lefschetz"], report["semifree"]
+    normalizer, monotone = report["self_indexing_normalizer"], semifree["monotone_mu"]
+    return _SKELETON % (
+        report["schema"],
+        _text(inp["name"]), _text(inp["digest"]), _list([*map(str, inp["xi"])], "\n    "),
+        keyword[inp["shift_min"]],
+        prof["rank"], prof["dimension"], prof["vertices"].indented("\n    "),
+        _object([(k, _list([*map(_string, ids)], "\n      "))
+                 for k, ids in prof["levels"].items()], "\n    "),
+        _list([*map(str, prof["betti"])], "\n    "),
+        _list([*map(_text, prof["level_constants"])], "\n    "),
+        _string(prof["min_shift"]), _list([*map(_string, prof["warnings"])], "\n    "),
+        keyword[hyp["constant_on_levels"]], keyword[hyp["all_distinct"]],
+        _string(hyp["theorem_applicability"]),
+        "null" if normalizer is None else _list([*map(_string, normalizer)], "\n  "),
+        _list([*map(_string, basis["order"])], "\n    "), basis["classes"].indented("\n    "),
+        keyword[hl["holds"]],
+        _list([_DEGREE_ROW % (d["degree"], d["source_dim"], d["target_dim"], d["rank"],
+                              keyword[d["vacuous"]], keyword[d["holds"]])
+               for d in hl["degrees"]], "\n    "),
+        _ledger(report["lemmas"]), _ledger(report["delta_certificates"]),
+        keyword[semifree["semifree"]],
+        "null" if monotone is None else
+        _object([(vid, _string(x)) for vid, x in monotone.items()], "\n    "),
+        keyword[semifree["self_indexing"]],
+        _object([(k, keyword[ok]) for k, ok in report["localization"]["pairing_invertible"].items()],
+                "\n    "),
+        ',\n  "timings": ' + _indented(report["timings"], "\n  ") if "timings" in keys else "")
 
 
 def report_to_text(report):
@@ -315,4 +420,6 @@ def report_to_text(report):
                      % sf["self_indexing"])
     else:
         lines.append("semifree action: no")
+    if "timings" in report:
+        lines.append("timings: %s" % ", ".join("%s %s" % kv for kv in report["timings"].items()))
     return "\n".join(lines) + "\n"

@@ -264,8 +264,11 @@ def emit_gkm(graph):
 
 
 _string = json.encoder.encode_basestring_ascii
-_LEAVES = {str: _string, int: int.__repr__, bool: lambda b: "true" if b else "false",
-           type(None): lambda _: "null", float: json.dumps}
+# the JSON text of each constant: analysis's templates index it, and the
+# walk calls its C lookup, not a Python function, per leaf
+_KEYWORDS = {True: "true", False: "false", None: "null"}
+_LEAVES = {str: _string, int: int.__repr__, bool: _KEYWORDS.__getitem__,
+           type(None): _KEYWORDS.__getitem__, float: json.dumps}
 
 
 def _indented(obj, newline):
@@ -291,19 +294,16 @@ def _indented(obj, newline):
                 + ("," + inner).join([leaf(x) if (leaf := leaves(type(x))) is not None
                                       else _indented(x, inner) for x in obj])
                 + newline + "]")
-    indented = getattr(obj, "indented", None)
-    if indented is not None:  # an object that prints itself, as the views of analysis
-        return indented(newline)
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def dumps_indented(obj):
     """json.dumps(obj, indent=2) + "\\n", byte for byte, for trees of dict
     (str keys), list, tuple, str, int, float, bool and None, matched by exact
-    type, and of objects that print themselves: one with an indented(newline)
-    method prints as its return value.  Any other type raises TypeError.  The
-    stdlib takes its pure-Python encoder whenever indent is set; this one
-    joins strings, with the C string escaper for every str."""
+    type; any other type raises TypeError.  The stdlib takes its pure-Python
+    encoder whenever indent is set; this one joins strings, with the C string
+    escaper for every str.  It writes GKM documents (emit_gkm); reports have
+    their own template writer, analysis.report_to_json."""
     leaf = _LEAVES.get(type(obj))
     return (leaf(obj) if leaf is not None else _indented(obj, "\n")) + "\n"
 

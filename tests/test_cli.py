@@ -115,6 +115,23 @@ def test_text_format(capsys):
     assert "semifree action: yes" in out
 
 
+@pytest.mark.parametrize("example", ["su3", "hirzebruch1"])
+def test_timings_add_one_key_to_the_json_and_one_line_to_the_text(capsys, example):
+    code, plain, _ = run(capsys, "analyze", "--example", example)
+    timed_code, timed, _ = run(capsys, "analyze", "--example", example, "--timings")
+    assert timed_code == code
+    report = json.loads(timed)
+    assert timed == json.dumps(report, indent=2) + "\n"
+    assert type(report.pop("timings")["total_seconds"]) is float
+    assert report == json.loads(plain)
+    _, text, _ = run(capsys, "analyze", "--example", example, "--format", "text")
+    _, timed_text, _ = run(capsys, "analyze", "--example", example, "--format", "text",
+                           "--timings")
+    *head, last = timed_text.splitlines(keepends=True)
+    assert "".join(head) == text
+    assert last.startswith("timings: total_seconds ") and "timings" not in text
+
+
 def test_shift_min(capsys):
     _, out, _ = run(capsys, "analyze", "--example", "su3", "--shift-min")
     report = json.loads(out)

@@ -795,7 +795,13 @@ def test_dumps_indented_edge_cases(tree):
     assert dumps_indented(tree) == json.dumps(tree, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 1}}, [F(1, 2)], {"a": F(3)}, {1, 2}])
+class _SelfPrinting:
+    def indented(self, newline):
+        return "{}"
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 1}}, [F(1, 2)], {"a": F(3)}, {1, 2},
+                                  [_SelfPrinting()]])
 def test_dumps_indented_rejects_what_it_does_not_print(tree):
     with pytest.raises(TypeError):
         dumps_indented(tree)
@@ -875,6 +881,35 @@ def test_report_json_is_the_stdlib_through_the_reference_views(name, data):
     report, _ = analyze(graph, xi, name=name, source_bytes=document.encode(),
                         shift_min=shift_min)
     assert report_to_json(report) == json.dumps(report, indent=2, default=json_default) + "\n"
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_report_json_is_printed_from_templates_not_the_walk(name, monkeypatch):
+    # the skeleton, the row templates and the views print the whole report:
+    # the generic writer, which only the timings tail may use, is never called
+    def refuse(*args):
+        raise AssertionError("the generic writer was called")
+    entry = catalog.get(name)
+    graph = parse_gkm(entry.document)
+    monkeypatch.setattr(model, "_indented", refuse)
+    monkeypatch.setattr(analysis, "_indented", refuse)
+    for shift_min in (False, True):
+        report, _ = analyze(graph, entry.default_xi, name=name,
+                            source_bytes=entry.document.encode(), shift_min=shift_min)
+        assert report_to_json(report) == json.dumps(report, indent=2, default=json_default) + "\n"
+    report, _ = analyze(graph, entry.default_xi, with_timings=True)
+    with pytest.raises(AssertionError, match="generic writer"):
+        report_to_json(report)
+
+
+def test_a_report_with_keys_other_than_analyze_s_is_refused(su3):
+    _, graph, _ = su3
+    report, _ = analyze(graph, (-1, 1))
+    with pytest.raises(ValueError, match="report key 'extra' is missing or unknown"):
+        report_to_json({**report, "extra": 1})
+    del report["lemmas"]
+    with pytest.raises(ValueError, match="report key 'lemmas' is missing or unknown"):
+        report_to_json(report)
 
 
 class _Unread(tuple):
